@@ -10,18 +10,18 @@ harness.
 from .bounds import (BoundInputs, BoundReport, DesignStats, design_stats,
                      estimate_p_sub, theorem3_bound, theorem4_bound,
                      theorem5_bound, theorem6_bound)
-from .cart import build_tree, route, route_many
-from .data import (Dataset, SimConfig, accuracy, load_csv, simulate,
-                   stratified_kfold, summarize_cv)
+from .cart import build_tree, route_many
+from .data import (Dataset, SimConfig, accuracy, check_inputs, load_csv,
+                   simulate, stratified_kfold, summarize_cv)
 from .ensemble import (PAPER_DEFAULT, BoostedPmt, Design, SbpmtConfig,
                        SbpmtModel, draw_design, fit_adaboost, fit_samme,
-                       fit_sbpmt, predict_boosted, predict_boosted_many,
-                       predict_sbpmt, predict_sbpmt_many)
+                       fit_sbpmt, predict_boosted_many, predict_sbpmt,
+                       predict_sbpmt_many)
 from .model_io import deserialize_model, load_model, save_model, serialize_model
 from .numerics import (inv_mills, norm_cdf, norm_pdf, probit_loss, wls_fit,
                        working_response_and_weight)
-from .pmt import PmtModel, fit_pmt, predict_pmt, predict_pmt_many
+from .pmt import PmtModel, fit_pmt, predict_pmt_many
 from .probitboost import (LinearScore, ProbitBoostTrace, fit_probitboost,
-                          fit_probitboost_ova, predict_margin)
+                          fit_probitboost_ova)
 
 __version__ = "0.1.0"

@@ -41,8 +41,10 @@ def design_stats(design: Design, n: int) -> DesignStats:
     for i, subset in enumerate(design.subsets):
         incidence[i, subset] = 1
     R = incidence.sum(axis=0)
-    co = incidence.T @ incidence  # co[k, l] = R_kl, diagonal = R_k
-    off_sq = float(np.sum(np.square(co))) - float(np.sum(np.square(np.diag(co))))
+    # sum_{k,l} R_kl^2 = ||I^T I||_F^2 = ||I I^T||_F^2, and I I^T is only
+    # M x M (subset intersection sizes); the diagonal k = l gives sum R_k^2.
+    gram = incidence @ incidence.T
+    off_sq = float(np.sum(np.square(gram)) - np.sum(np.square(R)))
     return DesignStats(
         R=R,
         A=float(np.sum(np.square(R))) / M**2,

@@ -2,7 +2,8 @@
 
 Classification splitting with weighted Gini impurity.  Trees only provide
 the partition; leaf models are attached one level up.  Routing convention:
-x goes left iff x[feature] <= threshold.
+x goes left iff x[feature] <= threshold.  Grown trees are Leaf/Internal
+nodes; fitted models keep only their flattened arrays.
 """
 
 from __future__ import annotations
@@ -117,47 +118,46 @@ def build_tree(X, y, n_classes: int, sample_weights, max_depth: int,
     return grow(np.arange(X.shape[0]), 0)
 
 
-def iter_leaves(tree: TreeNode) -> list[Leaf]:
-    out: list[Leaf] = []
+def flatten(tree: TreeNode):
+    """Preorder arrays of a grown tree.
 
-    def walk(node):
+    Returns (feature, threshold, left, right, leaf, leaf_rows).  Internal
+    node i sends x to left[i] iff x[feature[i]] <= threshold[i].  Leaf
+    node i routes to itself (left[i] == right[i] == i) and leaf[i] is its
+    leaf_id, the index of its training rows in leaf_rows; internal nodes
+    have leaf -1.
+    """
+    nodes: list[list] = []  # [feature, threshold, left, right, leaf]
+    leaf_rows: list[np.ndarray] = []
+
+    def visit(node) -> int:
+        i = len(nodes)
+        nodes.append([0, 0.0, i, i, -1])
         if isinstance(node, Leaf):
-            out.append(node)
+            nodes[i][4] = len(leaf_rows)
+            leaf_rows.append(node.rows)
         else:
-            walk(node.left)
-            walk(node.right)
+            nodes[i][:4] = (node.feature, node.threshold,
+                            visit(node.left), visit(node.right))
+        return i
 
-    walk(tree)
-    return out
-
-
-def route(tree: TreeNode, x) -> int:
-    """Leaf id of the unique partition cell containing x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    node = tree
-    while isinstance(node, Internal):
-        if node.feature >= x.shape[0]:
-            raise ValueError("feature dimension mismatch")
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.leaf_id
+    visit(tree)
+    feature, threshold, left, right, leaf = map(np.array, zip(*nodes))
+    return feature, threshold, left, right, leaf, leaf_rows
 
 
-def route_many(tree: TreeNode, X) -> np.ndarray:
-    """Vectorized routing; returns one leaf id per row of X."""
-    X = np.asarray(X, dtype=float)
-    out = np.empty(X.shape[0], dtype=int)
+def route_many(tree, roots, X) -> np.ndarray:
+    """Node reached by every row of X in each of several trees.
 
-    def walk(node, idx):
-        if idx.size == 0:
-            return
-        if isinstance(node, Leaf):
-            out[idx] = node.leaf_id
-            return
-        if node.feature >= X.shape[1]:
-            raise ValueError("feature dimension mismatch")
-        mask = X[idx, node.feature] <= node.threshold
-        walk(node.left, idx[mask])
-        walk(node.right, idx[~mask])
-
-    walk(tree, np.arange(X.shape[0]))
-    return out
+    tree holds the node arrays of flatten (feature, threshold, left, right)
+    for one or more trees laid side by side, and depth, a bound on their
+    depth; roots[t] is the root node of tree t.  Every row moves one level
+    down in every tree per step, and a leaf routes to itself, so depth
+    steps reach every leaf.  Returns node ids of shape (n, len(roots)).
+    """
+    node = np.tile(np.asarray(roots), (X.shape[0], 1))
+    for _ in range(tree.depth):
+        x = np.take_along_axis(X, tree.feature[node], axis=1)
+        node = np.where(x <= tree.threshold[node], tree.left[node],
+                        tree.right[node])
+    return node

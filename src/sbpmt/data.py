@@ -56,6 +56,37 @@ def _check_missing(rows, header):
                 raise ValueError(f"missing value at row {r + 1}, column {col}")
 
 
+def check_inputs(X, y=None, n_classes: int | None = None,
+                 n_features: int | None = None):
+    """Reject input the models cannot take, with a message naming it.
+
+    X must be a 2-D array of finite values with n_features columns (when
+    given); y, when given, one class index in 0..n_classes-1 per row.
+    Returns (X as floats, y); a fit (y given) also needs at least one row.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D, got {X.ndim}-D")
+    if n_features is not None and X.shape[1] != n_features:
+        raise ValueError(f"feature dimension mismatch: got {X.shape[1]}, "
+                         f"expected {n_features}")
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(f"non-finite value {X[r, c]} in row {r + 1}, "
+                         f"feature {c + 1}")
+    if y is not None:
+        y = np.asarray(y)
+        if X.shape[0] == 0:
+            raise ValueError("empty data")
+        if y.shape != (X.shape[0],) or y.dtype.kind not in "iu":
+            raise ValueError("need one integer class index per row")
+        out = (y < 0) | (y >= n_classes)
+        if np.any(out):
+            raise ValueError(f"label {y[out][0]} outside 0..{n_classes - 1}")
+    return X, y
+
+
 def load_csv(path, label_column, has_header: bool = True) -> Dataset:
     """Load and encode a CSV file; label_column is a name or an index."""
     header, rows = _read_rows(path, has_header)
@@ -112,6 +143,7 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
         "has_header": header is not None,
     }
     X, feature_names = encode_rows(rows, header, schema, label_present=True)
+    check_inputs(X)
     return Dataset(X=X, y=y, class_names=class_names, schema=schema,
                    feature_names=feature_names)
 

@@ -11,12 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from . import pmt
+from . import data, pmt
 
 ERR_CLAMP = 1e-10
+
+# Rows per prediction block are chosen so that the leaf coefficients
+# gathered for one block hold at most this many floats.
+BLOCK_FLOATS = 1 << 17
 
 # Paper-default hyperparameters used for the real-dataset benchmarks.
 PAPER_DEFAULT = dict(M=21, T=5, B=100, alpha=0.7, depth=6, min_leaf_size=20)
@@ -70,13 +75,51 @@ class SbpmtModel:
     n_classes: int
     schema: dict | None = field(default=None)
 
+    @cached_property
+    def committee(self) -> "Committee":
+        return Committee.of(self.members)
+
+
+@dataclass
+class Committee:
+    """The trees of boosted members laid side by side: tree t starts at
+    node roots[t], belongs to member[t] and votes with weight alpha[t]."""
+
+    trees: pmt.PmtModel
+    roots: np.ndarray
+    alpha: np.ndarray
+    member: np.ndarray
+
+    @classmethod
+    def of(cls, members: list[BoostedPmt]) -> "Committee":
+        stages = [(k, st) for k, m in enumerate(members) for st in m.stages]
+        trees, roots = pmt.stack([st.model for _, st in stages])
+        return cls(trees, roots, np.array([st.alpha for _, st in stages]),
+                   np.array([k for k, _ in stages]))
+
+    def predict(self, X) -> np.ndarray:
+        """Majority vote of the members, each the stage-weighted vote of
+        its trees; argmax ties go to the smallest class index (for two
+        classes, the sign(0) = -1 convention).  Runs block by block over
+        the rows, so no temporary grows with their number."""
+        trees, J, M = self.trees, self.trees.n_classes, self.member[-1] + 1
+        X, _ = data.check_inputs(X, n_features=trees.coef.shape[-1])
+        block = max(1, BLOCK_FLOATS // (self.alpha.size * trees.coef[0].size))
+        out = np.empty(X.shape[0], dtype=int)
+        for start in range(0, X.shape[0], block):
+            cls = pmt.tree_classes(trees, self.roots, X[start:start + block])
+            rows = np.arange(cls.shape[0])[:, None]
+            votes = np.zeros((cls.shape[0], M, J))
+            np.add.at(votes, (rows, self.member, cls), self.alpha)
+            counts = np.zeros((cls.shape[0], J))
+            np.add.at(counts, (rows, votes.argmax(axis=2)), 1)
+            out[start:start + cls.shape[0]] = counts.argmax(axis=1)
+        return out
+
 
 def _fit_boosted(X, y, n_classes, T, depth, min_leaf_size, probit_iters):
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
+    X, y = data.check_inputs(X, y, n_classes)
     m = X.shape[0]
-    if m == 0:
-        raise ValueError("empty data")
     if T < 1:
         raise ValueError("need at least one boosting round")
     err_ceiling = 1.0 - 1.0 / n_classes
@@ -117,18 +160,7 @@ def fit_samme(X, y, n_classes: int, T: int, depth: int, min_leaf_size: int,
 
 
 def predict_boosted_many(model: BoostedPmt, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    votes = np.zeros((X.shape[0], model.n_classes))
-    for stage in model.stages:
-        preds = pmt.predict_pmt_many(stage.model, X)
-        votes[np.arange(X.shape[0]), preds] += stage.alpha
-    # argmax takes the smallest class index on ties; for the binary case
-    # that is the sign(0) = -1 (class 0) convention
-    return np.argmax(votes, axis=1)
-
-
-def predict_boosted(model: BoostedPmt, x) -> int:
-    return int(predict_boosted_many(model, np.asarray(x, dtype=float)[None, :])[0])
+    return Committee.of([model]).predict(X)
 
 
 def draw_design(n: int, alpha: float, M: int, seed: int) -> Design:
@@ -146,10 +178,7 @@ def draw_design(n: int, alpha: float, M: int, seed: int) -> Design:
 
 def fit_sbpmt(X, y, n_classes: int, config: SbpmtConfig,
               schema: dict | None = None) -> SbpmtModel:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    if X.shape[0] == 0:
-        raise ValueError("empty data")
+    X, y = data.check_inputs(X, y, n_classes)
     design = draw_design(X.shape[0], config.alpha, config.M, config.seed)
     members = [
         _fit_boosted(X[idx], y[idx], n_classes, config.T, config.depth,
@@ -161,18 +190,7 @@ def fit_sbpmt(X, y, n_classes: int, config: SbpmtConfig,
 
 
 def predict_sbpmt_many(model: SbpmtModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if model.n_classes == 2:
-        # sign of the mean of member outputs in {-1,+1}; ties -> class 0
-        total = np.zeros(X.shape[0])
-        for member in model.members:
-            total += 2 * predict_boosted_many(member, X) - 1
-        return (total > 0).astype(int)
-    counts = np.zeros((X.shape[0], model.n_classes), dtype=int)
-    for member in model.members:
-        preds = predict_boosted_many(member, X)
-        counts[np.arange(X.shape[0]), preds] += 1
-    return np.argmax(counts, axis=1)
+    return model.committee.predict(X)
 
 
 def predict_sbpmt(model: SbpmtModel, x) -> int:

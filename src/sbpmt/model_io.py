@@ -1,7 +1,8 @@
 """Versioned JSON model persistence.
 
 The format is a self-describing JSON document with explicit
-format_version; coefficients stay human-inspectable.  Serialization is
+format_version; coefficients stay human-inspectable.  Each tree is stored
+as the arrays of pmt.PmtModel, written as (nested) lists.  Serialization is
 deterministic (sorted keys, fixed layout), so identical models produce
 byte-identical files, and deserialize(serialize(m)) predicts bit-identically.
 """
@@ -9,66 +10,13 @@ byte-identical files, and deserialize(serialize(m)) predicts bit-identically.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 
-from . import cart, ensemble, pmt
-from .probitboost import LinearScore
+from . import ensemble, pmt
 
-FORMAT_VERSION = 1
-
-
-def _tree_to_dict(node):
-    if isinstance(node, cart.Leaf):
-        return {"leaf_id": node.leaf_id}
-    return {"feature": node.feature, "threshold": node.threshold,
-            "left": _tree_to_dict(node.left),
-            "right": _tree_to_dict(node.right)}
-
-
-def _tree_from_dict(d):
-    if "leaf_id" in d:
-        return cart.Leaf(leaf_id=d["leaf_id"], rows=np.empty(0, dtype=int))
-    return cart.Internal(feature=d["feature"], threshold=d["threshold"],
-                         left=_tree_from_dict(d["left"]),
-                         right=_tree_from_dict(d["right"]))
-
-
-def _score_to_dict(score: LinearScore):
-    return {"intercept": score.intercept,
-            "coefficients": [float(c) for c in score.coefficients]}
-
-
-def _score_from_dict(d) -> LinearScore:
-    return LinearScore(intercept=d["intercept"],
-                       coefficients=np.array(d["coefficients"], dtype=float))
-
-
-def _pmt_to_dict(model: pmt.PmtModel):
-    leaf_models = {}
-    for leaf_id, entry in model.leaf_models.items():
-        if model.n_classes == 2:
-            leaf_models[str(leaf_id)] = _score_to_dict(entry)
-        else:
-            leaf_models[str(leaf_id)] = [_score_to_dict(s) for s in entry]
-    return {"tree": _tree_to_dict(model.tree), "leaf_models": leaf_models,
-            "n_classes": model.n_classes, "depth": model.depth,
-            "probit_iters": model.probit_iters,
-            "probit_risk": model.probit_risk}
-
-
-def _pmt_from_dict(d) -> pmt.PmtModel:
-    n_classes = d["n_classes"]
-    leaf_models = {}
-    for key, entry in d["leaf_models"].items():
-        if n_classes == 2:
-            leaf_models[int(key)] = _score_from_dict(entry)
-        else:
-            leaf_models[int(key)] = [_score_from_dict(s) for s in entry]
-    return pmt.PmtModel(tree=_tree_from_dict(d["tree"]),
-                        leaf_models=leaf_models, n_classes=n_classes,
-                        depth=d["depth"], probit_iters=d["probit_iters"],
-                        probit_risk=d["probit_risk"])
+FORMAT_VERSION = 2
 
 
 def model_to_dict(model: ensemble.SbpmtModel) -> dict:
@@ -81,43 +29,43 @@ def model_to_dict(model: ensemble.SbpmtModel) -> dict:
         "n_classes": model.n_classes,
         "schema": model.schema,
         "design": {"seed": model.design.seed,
-                   "subsets": [[int(i) for i in s]
-                               for s in model.design.subsets]},
+                   "subsets": [s.tolist() for s in model.design.subsets]},
         "members": [
             {"stages": [
                 {"alpha": st.alpha, "err": st.err, "raw_err": st.raw_err,
                  "probit_risk": st.probit_risk,
-                 "model": _pmt_to_dict(st.model)}
+                 "model": {f.name: np.asarray(getattr(st.model, f.name))
+                           .tolist() for f in fields(st.model)}}
                 for st in member.stages]}
             for member in model.members],
     }
 
 
 def model_from_dict(doc: dict) -> ensemble.SbpmtModel:
-    if doc.get("format_version") != FORMAT_VERSION:
+    version = doc.get("format_version")
+    if version != FORMAT_VERSION:
         raise ValueError(
-            f"unsupported model format version {doc.get('format_version')!r}")
+            f"unsupported model format version {version!r}; this release "
+            f"reads version {FORMAT_VERSION} only, so refit the model")
     cfg = ensemble.SbpmtConfig(**doc["config"])
     design = ensemble.Design(
         subsets=[np.array(s, dtype=int) for s in doc["design"]["subsets"]],
         seed=doc["design"]["seed"])
-    members = []
-    for mdoc in doc["members"]:
-        stages = [
-            ensemble.BoostStage(alpha=sd["alpha"], err=sd["err"],
-                                raw_err=sd["raw_err"],
-                                probit_risk=sd["probit_risk"],
-                                model=_pmt_from_dict(sd["model"]))
-            for sd in mdoc["stages"]]
-        members.append(ensemble.BoostedPmt(stages=stages,
-                                           n_classes=doc["n_classes"]))
+    members = [ensemble.BoostedPmt(n_classes=doc["n_classes"], stages=[
+        ensemble.BoostStage(
+            alpha=sd["alpha"], err=sd["err"], raw_err=sd["raw_err"],
+            probit_risk=sd["probit_risk"],
+            model=pmt.PmtModel(**{k: np.array(v) if isinstance(v, list) else v
+                                  for k, v in sd["model"].items()}))
+        for sd in mdoc["stages"]]) for mdoc in doc["members"]]
     return ensemble.SbpmtModel(members=members, design=design, config=cfg,
                                n_classes=doc["n_classes"],
                                schema=doc["schema"])
 
 
 def serialize_model(model: ensemble.SbpmtModel) -> str:
-    return json.dumps(model_to_dict(model), sort_keys=True, indent=1) + "\n"
+    return json.dumps(model_to_dict(model), sort_keys=True, indent=1,
+                      allow_nan=False) + "\n"
 
 
 def deserialize_model(text: str) -> ensemble.SbpmtModel:

@@ -1,9 +1,11 @@
 """Probit Model Tree: CART partition + per-leaf ProbitBoost models.
 
-Binary leaves carry one LinearScore (positive margin predicts class 1);
-multi-class leaves carry one LinearScore per class, decided by argmax.
-Binary ties go to class 0 (the sign(0) = -1 convention); multi-class ties
-go to the smallest class index.
+A fitted tree is a set of arrays: the node arrays of cart.flatten and one
+score block with a row per leaf, margin_k(x) = intercept[l, k] +
+coef[l, k] . x.  Binary trees have K = 1 margin (positive predicts class
+1, so ties go to class 0, the sign(0) = -1 convention); multi-class trees
+have K = n_classes one-versus-all margins, decided by argmax (ties go to
+the smallest class index).
 """
 
 from __future__ import annotations
@@ -12,17 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cart, numerics, probitboost
-from .probitboost import LinearScore
+from . import cart, data, numerics, probitboost
 
 
 @dataclass
 class PmtModel:
-    tree: cart.TreeNode
-    leaf_models: dict[int, LinearScore | list[LinearScore]]
+    """One Probit Model Tree, or several laid side by side (see stack)."""
+
+    feature: np.ndarray    # (N,) split feature per node
+    threshold: np.ndarray  # (N,) split threshold per node
+    left: np.ndarray       # (N,) left child; a leaf node is its own child
+    right: np.ndarray      # (N,) right child
+    leaf: np.ndarray       # (N,) row of the score block; read at leaves only
+    intercept: np.ndarray  # (L, K)
+    coef: np.ndarray       # (L, K, p)
     n_classes: int
     depth: int
-    probit_iters: int
     # Weighted probit risk of the whole tree (binary only; None for J > 2).
     # Feeds the Theorem-6-style bound on boosted training error.
     probit_risk: float | None = None
@@ -45,10 +52,12 @@ def fit_pmt(X, y, n_classes: int, sample_weights, depth: int,
     w = w / total
 
     tree = cart.build_tree(X, y, n_classes, w, depth, min_leaf_size)
-    leaf_models: dict[int, LinearScore | list[LinearScore]] = {}
+    feature, threshold, left, right, leaf, leaf_rows = cart.flatten(tree)
+    K = 1 if n_classes == 2 else n_classes
+    intercept = np.zeros((len(leaf_rows), K))
+    coef = np.zeros((len(leaf_rows), K, X.shape[1]))
     risk = 0.0
-    for leaf in cart.iter_leaves(tree):
-        rows = leaf.rows
+    for lf, rows in enumerate(leaf_rows):
         lw = w[rows]
         mass = float(np.sum(lw))
         if mass <= 0.0:
@@ -58,42 +67,54 @@ def fit_pmt(X, y, n_classes: int, sample_weights, depth: int,
             ypm = np.where(y[rows] == 1, 1.0, -1.0)
             score, trace = probitboost.fit_probitboost(
                 X[rows], ypm, lw, probit_iters)
-            leaf_models[leaf.leaf_id] = score
+            scores = [score]
             risk += mass * trace.risks[-1]
         else:
-            leaf_models[leaf.leaf_id] = probitboost.fit_probitboost_ova(
+            scores = probitboost.fit_probitboost_ova(
                 X[rows], y[rows], n_classes, lw, probit_iters)
-    return PmtModel(tree=tree, leaf_models=leaf_models, n_classes=n_classes,
-                    depth=depth, probit_iters=probit_iters,
+        intercept[lf] = [s.intercept for s in scores]
+        coef[lf] = [s.coefficients for s in scores]
+    return PmtModel(feature=feature, threshold=threshold, left=left,
+                    right=right, leaf=leaf, intercept=intercept, coef=coef,
+                    n_classes=n_classes, depth=depth,
                     probit_risk=risk if n_classes == 2 else None)
 
 
-def _decide(model: PmtModel, leaf_id: int, x) -> int:
-    entry = model.leaf_models[leaf_id]
-    if model.n_classes == 2:
-        return 1 if entry.margin(x) > 0 else 0
-    margins = [s.margin(x) for s in entry]
-    return int(np.argmax(margins))
+def stack(models: list[PmtModel]):
+    """Lay trees side by side: (one PmtModel over all of them, root node
+    of each tree).  Node and leaf indices are offset per tree."""
+    roots = np.cumsum([0] + [m.feature.size for m in models[:-1]])
+    leaf_off = np.cumsum([0] + [m.intercept.shape[0] for m in models[:-1]])
+
+    def cat(name, offsets=np.zeros(len(models), dtype=int)):
+        return np.concatenate([getattr(m, name) + o
+                               for m, o in zip(models, offsets)])
+
+    return PmtModel(feature=cat("feature"), threshold=cat("threshold"),
+                    left=cat("left", roots), right=cat("right", roots),
+                    leaf=cat("leaf", leaf_off), intercept=cat("intercept"),
+                    coef=cat("coef"), n_classes=models[0].n_classes,
+                    depth=max(m.depth for m in models)), roots
 
 
-def predict_pmt(model: PmtModel, x) -> int:
-    """Class index for one feature vector."""
-    return _decide(model, cart.route(model.tree, x), x)
+def margins(trees: PmtModel, roots, X) -> np.ndarray:
+    """Leaf margins of every row of X in every tree, shape (n, T, K)."""
+    leaf = trees.leaf[cart.route_many(trees, roots, X)]
+    return trees.intercept[leaf] + np.einsum("ntkp,np->ntk",
+                                             trees.coef[leaf], X)
+
+
+def tree_classes(trees: PmtModel, roots, X) -> np.ndarray:
+    """Class index of every row of X in every tree, shape (n, T)."""
+    m = margins(trees, roots, X)
+    if trees.n_classes == 2:
+        return (m[:, :, 0] > 0).astype(int)
+    return np.argmax(m, axis=2)
 
 
 def predict_pmt_many(model: PmtModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    leaf_ids = cart.route_many(model.tree, X)
-    out = np.empty(X.shape[0], dtype=int)
-    for leaf_id in np.unique(leaf_ids):
-        idx = np.flatnonzero(leaf_ids == leaf_id)
-        entry = model.leaf_models[leaf_id]
-        if model.n_classes == 2:
-            out[idx] = (entry.margins(X[idx]) > 0).astype(int)
-        else:
-            margins = np.column_stack([s.margins(X[idx]) for s in entry])
-            out[idx] = np.argmax(margins, axis=1)
-    return out
+    X, _ = data.check_inputs(X, n_features=model.coef.shape[-1])
+    return tree_classes(model, [0], X)[:, 0]
 
 
 def weighted_probit_risk(model: PmtModel, X, y, sample_weights) -> float:
@@ -104,9 +125,5 @@ def weighted_probit_risk(model: PmtModel, X, y, sample_weights) -> float:
     ypm = np.where(np.asarray(y) == 1, 1.0, -1.0)
     w = np.asarray(sample_weights, dtype=float)
     w = w / float(np.sum(w))
-    leaf_ids = cart.route_many(model.tree, X)
-    margins = np.empty(X.shape[0])
-    for leaf_id in np.unique(leaf_ids):
-        idx = np.flatnonzero(leaf_ids == leaf_id)
-        margins[idx] = model.leaf_models[leaf_id].margins(X[idx])
-    return float(np.dot(w, numerics.probit_loss(ypm * margins)))
+    f = margins(model, [0], X)[:, 0, 0]
+    return float(np.dot(w, numerics.probit_loss(ypm * f)))

@@ -22,28 +22,6 @@ class LinearScore:
     intercept: float
     coefficients: np.ndarray
 
-    def margin(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.coefficients.shape:
-            raise ValueError(
-                f"feature dimension mismatch: got {x.shape[0] if x.ndim else 0}, "
-                f"expected {self.coefficients.shape[0]}"
-            )
-        return float(self.intercept + self.coefficients @ x)
-
-    def margins(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.shape[1] != self.coefficients.shape[0]:
-            raise ValueError(
-                f"feature dimension mismatch: got {X.shape[1]}, "
-                f"expected {self.coefficients.shape[0]}"
-            )
-        return self.intercept + X @ self.coefficients
-
-
-def predict_margin(score: LinearScore, x) -> float:
-    return score.margin(x)
-
 
 @dataclass
 class ProbitBoostTrace:

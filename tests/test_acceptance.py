@@ -24,8 +24,9 @@ mpmath.mp.dps = 40
 BENCH = dict(M=5, T=5, B=5, alpha=0.7, depth=3, min_leaf_size=20)
 
 
-def report(criterion: str, passed: bool, detail: str = "") -> None:
-    status = "PASS" if passed else "FAIL"
+def report(criterion: str, passed: bool | None, detail: str = "") -> None:
+    """Record the criterion's verdict line; passed=None records SKIP."""
+    status = {True: "PASS", False: "FAIL", None: "SKIP"}[passed]
     tail = f" ({detail})" if detail else ""
     line = f"[{status}] criterion {criterion}{tail}"
     print(line)
@@ -33,9 +34,7 @@ def report(criterion: str, passed: bool, detail: str = "") -> None:
 
 
 def skip(criterion: str, reason: str) -> None:
-    line = f"[SKIP] criterion {criterion} ({reason})"
-    print(line)
-    conftest.acceptance_lines.append(line)
+    report(criterion, None, reason)
     pytest.skip(reason)
 
 
@@ -326,6 +325,11 @@ class TestCriterion7DatasetReproduction:
         assert mean >= 94.5
 
     def test_total_runtime_budget(self):
+        if not CV_TIMES:
+            # the budget gate timed nothing, so its verdict is SKIP; the
+            # test still passes, as the budget cannot have been exceeded
+            report("7: CV runtime <= 10 min", None, "no dataset ran")
+            return
         total = sum(CV_TIMES.values())
         report("7: CV runtime <= 10 min", total <= 600, f"{total:.0f}s")
         assert total <= 600

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -54,6 +55,17 @@ class TestDesignStats:
         d = ensemble.draw_design(40, 0.6, 7, seed=1)
         stats = bounds.design_stats(d, 40)
         assert int(stats.R.sum()) == 7 * 24
+
+    def test_memory_grows_with_the_design_not_n_squared(self):
+        design = ensemble.draw_design(6000, 0.7, 21, seed=3)
+        tracemalloc.start()
+        try:
+            stats = bounds.design_stats(design, 6000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+        assert int(stats.R.sum()) == 21 * 4200
 
     def test_exhaustive_small_designs_match_brute_force(self):
         n = 4

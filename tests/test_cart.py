@@ -1,13 +1,34 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from sbpmt import cart
+from sbpmt import cart, pmt
 from sbpmt.cart import Internal, Leaf
 
 
+def flat(tree, depth):
+    """The node arrays of a grown tree, routable by cart.route_many."""
+    feature, threshold, left, right, leaf, rows = cart.flatten(tree)
+    return SimpleNamespace(feature=feature, threshold=threshold, left=left,
+                           right=right, leaf=leaf, rows=rows, depth=depth)
+
+
 def leaf_labels(tree, y):
-    return {leaf.leaf_id: set(y[leaf.rows].tolist())
-            for leaf in cart.iter_leaves(tree)}
+    return {i: set(y[rows].tolist())
+            for i, rows in enumerate(cart.flatten(tree)[-1])}
+
+
+def walk(node, x):
+    """Reference router: follow the grown nodes to the leaf_id of x."""
+    while isinstance(node, Internal):
+        node = node.left if x[node.feature] <= node.threshold else node.right
+    return node.leaf_id
+
+
+def route_leaves(tree, depth, X):
+    t = flat(tree, depth)
+    return t.leaf[cart.route_many(t, [0], np.asarray(X, dtype=float))[:, 0]]
 
 
 class TestBuildTree:
@@ -113,9 +134,14 @@ class TestBuildTree:
         X = rng.normal(size=(100, 4))
         y = (X[:, 0] + 0.3 * rng.normal(size=100) > 0).astype(int)
         tree = cart.build_tree(X, y, 2, np.ones(100), 4, 5)
-        leaves = cart.iter_leaves(tree)
-        assert sorted(lf.leaf_id for lf in leaves) == list(range(len(leaves)))
-        all_rows = np.concatenate([lf.rows for lf in leaves])
+        t = flat(tree, 4)
+        is_leaf = t.left == np.arange(t.left.size)
+        np.testing.assert_array_equal(t.right[is_leaf],
+                                      np.flatnonzero(is_leaf))
+        np.testing.assert_array_equal(t.leaf[is_leaf],
+                                      np.arange(len(t.rows)))
+        assert np.all(t.leaf[~is_leaf] == -1)
+        all_rows = np.concatenate(t.rows)
         np.testing.assert_array_equal(np.sort(all_rows), np.arange(100))
 
     def test_empty_data_rejected(self):
@@ -140,9 +166,9 @@ class TestRouting:
 
     def test_training_rows_route_to_their_leaf(self):
         tree, X = self.tree()
-        for leaf in cart.iter_leaves(tree):
-            for r in leaf.rows:
-                assert cart.route(tree, X[r]) == leaf.leaf_id
+        leaves = route_leaves(tree, 2, X)
+        for leaf_id, rows in enumerate(flat(tree, 2).rows):
+            assert np.all(leaves[rows] == leaf_id)
 
     def test_boundary_goes_left(self):
         X = np.array([[0.0], [2.0]])
@@ -150,25 +176,51 @@ class TestRouting:
         tree = cart.build_tree(X, y, 2, np.ones(2), 1, 1)
         assert tree.threshold == pytest.approx(1.0)
         left_id = tree.left.leaf_id
-        assert cart.route(tree, [1.0]) == left_id  # x == threshold -> left
-        assert cart.route(tree, np.nextafter(1.0, 2.0)) != left_id
+        assert route_leaves(tree, 1, [[1.0]])[0] == left_id  # x == threshold
+        assert route_leaves(tree, 1, [[np.nextafter(1.0, 2.0)]])[0] != left_id
 
     def test_route_many_matches_scalar(self):
+        # batch routing equals the reference walk over the grown nodes,
+        # and each row routed as a batch of one
         rng = np.random.default_rng(17)
         X = rng.normal(size=(300, 3))
         y = (X[:, 1] > 0).astype(int)
         tree = cart.build_tree(X, y, 2, np.ones(300), 5, 2)
         Xq = rng.normal(size=(500, 3))
-        many = cart.route_many(tree, Xq)
-        assert many.tolist() == [cart.route(tree, x) for x in Xq]
+        many = route_leaves(tree, 5, Xq)
+        assert many.tolist() == [walk(tree, x) for x in Xq]
+        assert many.tolist() == [route_leaves(tree, 5, x[None, :])[0]
+                                 for x in Xq]
+
+    def test_trees_side_by_side_route_independently(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(200, 3))
+        trees = [cart.build_tree(X, (X[:, j] > 0).astype(int), 2,
+                                 np.ones(200), d, 5)
+                 for j, d in ((0, 1), (1, 4), (2, 0))]
+        flats = [flat(t, d) for t, d in zip(trees, (1, 4, 0))]
+        roots = np.cumsum([0] + [f.feature.size for f in flats[:-1]])
+        both = SimpleNamespace(
+            feature=np.concatenate([f.feature for f in flats]),
+            threshold=np.concatenate([f.threshold for f in flats]),
+            left=np.concatenate([f.left + r for f, r in zip(flats, roots)]),
+            right=np.concatenate([f.right + r for f, r in zip(flats, roots)]),
+            depth=4)
+        Xq = rng.normal(size=(100, 3))
+        nodes = cart.route_many(both, roots, Xq)
+        for t, (tree, f, r) in enumerate(zip(trees, flats, roots)):
+            assert f.leaf[nodes[:, t] - r].tolist() == [walk(tree, x)
+                                                        for x in Xq]
 
     def test_route_many_empty(self):
         tree, _ = self.tree()
-        assert cart.route_many(tree, np.zeros((0, 2))).shape == (0,)
+        assert cart.route_many(flat(tree, 2), [0],
+                               np.zeros((0, 2))).shape == (0, 1)
 
     def test_dimension_mismatch(self):
-        tree, _ = self.tree()
+        X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        model = pmt.fit_pmt(X, np.array([0, 1, 0, 1]), 2, np.ones(4), 2, 1, 1)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            cart.route(tree, [0.0])
+            pmt.predict_pmt_many(model, [[0.0]])
         with pytest.raises(ValueError, match="dimension mismatch"):
-            cart.route_many(tree, np.zeros((3, 1)))
+            pmt.predict_pmt_many(model, np.zeros((3, 1)))

@@ -65,6 +65,18 @@ class TestTrain:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_cell_is_runtime_error(self, tmp_path, capsys):
+        csv_path = write_csv(tmp_path, n=60)
+        lines = csv_path.read_text().splitlines()
+        lines[17] = "nan," + lines[17].split(",", 1)[1]
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "m.json"
+        rc = cli.main(["train", "--data", str(csv_path), "--out", str(out)]
+                      + FAST)
+        assert rc == 1
+        assert "non-finite value nan in row 17" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_required_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["train", "--data", "x.csv"])  # no --out

@@ -61,6 +61,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="missing value at row 2"):
             data.load_csv(p, "label")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_rejected(self, tmp_path, cell):
+        p = write(tmp_path, f"a,b,label\n1.0,2.0,yes\n3.0,{cell},no\n")
+        with pytest.raises(ValueError, match="non-finite value .* row 2, "
+                                             "feature 2"):
+            data.load_csv(p, "label")
+
     def test_ragged_rows_rejected(self, tmp_path):
         p = write(tmp_path, "a,b,label\n1,2,yes\n1,no\n")
         with pytest.raises(ValueError, match="inconsistent column counts"):
@@ -78,6 +85,30 @@ class TestLoadCsv:
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no data rows"):
             data.load_csv(write(tmp_path, "a,label\n"), "label")
+
+
+class TestCheckInputs:
+    def test_accepts_and_converts(self):
+        X, y = data.check_inputs([[1, 2], [3, 4]], [0, 2], 3)
+        assert X.dtype == float and y.tolist() == [0, 2]
+        X, y = data.check_inputs(np.zeros((0, 3)), n_features=3)
+        assert X.shape == (0, 3) and y is None
+
+    def test_rejections(self):
+        X = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="2-D"):
+            data.check_inputs(np.zeros(3))
+        with pytest.raises(ValueError, match="dimension mismatch: got 2, "
+                                             "expected 3"):
+            data.check_inputs(X, n_features=3)
+        with pytest.raises(ValueError, match="label -1 outside 0..1"):
+            data.check_inputs(X, np.array([0, -1, 1]), 2)
+        with pytest.raises(ValueError, match="one integer class index"):
+            data.check_inputs(X, np.array([0.0, 1.0, 1.0]), 2)
+        with pytest.raises(ValueError, match="one integer class index"):
+            data.check_inputs(X, np.array([0, 1]), 2)
+        with pytest.raises(ValueError, match="empty data"):
+            data.check_inputs(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
 
 
 class TestEncodeRows:

@@ -14,6 +14,20 @@ def xor_data(n=300, seed=0):
     return X, y
 
 
+def reference_vote(model, X):
+    """Loop reference: stage-weighted vote per member, then a count of
+    member outputs, ties to the smallest class index."""
+    J = model.n_classes
+    counts = np.zeros((X.shape[0], J), dtype=int)
+    for member in model.members:
+        votes = np.zeros((X.shape[0], J))
+        for stage in member.stages:
+            preds = pmt.predict_pmt_many(stage.model, X)
+            votes[np.arange(X.shape[0]), preds] += stage.alpha
+        counts[np.arange(X.shape[0]), np.argmax(votes, axis=1)] += 1
+    return np.argmax(counts, axis=1)
+
+
 def noisy_stripes(n=300, seed=0):
     # 1-d data whose sign alternates across bands; depth-1 stumps with a
     # handful of boosting iterations are weak but better than chance
@@ -121,8 +135,8 @@ class TestPredictBoosted:
         model = ensemble.fit_adaboost(X, y, 4, 1, 5, 2)
         Xq = np.random.default_rng(0).uniform(0, 4, size=(50, 1))
         many = ensemble.predict_boosted_many(model, Xq)
-        assert many.tolist() == [ensemble.predict_boosted(model, x)
-                                 for x in Xq]
+        assert many.tolist() == [
+            ensemble.predict_boosted_many(model, x[None])[0] for x in Xq]
 
     def test_single_stage_vote_is_the_stage(self):
         X, y = noisy_stripes(seed=12)
@@ -238,6 +252,38 @@ class TestFitSbpmt:
         Xq = np.random.default_rng(4).uniform(-1, 1, size=(30, 2))
         many = ensemble.predict_sbpmt_many(model, Xq)
         assert many.tolist() == [ensemble.predict_sbpmt(model, x) for x in Xq]
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_vote_matches_loop_reference_in_any_block_size(
+            self, n_classes, monkeypatch):
+        rng = np.random.default_rng(19)
+        X = rng.uniform(-1, 1, size=(160, 3))
+        y = np.digitize(X[:, 0] + X[:, 1], [-0.4, 0.4]) % n_classes
+        model = ensemble.fit_sbpmt(X, y, n_classes,
+                                   self.small_config(M=4, T=3))
+        Xq = rng.uniform(-1, 1, size=(300, 3))
+        expected = reference_vote(model, Xq)
+        np.testing.assert_array_equal(ensemble.predict_sbpmt_many(model, Xq),
+                                      expected)
+        monkeypatch.setattr(ensemble, "BLOCK_FLOATS", 1)  # one row a block
+        np.testing.assert_array_equal(ensemble.predict_sbpmt_many(model, Xq),
+                                      expected)
+
+    def test_bad_input_rejected_at_the_boundary(self):
+        X, y = xor_data(60, seed=20)
+        cfg = self.small_config(M=2)
+        with pytest.raises(ValueError, match="label 2 outside 0..1"):
+            ensemble.fit_sbpmt(X, np.arange(60) % 3, 2, cfg)
+        with pytest.raises(ValueError, match="non-finite"):
+            ensemble.fit_sbpmt(np.where(np.arange(60)[:, None] == 7, np.nan,
+                                        X), y, 2, cfg)
+        model = ensemble.fit_sbpmt(X, y, 2, cfg)
+        with pytest.raises(ValueError, match="non-finite"):
+            ensemble.predict_sbpmt(model, [0.1, np.inf])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ensemble.predict_sbpmt(model, [0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="2-D"):
+            ensemble.predict_sbpmt_many(model, [0.1, 0.2])
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError, match="empty"):

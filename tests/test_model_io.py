@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbpmt import ensemble, model_io
 from sbpmt.ensemble import SbpmtConfig
@@ -88,6 +91,30 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="format version"):
             model_io.model_from_dict(doc)
 
+    def test_version_1_rejected_with_refit_message(self):
+        model, _ = fit_small()
+        doc = model_io.model_to_dict(model)
+        doc["format_version"] = 1
+        with pytest.raises(ValueError, match=r"version 1\b.*refit"):
+            model_io.model_from_dict(doc)
+
+    def test_stages_are_flat_arrays(self):
+        model, _ = fit_small(n_classes=3)
+        doc = json.loads(model_io.serialize_model(model))
+        tree = doc["members"][0]["stages"][0]["model"]
+        n_nodes, n_leaves = len(tree["feature"]), len(tree["intercept"])
+        assert n_nodes == 2 * n_leaves - 1
+        for key in ("threshold", "left", "right", "leaf"):
+            assert len(tree[key]) == n_nodes
+        assert np.shape(tree["coef"]) == (n_leaves, 3, 3)
+        assert "rows" not in json.dumps(doc["members"])
+
+    def test_non_finite_number_not_written(self):
+        model, _ = fit_small()
+        model.members[0].stages[0].probit_risk = math.nan
+        with pytest.raises(ValueError):
+            model_io.serialize_model(model)
+
     def test_missing_version_rejected(self):
         with pytest.raises(ValueError, match="format version"):
             model_io.model_from_dict({})
@@ -98,3 +125,43 @@ class TestFileFormat:
         assert text.endswith("\n")
         top = list(json.loads(text))
         assert top == sorted(top)
+
+
+@st.composite
+def small_problems(draw):
+    """Small fits with constant columns, duplicate rows, single-class
+    (sub)samples and min_leaf_size above n."""
+    n_classes = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 30))
+    p = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.round(rng.normal(size=(n, p)), 1)
+    X[:, draw(st.integers(0, p - 1))] = 0.5  # a constant column
+    dup = draw(st.integers(0, n // 2))
+    X[n - dup:] = X[:dup]  # the last dup rows repeat the first ones
+    if draw(st.booleans()):
+        y = np.full(n, draw(st.integers(0, n_classes - 1)))
+    else:
+        y = rng.integers(0, n_classes, size=n)
+    cfg = SbpmtConfig(M=draw(st.integers(1, 3)), T=draw(st.integers(1, 3)),
+                      B=draw(st.integers(0, 4)),
+                      alpha=draw(st.sampled_from([0.5, 0.8, 1.0])),
+                      depth=draw(st.integers(0, 3)),
+                      min_leaf_size=draw(st.integers(1, n + 3)),
+                      seed=draw(st.integers(0, 100)))
+    Xq = np.vstack([X, np.round(rng.normal(size=(10, p)), 1)])
+    return X, y, n_classes, cfg, Xq
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_problems())
+def test_round_trip_and_single_rows_agree(problem):
+    X, y, n_classes, cfg, Xq = problem
+    model = ensemble.fit_sbpmt(X, y, n_classes, cfg)
+    text = model_io.serialize_model(model)
+    restored = model_io.deserialize_model(text)
+    batch = ensemble.predict_sbpmt_many(model, Xq)
+    np.testing.assert_array_equal(ensemble.predict_sbpmt_many(restored, Xq),
+                                  batch)
+    assert [ensemble.predict_sbpmt(restored, x) for x in Xq] == batch.tolist()
+    assert model_io.serialize_model(restored) == text

@@ -3,9 +3,33 @@ import math
 import numpy as np
 import pytest
 
-from sbpmt import cart, pmt
-from sbpmt.cart import Leaf
-from sbpmt.probitboost import LinearScore
+from sbpmt import pmt
+
+
+def one_leaf(intercept, coef):
+    """A single-leaf PMT with the given (K,) intercepts and (K, p) slopes."""
+    coef = np.asarray(coef, dtype=float)
+    K = coef.shape[0]
+    return pmt.PmtModel(
+        feature=np.zeros(1, dtype=int), threshold=np.zeros(1),
+        left=np.zeros(1, dtype=int), right=np.zeros(1, dtype=int),
+        leaf=np.zeros(1, dtype=int),
+        intercept=np.asarray(intercept, dtype=float).reshape(1, K),
+        coef=coef[None], n_classes=2 if K == 1 else K, depth=0)
+
+
+def reference_predict(model, x):
+    """Scalar reference: walk the node arrays, then decide on the margins."""
+    node = 0
+    while model.left[node] != node:
+        f, t = model.feature[node], model.threshold[node]
+        node = model.left[node] if x[f] <= t else model.right[node]
+    lf = model.leaf[node]
+    margins = [model.intercept[lf, k] + float(np.dot(model.coef[lf, k], x))
+               for k in range(model.coef.shape[1])]
+    if model.n_classes == 2:
+        return 1 if margins[0] > 0 else 0
+    return int(np.argmax(margins))
 
 
 def xor_data(n=200, seed=0):
@@ -21,7 +45,7 @@ class TestFitPmt:
         # zero margin, sign(0) -> class 0
         X, y = xor_data(50)
         model = pmt.fit_pmt(X, y, 2, np.ones(50), 0, 1, 0)
-        assert isinstance(model.tree, Leaf)
+        assert model.feature.size == 1 and model.left[0] == 0
         assert np.all(pmt.predict_pmt_many(model, X) == 0)
         assert model.probit_risk == pytest.approx(math.log(2))
 
@@ -39,10 +63,15 @@ class TestFitPmt:
     def test_every_leaf_has_a_model(self):
         X, y = xor_data(300, seed=3)
         model = pmt.fit_pmt(X, y, 2, np.ones(300), 3, 10, 5)
-        leaf_ids = {lf.leaf_id for lf in cart.iter_leaves(model.tree)}
-        assert set(model.leaf_models) == leaf_ids
-        assert all(isinstance(s, LinearScore)
-                   for s in model.leaf_models.values())
+        nodes = np.arange(model.feature.size)
+        is_leaf = model.left == nodes
+        assert np.all(model.right[is_leaf] == nodes[is_leaf])
+        L = int(is_leaf.sum())
+        assert sorted(model.leaf[is_leaf]) == list(range(L))
+        assert model.intercept.shape == (L, 1)
+        assert model.coef.shape == (L, 1, 2)
+        # no training artefacts: the fitted model is its arrays only
+        assert not hasattr(model, "rows") and not hasattr(model, "tree")
 
     def test_probit_risk_is_leaf_mass_average(self):
         X, y = xor_data(300, seed=5)
@@ -58,8 +87,9 @@ class TestFitPmt:
         y = rng.integers(0, 3, size=90)
         model = pmt.fit_pmt(X, y, 3, np.ones(90), 2, 5, 3)
         assert model.probit_risk is None
-        for entry in model.leaf_models.values():
-            assert isinstance(entry, list) and len(entry) == 3
+        L = model.intercept.shape[0]
+        assert model.intercept.shape == (L, 3)
+        assert model.coef.shape == (L, 3, 2)
 
     def test_nonpositive_weights_rejected(self):
         X, y = xor_data(10)
@@ -74,7 +104,9 @@ class TestPredict:
         rng = np.random.default_rng(12)
         Xq = rng.uniform(-1, 1, size=(120, 2))
         many = pmt.predict_pmt_many(model, Xq)
-        assert many.tolist() == [pmt.predict_pmt(model, x) for x in Xq]
+        assert many.tolist() == [reference_predict(model, x) for x in Xq]
+        assert many.tolist() == [pmt.predict_pmt_many(model, x[None])[0]
+                                 for x in Xq]
 
     def test_multiclass_scalar_matches_vectorized(self):
         rng = np.random.default_rng(14)
@@ -84,24 +116,32 @@ class TestPredict:
         model = pmt.fit_pmt(X, y, 3, np.ones(90), 2, 5, 10)
         Xq = rng.normal(size=(60, 2)) * 2
         many = pmt.predict_pmt_many(model, Xq)
-        assert many.tolist() == [pmt.predict_pmt(model, x) for x in Xq]
+        assert many.tolist() == [reference_predict(model, x) for x in Xq]
+        assert many.tolist() == [pmt.predict_pmt_many(model, x[None])[0]
+                                 for x in Xq]
         assert np.mean(pmt.predict_pmt_many(model, X) == y) > 0.95
 
     def test_binary_tie_goes_to_class0(self):
-        model = pmt.PmtModel(
-            tree=Leaf(leaf_id=0, rows=np.arange(2)),
-            leaf_models={0: LinearScore(0.0, np.zeros(1))},
-            n_classes=2, depth=0, probit_iters=0)
-        assert pmt.predict_pmt(model, [3.0]) == 0
+        model = one_leaf([0.0], [[0.0]])
+        assert pmt.predict_pmt_many(model, [[3.0]]).tolist() == [0]
         assert pmt.predict_pmt_many(model, [[3.0], [-1.0]]).tolist() == [0, 0]
 
     def test_multiclass_tie_goes_to_smallest_index(self):
-        scores = [LinearScore(1.0, np.zeros(1)) for _ in range(3)]
-        model = pmt.PmtModel(
-            tree=Leaf(leaf_id=0, rows=np.arange(1)),
-            leaf_models={0: scores}, n_classes=3, depth=0, probit_iters=0)
-        assert pmt.predict_pmt(model, [0.0]) == 0
+        model = one_leaf([1.0, 1.0, 1.0], np.zeros((3, 1)))
         assert pmt.predict_pmt_many(model, [[0.0]]).tolist() == [0]
+        model = one_leaf([0.0, 2.0, 2.0], np.zeros((3, 1)))
+        assert pmt.predict_pmt_many(model, [[0.0]]).tolist() == [1]
+
+    def test_stacked_trees_match_each_tree(self):
+        X, y = xor_data(300, seed=21)
+        w = np.random.default_rng(21).uniform(0.5, 2.0, size=300)
+        models = [pmt.fit_pmt(X, y, 2, w, d, 10, 4) for d in (0, 1, 3)]
+        trees, roots = pmt.stack(models)
+        Xq = np.random.default_rng(22).uniform(-1, 1, size=(80, 2))
+        classes = pmt.tree_classes(trees, roots, Xq)
+        for t, model in enumerate(models):
+            np.testing.assert_array_equal(classes[:, t],
+                                          pmt.predict_pmt_many(model, Xq))
 
 
 class TestWeightedProbitRisk:
@@ -114,10 +154,7 @@ class TestWeightedProbitRisk:
             pmt.weighted_probit_risk(model, X, y, np.ones(30))
 
     def test_zero_model_risk_is_ln2(self):
-        model = pmt.PmtModel(
-            tree=Leaf(leaf_id=0, rows=np.arange(4)),
-            leaf_models={0: LinearScore(0.0, np.zeros(1))},
-            n_classes=2, depth=0, probit_iters=0)
+        model = one_leaf([0.0], [[0.0]])
         X = np.zeros((4, 1))
         y = np.array([0, 1, 0, 1])
         risk = pmt.weighted_probit_risk(model, X, y, np.ones(4))

@@ -3,8 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from sbpmt import probitboost
+from sbpmt import data, pmt, probitboost
 from sbpmt.probitboost import LinearScore
+
+
+def score_margin(score: LinearScore, x) -> float:
+    """Margin of one row, as a batch of one through a single-leaf PMT."""
+    p = score.coefficients.size
+    model = pmt.PmtModel(
+        feature=np.zeros(1, dtype=int), threshold=np.zeros(1),
+        left=np.zeros(1, dtype=int), right=np.zeros(1, dtype=int),
+        leaf=np.zeros(1, dtype=int), intercept=np.array([[score.intercept]]),
+        coef=score.coefficients.reshape(1, 1, p), n_classes=2, depth=0)
+    X, _ = data.check_inputs(np.asarray(x, dtype=float)[None, :],
+                             n_features=p)
+    return float(pmt.margins(model, [0], X)[0, 0, 0])
 
 
 def separable_1d():
@@ -27,7 +40,7 @@ class TestFitProbitboost:
         X, y = separable_1d()
         score, trace = probitboost.fit_probitboost(X, y, np.ones(4), 25)
         assert score.coefficients[0] > 0
-        margins = score.margins(X)
+        margins = score.intercept + X @ score.coefficients
         assert np.all(np.sign(margins) == y)
         risks = np.array(trace.risks)
         assert np.all(np.diff(risks) <= 1e-9)
@@ -118,7 +131,8 @@ class TestOneVersusAll:
         X = np.vstack([c + 0.3 * rng.normal(size=(20, 2)) for c in centers])
         labels = np.repeat([0, 1, 2], 20)
         scores = probitboost.fit_probitboost_ova(X, labels, 3, np.ones(60), 50)
-        margins = np.column_stack([s.margins(X) for s in scores])
+        margins = np.column_stack([s.intercept + X @ s.coefficients
+                                   for s in scores])
         assert np.array_equal(np.argmax(margins, axis=1), labels)
 
     def test_single_class_count_rejected(self):
@@ -131,20 +145,20 @@ class TestOneVersusAll:
 class TestPredictMargin:
     def test_zero_score(self):
         s = LinearScore(intercept=0.0, coefficients=np.zeros(3))
-        assert probitboost.predict_margin(s, [1.0, 2.0, 3.0]) == 0.0
+        assert score_margin(s, [1.0, 2.0, 3.0]) == 0.0
 
     def test_unit_slope(self):
         s = LinearScore(intercept=0.5, coefficients=np.array([1.0, 0.0]))
-        assert probitboost.predict_margin(s, [2.0, 9.0]) == pytest.approx(2.5)
+        assert score_margin(s, [2.0, 9.0]) == pytest.approx(2.5)
 
     def test_matches_dot_product_on_fitted_model(self):
         X, y = separable_1d()
         score, _ = probitboost.fit_probitboost(X, y, np.ones(4), 5)
         x = np.array([0.37])
         expected = score.intercept + score.coefficients[0] * 0.37
-        assert probitboost.predict_margin(score, x) == pytest.approx(expected)
+        assert score_margin(score, x) == pytest.approx(expected)
 
     def test_dimension_mismatch(self):
         s = LinearScore(intercept=0.0, coefficients=np.zeros(3))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            probitboost.predict_margin(s, [1.0, 2.0])
+            score_margin(s, [1.0, 2.0])
