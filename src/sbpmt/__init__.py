@@ -3,8 +3,7 @@
 A classification library built from three layers: ProbitBoost linear
 models fitted at CART leaf nodes (Probit Model Trees), boosted with
 AdaBoost/SAMME, and ensembled by subagging — plus calculators for the
-associated finite-sample generalization-error bounds and a benchmark
-harness.
+associated finite-sample generalization-error bounds.
 """
 
 from .bounds import (BoundInputs, BoundReport, DesignStats, design_stats,
@@ -13,10 +12,9 @@ from .bounds import (BoundInputs, BoundReport, DesignStats, design_stats,
 from .cart import build_tree, route_many
 from .data import (Dataset, SimConfig, accuracy, check_inputs, load_csv,
                    simulate, stratified_kfold, summarize_cv)
-from .ensemble import (PAPER_DEFAULT, BoostedPmt, Design, SbpmtConfig,
-                       SbpmtModel, draw_design, fit_adaboost, fit_samme,
-                       fit_sbpmt, predict_boosted_many, predict_sbpmt,
-                       predict_sbpmt_many)
+from .ensemble import (BoostedPmt, Design, SbpmtConfig, SbpmtModel,
+                       draw_design, fit_adaboost, fit_samme, fit_sbpmt,
+                       predict_boosted_many, predict_sbpmt, predict_sbpmt_many)
 from .model_io import deserialize_model, load_model, save_model, serialize_model
 from .numerics import (inv_mills, norm_cdf, norm_pdf, probit_loss, wls_fit,
                        working_response_and_weight)

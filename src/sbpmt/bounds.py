@@ -168,11 +168,18 @@ def estimate_p_sub(model: SbpmtModel, X, y) -> float:
 
     Each member is scored on the rows outside its own design subset; the
     estimates are averaged.  With alpha = 1 nothing is held out and the
-    (optimistic) training error is returned with a warning.
+    (optimistic) training error is returned with a warning.  X, y must be
+    the rows the design was drawn over: a subset size other than
+    floor(alpha * n) or a subset index >= n raises ValueError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     n = X.shape[0]
+    m = math.floor(model.config.alpha * n)
+    if any(s.size != m or s.max() >= n for s in model.design.subsets):
+        raise ValueError(f"{n} rows cannot be this model's training set: "
+                         f"its subsets must hold floor(alpha * n) = {m} "
+                         f"indices, all below {n}")
     rates = []
     for member, subset in zip(model.members, model.design.subsets):
         held_out = np.setdiff1d(np.arange(n), subset)

@@ -12,42 +12,44 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from . import bounds, data, ensemble, model_io
-from .ensemble import PAPER_DEFAULT, SbpmtConfig
+from .ensemble import SbpmtConfig
 
-PRESETS = {"paper-default": PAPER_DEFAULT}
+
+# Every SbpmtConfig field is a flag of train, cv and simulate.
+_HYPER_HELP = {
+    "M": "number of subagged members",
+    "T": "AdaBoost/SAMME rounds per member",
+    "B": "ProbitBoost iterations per leaf",
+    "alpha": "subagging ratio in (0, 1]",
+    "depth": "maximum CART depth",
+    "min_leaf_size": "minimum raw rows per leaf",
+    "seed": "random seed",
+}
 
 
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", choices=sorted(PRESETS),
-                   help="named hyperparameter preset used as the baseline")
-    p.add_argument("--M", type=int, help="number of subagged members")
-    p.add_argument("--T", type=int, help="AdaBoost/SAMME rounds per member")
-    p.add_argument("--B", type=int, help="ProbitBoost iterations per leaf")
-    p.add_argument("--alpha", type=float, help="subagging ratio in (0, 1]")
-    p.add_argument("--depth", type=int, help="maximum CART depth")
-    p.add_argument("--min-leaf", type=int, dest="min_leaf",
-                   help="minimum raw rows per leaf")
-    p.add_argument("--seed", type=int, default=0)
+    for f in fields(SbpmtConfig):
+        flag = "--min-leaf" if f.name == "min_leaf_size" else f"--{f.name}"
+        p.add_argument(flag, dest=f.name, type=type(f.default),
+                       default=f.default,
+                       help=f"{_HYPER_HELP[f.name]} (default %(default)s)")
 
 
 def _build_config(args) -> SbpmtConfig:
-    base = dict(PRESETS[args.preset] if args.preset else PAPER_DEFAULT)
-    overrides = {"M": args.M, "T": args.T, "B": args.B, "alpha": args.alpha,
-                 "depth": args.depth, "min_leaf_size": args.min_leaf}
-    for key, value in overrides.items():
-        if value is not None:
-            base[key] = value
-    return SbpmtConfig(seed=args.seed, **base)
+    return SbpmtConfig(**{f.name: getattr(args, f.name)
+                          for f in fields(SbpmtConfig)})
 
 
-def _config_dict(cfg: SbpmtConfig) -> dict:
-    return {"M": cfg.M, "T": cfg.T, "B": cfg.B, "alpha": cfg.alpha,
-            "depth": cfg.depth, "min_leaf_size": cfg.min_leaf_size,
-            "seed": cfg.seed}
+def _load_with_schema(path) -> ensemble.SbpmtModel:
+    model = model_io.load_model(path)
+    if model.schema is None:
+        raise RuntimeError("model file carries no encoding schema")
+    return model
 
 
 def _write_report(args, report: dict) -> None:
@@ -65,7 +67,8 @@ def _member_rows(model: ensemble.SbpmtModel) -> list[dict]:
             "member": k,
             "stage_errors": stage_errs,
             "stage_alphas": [st.alpha for st in member.stages],
-            "stage_probit_risks": [st.probit_risk for st in member.stages],
+            "stage_probit_risks": [st.model.probit_risk
+                                   for st in member.stages],
             "theorem5_product_bound": bounds.theorem5_bound(stage_errs),
         })
     return rows
@@ -81,7 +84,7 @@ def cmd_train(args) -> int:
     acc = data.accuracy(preds, dataset.y)
     report = {
         "command": "train",
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "data": args.data,
         "n": int(dataset.X.shape[0]),
         "n_features": int(dataset.X.shape[1]),
@@ -93,7 +96,7 @@ def cmd_train(args) -> int:
     _write_report(args, report)
     print(f"trained SBPMT on {args.data}: n={report['n']} "
           f"p={report['n_features']} J={dataset.n_classes}")
-    print(f"config: {_config_dict(cfg)}")
+    print(f"config: {asdict(cfg)}")
     print(f"training accuracy: {acc:.2f}%")
     for row in report["members"]:
         errs = ", ".join(f"{e:.4f}" for e in row["stage_errors"])
@@ -104,20 +107,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = model_io.load_model(args.model)
-    if model.schema is None:
-        raise RuntimeError("model file carries no encoding schema")
-    has_header = model.schema.get("has_header", True) and not args.no_header
-    header, rows = data._read_rows(args.data, has_header)
-    class_names = model.schema["label"]["classes"]
+    model = _load_with_schema(args.model)
+    dataset = data.load_csv(args.data, has_header=not args.no_header,
+                            schema=model.schema)
+    preds = ensemble.predict_sbpmt_many(model, dataset.X)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        if rows:
-            X, _ = data.encode_rows(rows, header, model.schema)
-            preds = ensemble.predict_sbpmt_many(model, X)
-            for p in preds:
-                writer.writerow([class_names[p]])
-    print(f"wrote {len(rows)} predictions to {args.out}")
+        csv.writer(fh).writerows([dataset.class_names[p]] for p in preds)
+    print(f"wrote {len(preds)} predictions to {args.out}")
     return 0
 
 
@@ -136,7 +132,7 @@ def cmd_cv(args) -> int:
     mean, sd = data.summarize_cv(fold_accuracies)
     report = {
         "command": "cv",
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "data": args.data,
         "k": args.k,
         "fold_accuracies_pct": fold_accuracies,
@@ -165,18 +161,13 @@ def cmd_simulate(args) -> int:
                                 else (None, [None]))
     results = []
     for value in sweep_values:
-        cfg_kwargs = _config_dict(base)
-        if sweep_name is not None:
-            cfg_kwargs[sweep_name] = value
+        point = replace(base, **{sweep_name: value}) if sweep_name else base
         errors = []
         for rep in range(args.repeats):
-            cfg_kwargs["seed"] = args.seed + rep
-            train, test = data.simulate(
-                data.SimConfig(d=sim.d, E=sim.E, q=sim.q,
-                               n_train=sim.n_train, n_test=sim.n_test,
-                               seed=args.seed + rep))
+            seed = args.seed + rep
+            train, test = data.simulate(replace(sim, seed=seed))
             model = ensemble.fit_sbpmt(train.X, train.y, 2,
-                                       SbpmtConfig(**cfg_kwargs))
+                                       replace(point, seed=seed))
             preds = ensemble.predict_sbpmt_many(model, test.X)
             errors.append(float(np.mean(preds != test.y)))
         results.append({"sweep": sweep_name, "value": value,
@@ -184,10 +175,8 @@ def cmd_simulate(args) -> int:
                         "mean_test_error": float(np.mean(errors))})
     report = {
         "command": "simulate",
-        "config": _config_dict(base),
-        "sim": {"d": sim.d, "E": sim.E, "q": sim.q, "n_train": sim.n_train,
-                "n_test": sim.n_test, "seed": args.seed,
-                "repeats": args.repeats},
+        "config": asdict(base),
+        "sim": dict(asdict(sim), repeats=args.repeats),
         "results": results,
     }
     _write_report(args, report)
@@ -203,36 +192,35 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
+def _require(parser, args, message: str, *dests) -> None:
+    """Usage error when a flag of dests was not given; the missing flags
+    fill the {} of message."""
+    missing = ["--" + d.replace("_", "-") for d in dests
+               if getattr(args, d) is None]
+    if missing:
+        parser.error(message.format(", ".join(missing)))
+
+
 def cmd_bound(args, parser: argparse.ArgumentParser) -> int:
     report: dict = {"command": "bound", "theorem": args.theorem}
     if args.theorem == 3:
-        missing = [flag for flag, val in
-                   [("--sigma1-sq", args.sigma1_sq), ("--beta", args.beta),
-                    ("--gamma", args.gamma)] if val is None]
-        if missing:
-            parser.error(
-                "theorem 3 needs the kernel moments "
-                f"{', '.join(missing)}; they are not estimable from one "
-                "dataset and will not be defaulted silently")
+        _require(parser, args, "theorem 3 needs the kernel moments {}; they "
+                 "are not estimable from one dataset and will not be "
+                 "defaulted silently", "sigma1_sq", "beta", "gamma")
         if args.from_model:
             if not args.data:
                 parser.error("--from-model requires --data for p_sub")
-            model = model_io.load_model(args.from_model)
-            label = model.schema["label"]
-            dataset = data.load_csv(args.data, label["name"]
-                                    if model.schema.get("has_header", True)
-                                    else label["position"],
-                                    model.schema.get("has_header", True))
+            model = _load_with_schema(args.from_model)
+            dataset = data.load_csv(args.data, schema=model.schema)
+            if dataset.y is None:
+                raise ValueError(f"{args.data} has no label column")
             n = dataset.X.shape[0]
             m = len(model.design.subsets[0])
             M = model.design.M
             p_sub = bounds.estimate_p_sub(model, dataset.X, dataset.y)
         else:
-            needed = [("--n", args.n), ("--m", args.m), ("--M", args.M),
-                      ("--p-sub", args.p_sub)]
-            missing = [flag for flag, val in needed if val is None]
-            if missing:
-                parser.error(f"theorem 3 needs {', '.join(missing)}")
+            _require(parser, args, "theorem 3 needs {}", "n", "m", "M",
+                     "p_sub")
             n, m, M, p_sub = args.n, args.m, args.M, args.p_sub
         inputs = bounds.BoundInputs(n=n, m=m, M=M, delta=args.delta,
                                     p_sub=p_sub, sigma1_sq=args.sigma1_sq,
@@ -253,11 +241,8 @@ def cmd_bound(args, parser: argparse.ArgumentParser) -> int:
                        "hypothesis_threshold": threshold,
                        "degenerate": rep.degenerate})
     elif args.theorem == 4:
-        needed = [("--n", args.n), ("--T", args.T), ("--d-vc", args.d_vc),
-                  ("--empirical-error", args.empirical_error)]
-        missing = [flag for flag, val in needed if val is None]
-        if missing:
-            parser.error(f"theorem 4 needs {', '.join(missing)}")
+        _require(parser, args, "theorem 4 needs {}", "n", "T", "d_vc",
+                 "empirical_error")
         value = bounds.theorem4_bound(args.n, args.T, args.d_vc, args.delta,
                                       args.empirical_error)
         print(f"theorem 4 bound: {value:.6f}")
@@ -273,11 +258,8 @@ def cmd_bound(args, parser: argparse.ArgumentParser) -> int:
         print(f"theorem 5 bound (theta={args.theta:g}): {value:.6f}")
         report.update({"errors": errors, "theta": args.theta, "bound": value})
     else:  # theorem 6
-        needed = [("--probit-risks", args.probit_risks), ("--n", args.n),
-                  ("--T", args.T), ("--d-vc", args.d_vc)]
-        missing = [flag for flag, val in needed if val is None]
-        if missing:
-            parser.error(f"theorem 6 needs {', '.join(missing)}")
+        _require(parser, args, "theorem 6 needs {}", "probit_risks", "n",
+                 "T", "d_vc")
         risks = _parse_float_list(args.probit_risks)
         rep6 = bounds.theorem6_bound(risks, args.n, args.T, args.d_vc,
                                      args.delta)

@@ -3,8 +3,9 @@
 CSV files are comma-delimited UTF-8 with '.' decimals.  Numeric columns
 are parsed as reals; any other column is one-hot expanded, one 0/1 column
 per observed level (levels sorted lexicographically).  The label column
-is mapped to class indices in first-appearance order.  Rows with missing
-cells are rejected at ingestion.
+is mapped to class indices in first-appearance order, or through a fitted
+model's schema.  Rows with missing cells or of the wrong width are
+rejected at ingestion.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 @dataclass
 class Dataset:
     X: np.ndarray             # (n, p) encoded feature matrix
-    y: np.ndarray             # class indices 0..J-1
+    y: np.ndarray | None      # class indices 0..J-1; None without labels
     class_names: list[str]
     schema: dict              # column/label metadata for round-trip encoding
     feature_names: list[str]
@@ -40,20 +41,24 @@ def _is_numeric_column(values: list[str]) -> bool:
 
 def _read_rows(path, has_header: bool):
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
-    if not rows:
-        return None, []
-    header = rows.pop(0) if has_header else None
+        rows = [row for row in csv.reader(fh) if row]
+    header = rows.pop(0) if has_header and rows else None
     return header, rows
 
 
-def _check_missing(rows, header):
+def _check_rows(rows, header) -> int:
+    """Reject rows narrower or wider than the header (or, without one, the
+    first row) and empty cells; returns the width."""
+    width = len(header) if header is not None else len(rows[0])
     for r, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"inconsistent column counts: row {r + 1} has "
+                             f"{len(row)} cells, expected {width}")
         for c, cell in enumerate(row):
             if cell.strip() == "":
                 col = header[c] if header else str(c)
                 raise ValueError(f"missing value at row {r + 1}, column {col}")
+    return width
 
 
 def check_inputs(X, y=None, n_classes: int | None = None,
@@ -87,16 +92,31 @@ def check_inputs(X, y=None, n_classes: int | None = None,
     return X, y
 
 
-def load_csv(path, label_column, has_header: bool = True) -> Dataset:
-    """Load and encode a CSV file; label_column is a name or an index."""
-    header, rows = _read_rows(path, has_header)
-    if not rows:
-        raise ValueError(f"no data rows in {path}")
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise ValueError(f"inconsistent column counts in {path}")
-    _check_missing(rows, header)
+def load_csv(path, label_column=-1, has_header: bool = True,
+             schema: dict | None = None) -> Dataset:
+    """Load and encode a CSV file through encode_rows.
 
+    Without a schema, one is inferred from the file: label_column (a name
+    or an index) holds the labels, and classes follow first appearance.
+    With a schema (a fitted model's), the file is encoded under it and
+    label_column is not used; the file may lack the label column, and y is
+    then None.
+    """
+    if schema is not None:
+        has_header = has_header and schema.get("has_header", True)
+    header, rows = _read_rows(path, has_header)
+    if schema is None:
+        if not rows:
+            raise ValueError(f"no data rows in {path}")
+        schema = _infer_schema(header, rows, label_column)
+    X, y = encode_rows(rows, header, schema)
+    check_inputs(X)
+    return Dataset(X=X, y=y, class_names=schema["label"]["classes"],
+                   schema=schema, feature_names=_feature_names(schema))
+
+
+def _infer_schema(header, rows, label_column) -> dict:
+    width = _check_rows(rows, header)
     if isinstance(label_column, int):
         label_idx = label_column
     else:
@@ -113,15 +133,9 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
     if not 0 <= label_idx < width:
         raise ValueError("label column index out of range")
 
-    # classes in first-appearance order
-    class_names: list[str] = []
-    for row in rows:
-        v = row[label_idx]
-        if v not in class_names:
-            class_names.append(v)
+    class_names = list(dict.fromkeys(row[label_idx] for row in rows))
     if len(class_names) < 2:
         raise ValueError("need at least 2 classes")
-    y = np.array([class_names.index(row[label_idx]) for row in rows])
 
     columns = []
     for c in range(width):
@@ -136,16 +150,12 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
             columns.append({"name": name, "kind": "categorical",
                             "position": c, "levels": levels})
 
-    schema = {
+    return {
         "label": {"name": header[label_idx] if header else f"col{label_idx}",
                   "position": label_idx, "classes": class_names},
         "columns": columns,
         "has_header": header is not None,
     }
-    X, feature_names = encode_rows(rows, header, schema, label_present=True)
-    check_inputs(X)
-    return Dataset(X=X, y=y, class_names=class_names, schema=schema,
-                   feature_names=feature_names)
 
 
 def _feature_names(schema) -> list[str]:
@@ -158,35 +168,37 @@ def _feature_names(schema) -> list[str]:
     return names
 
 
-def encode_rows(rows, header, schema, label_present: bool | None = None):
-    """Encode raw CSV rows against a recorded schema.
+def encode_rows(rows, header, schema):
+    """Encode raw CSV rows under a recorded schema; returns (X, y).
 
     Columns are matched by name when a header is given, otherwise by the
-    recorded positions (adjusted if the label column is absent).  Unseen
+    recorded positions (shifted past the label if its column is absent).
+    y holds each row's index in schema["label"]["classes"], or is None
+    when the rows carry no label column.  Rows of another width than the
+    header (or the first row), empty cells, non-numeric cells in numeric
+    columns and labels outside the class list raise ValueError.  Unseen
     categorical levels encode as an all-zero one-hot block with a warning.
-    Returns (X, feature_names).
     """
-    names = _feature_names(schema)
+    label = schema["label"]
     if not rows:
-        return np.zeros((0, len(names))), names
-
-    label_pos = schema["label"]["position"]
-    if label_present is None:
-        n_train_cols = len(schema["columns"]) + 1
-        label_present = len(rows[0]) >= n_train_cols
+        return np.zeros((0, len(_feature_names(schema)))), None
+    width = _check_rows(rows, header)
     if header is not None:
         index = {name: i for i, name in enumerate(header)}
+        label_idx = index.get(label["name"])
 
         def locate(col):
             if col["name"] not in index:
                 raise ValueError(f"column {col['name']!r} missing from input")
             return index[col["name"]]
     else:
+        present = width >= len(schema["columns"]) + 1
+        label_idx = label["position"] if present else None
+
         def locate(col):
             pos = col["position"]
-            return pos if label_present or pos < label_pos else pos - 1
+            return pos if present or pos < label["position"] else pos - 1
 
-    _check_missing(rows, header)
     blocks = []
     for col in schema["columns"]:
         idx = locate(col)
@@ -197,21 +209,21 @@ def encode_rows(rows, header, schema, label_present: bool | None = None):
             except ValueError:
                 raise ValueError(f"non-numeric value in column {col['name']!r}")
         else:
-            levels = col["levels"]
-            block = np.zeros((len(rows), len(levels)))
-            lut = {lv: i for i, lv in enumerate(levels)}
-            unseen = set()
-            for r, v in enumerate(raw):
-                if v in lut:
-                    block[r, lut[v]] = 1.0
-                else:
-                    unseen.add(v)
+            unseen = sorted(set(raw) - set(col["levels"]))
             if unseen:
-                warnings.warn(
-                    f"column {col['name']!r}: unseen levels {sorted(unseen)} "
-                    "encoded as all-zero")
-            blocks.append(block)
-    return np.hstack(blocks), names
+                warnings.warn(f"column {col['name']!r}: unseen levels "
+                              f"{unseen} encoded as all-zero")
+            blocks.append((np.array(raw)[:, None]
+                           == np.array(col["levels"])).astype(float))
+    y = None
+    if label_idx is not None:
+        class_of = {c: i for i, c in enumerate(label["classes"])}
+        try:
+            y = np.array([class_of[row[label_idx]] for row in rows])
+        except KeyError as exc:
+            raise ValueError(f"label {exc.args[0]!r} is not one of the "
+                             f"classes {label['classes']}") from None
+    return np.hstack(blocks), y
 
 
 def stratified_kfold(y, k: int, seed: int):

@@ -23,9 +23,6 @@ ERR_CLAMP = 1e-10
 # gathered for one block hold at most this many floats.
 BLOCK_FLOATS = 1 << 17
 
-# Paper-default hyperparameters used for the real-dataset benchmarks.
-PAPER_DEFAULT = dict(M=21, T=5, B=100, alpha=0.7, depth=6, min_leaf_size=20)
-
 
 @dataclass
 class BoostStage:
@@ -33,13 +30,11 @@ class BoostStage:
     model: pmt.PmtModel
     err: float       # clamped error used for alpha
     raw_err: float   # weighted error as observed
-    probit_risk: float | None  # PMT-level probit risk under this round's weights
 
 
 @dataclass
 class BoostedPmt:
     stages: list[BoostStage]
-    n_classes: int
 
     @property
     def errors(self) -> list[float]:
@@ -58,12 +53,14 @@ class Design:
 
 @dataclass
 class SbpmtConfig:
-    M: int = PAPER_DEFAULT["M"]
-    T: int = PAPER_DEFAULT["T"]
-    B: int = PAPER_DEFAULT["B"]
-    alpha: float = PAPER_DEFAULT["alpha"]
-    depth: int = PAPER_DEFAULT["depth"]
-    min_leaf_size: int = PAPER_DEFAULT["min_leaf_size"]
+    """Hyperparameters of a fit; the defaults are the paper's."""
+
+    M: int = 21
+    T: int = 5
+    B: int = 100
+    alpha: float = 0.7
+    depth: int = 6
+    min_leaf_size: int = 20
     seed: int = 0
 
 
@@ -136,13 +133,12 @@ def _fit_boosted(X, y, n_classes, T, depth, min_leaf_size, probit_iters):
         err = min(max(raw_err, ERR_CLAMP), err_ceiling - ERR_CLAMP)
         alpha = 0.5 * math.log((1.0 - err) / err) + shift
         stages.append(BoostStage(alpha=alpha, model=model, err=err,
-                                 raw_err=raw_err,
-                                 probit_risk=model.probit_risk))
+                                 raw_err=raw_err))
         if raw_err >= err_ceiling - ERR_CLAMP:
             break  # clamped first stage; further rounds would repeat it
         w = w * np.exp(alpha * miss)
         w = w / float(np.sum(w))
-    return BoostedPmt(stages=stages, n_classes=n_classes)
+    return BoostedPmt(stages=stages)
 
 
 def fit_adaboost(X, y, T: int, depth: int, min_leaf_size: int,

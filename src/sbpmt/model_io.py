@@ -2,40 +2,42 @@
 
 The format is a self-describing JSON document with explicit
 format_version; coefficients stay human-inspectable.  Each tree is stored
-as the arrays of pmt.PmtModel, written as (nested) lists.  Serialization is
-deterministic (sorted keys, fixed layout), so identical models produce
-byte-identical files, and deserialize(serialize(m)) predicts bit-identically.
+as the arrays of pmt.PmtModel, written as (nested) lists, with its probit
+risk.  Every fact is written once: a tree's n_classes and depth come from
+the document's n_classes and config.depth, and the design's seed from
+config.seed.  Serialization is deterministic (sorted keys, fixed layout),
+so identical models produce byte-identical files, and
+deserialize(serialize(m)) predicts bit-identically.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import ensemble, pmt
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+# PmtModel fields that the document holds once for all trees.
+_SHARED = ("n_classes", "depth")
 
 
 def model_to_dict(model: ensemble.SbpmtModel) -> dict:
-    cfg = model.config
     return {
         "format_version": FORMAT_VERSION,
-        "config": {"M": cfg.M, "T": cfg.T, "B": cfg.B, "alpha": cfg.alpha,
-                   "depth": cfg.depth, "min_leaf_size": cfg.min_leaf_size,
-                   "seed": cfg.seed},
+        "config": asdict(model.config),
         "n_classes": model.n_classes,
         "schema": model.schema,
-        "design": {"seed": model.design.seed,
-                   "subsets": [s.tolist() for s in model.design.subsets]},
+        "design": {"subsets": [s.tolist() for s in model.design.subsets]},
         "members": [
             {"stages": [
                 {"alpha": st.alpha, "err": st.err, "raw_err": st.raw_err,
-                 "probit_risk": st.probit_risk,
                  "model": {f.name: np.asarray(getattr(st.model, f.name))
-                           .tolist() for f in fields(st.model)}}
+                           .tolist() for f in fields(st.model)
+                           if f.name not in _SHARED}}
                 for st in member.stages]}
             for member in model.members],
     }
@@ -48,19 +50,19 @@ def model_from_dict(doc: dict) -> ensemble.SbpmtModel:
             f"unsupported model format version {version!r}; this release "
             f"reads version {FORMAT_VERSION} only, so refit the model")
     cfg = ensemble.SbpmtConfig(**doc["config"])
+    n_classes = doc["n_classes"]
     design = ensemble.Design(
         subsets=[np.array(s, dtype=int) for s in doc["design"]["subsets"]],
-        seed=doc["design"]["seed"])
-    members = [ensemble.BoostedPmt(n_classes=doc["n_classes"], stages=[
+        seed=cfg.seed)
+    members = [ensemble.BoostedPmt(stages=[
         ensemble.BoostStage(
             alpha=sd["alpha"], err=sd["err"], raw_err=sd["raw_err"],
-            probit_risk=sd["probit_risk"],
-            model=pmt.PmtModel(**{k: np.array(v) if isinstance(v, list) else v
+            model=pmt.PmtModel(n_classes=n_classes, depth=cfg.depth,
+                               **{k: np.array(v) if isinstance(v, list) else v
                                   for k, v in sd["model"].items()}))
         for sd in mdoc["stages"]]) for mdoc in doc["members"]]
     return ensemble.SbpmtModel(members=members, design=design, config=cfg,
-                               n_classes=doc["n_classes"],
-                               schema=doc["schema"])
+                               n_classes=n_classes, schema=doc["schema"])
 
 
 def serialize_model(model: ensemble.SbpmtModel) -> str:

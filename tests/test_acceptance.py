@@ -272,7 +272,7 @@ CV_TIMES: dict[str, float] = {}
 
 def run_cv(X, y, n_classes, seed=0):
     start = time.time()
-    cfg = SbpmtConfig(seed=seed)  # paper-default preset
+    cfg = SbpmtConfig(seed=seed)  # the paper defaults
     accs = []
     for train_idx, test_idx in data.stratified_kfold(y, 10, seed):
         model = ensemble.fit_sbpmt(X[train_idx], y[train_idx], n_classes, cfg)

@@ -288,6 +288,15 @@ class TestEstimatePSub:
         assert got == pytest.approx(np.mean(rates), rel=1e-14)
         assert 0.0 <= got <= 1.0
 
+    def test_rows_that_cannot_be_the_training_set_rejected(self):
+        model, X, y = self.fit_toy()
+        # alpha = 0.5: 190 rows would need subsets of 95, not 100
+        with pytest.raises(ValueError, match="190 rows cannot be"):
+            bounds.estimate_p_sub(model, X[:190], y[:190])
+        model.design.subsets[0][-1] = 200  # an index past the last row
+        with pytest.raises(ValueError, match="200 rows cannot be"):
+            bounds.estimate_p_sub(model, X, y)
+
     def test_easy_problem_near_zero(self):
         model, X, y = self.fit_toy()
         assert bounds.estimate_p_sub(model, X, y) < 0.1

@@ -49,15 +49,18 @@ class TestTrain:
         assert rc == 0
 
     def test_preset_paper_default(self, tmp_path, capsys):
-        csv_path = write_csv(tmp_path, n=60)
+        # without hyperparameter flags a run uses the paper's defaults
+        csv_path = write_csv(tmp_path, n=30)
         out = tmp_path / "m.json"
-        # preset values visible in output; override keeps the run small
-        rc = cli.main(["train", "--data", str(csv_path), "--out", str(out),
-                       "--preset", "paper-default", "--M", "2", "--T", "1",
-                       "--B", "2", "--depth", "1"])
+        rc = cli.main(["train", "--data", str(csv_path), "--out", str(out)])
         assert rc == 0
-        text = capsys.readouterr().out
-        assert "'alpha': 0.7" in text and "'min_leaf_size': 20" in text
+        assert ("config: {'M': 21, 'T': 5, 'B': 100, 'alpha': 0.7, "
+                "'depth': 6, 'min_leaf_size': 20, 'seed': 0}"
+                in capsys.readouterr().out)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--data", str(csv_path), "--out", str(out),
+                      "--preset", "paper-default"])
+        assert exc.value.code == 2
 
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         rc = cli.main(["train", "--data", str(tmp_path / "nope.csv"),
@@ -123,6 +126,17 @@ class TestPredict:
         assert rc == 0
         assert preds_path.read_text() == ""
         assert "wrote 0 predictions" in capsys.readouterr().out
+
+    def test_short_row_is_runtime_error(self, tmp_path, capsys):
+        _, model_path = self.train(tmp_path)
+        query = tmp_path / "query.csv"
+        query.write_text("f1,f2\n0.9,0.9\n-0.9\n", encoding="utf-8")
+        preds_path = tmp_path / "preds.csv"
+        rc = cli.main(["predict", "--model", str(model_path),
+                       "--data", str(query), "--out", str(preds_path)])
+        assert rc == 1
+        assert "row 2 has 1 cells, expected 2" in capsys.readouterr().err
+        assert not preds_path.exists()
 
     def test_bad_model_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -213,6 +227,44 @@ class TestBound:
                        "--sigma1-sq", "0.25", "--beta", "1", "--gamma", "1"])
         assert rc == 0
         assert "p_sub = " in capsys.readouterr().out
+
+    def test_theorem3_from_model_uses_the_model_classes(self, tmp_path,
+                                                        capsys):
+        # separable rows, so every member is right on its held-out rows;
+        # the reversed file starts with the other class
+        rng = np.random.default_rng(5)
+        f1 = np.concatenate([rng.uniform(0.3, 1, 60),
+                             rng.uniform(-1, -0.3, 60)])
+        f2 = rng.uniform(-1, 1, 120)
+        lines = [f"{a:.6f},{b:.6f},{'pos' if a > 0 else 'neg'}"
+                 for a, b in zip(f1, f2)]
+        pos_first = tmp_path / "pos_first.csv"
+        neg_first = tmp_path / "neg_first.csv"
+        pos_first.write_text("f1,f2,label\n" + "\n".join(lines) + "\n")
+        neg_first.write_text("f1,f2,label\n" + "\n".join(lines[::-1]) + "\n")
+        model_path = tmp_path / "model.json"
+        assert cli.main(["train", "--data", str(pos_first), "--out",
+                         str(model_path)] + FAST) == 0
+        flags = ["bound", "--theorem", "3", "--from-model", str(model_path),
+                 "--sigma1-sq", "0.25", "--beta", "1", "--gamma", "1"]
+        p_sub = []
+        for path in (pos_first, neg_first):
+            report = tmp_path / "b3.json"
+            assert cli.main(flags + ["--data", str(path), "--report",
+                                     str(report)]) == 0
+            p_sub.append(json.loads(report.read_text())["inputs"]["p_sub"])
+        assert p_sub == [0.0, 0.0]
+        capsys.readouterr()
+
+        unseen = tmp_path / "unseen.csv"
+        unseen.write_text("f1,f2,label\n" + "\n".join(
+            lines[:-1] + ["-0.5,0.5,maybe"]) + "\n")
+        short = tmp_path / "short.csv"
+        short.write_text("f1,f2,label\n" + "\n".join(lines[10:]) + "\n")
+        for path, message in [(unseen, "label 'maybe' is not one of"),
+                              (short, "110 rows cannot be")]:
+            assert cli.main(flags + ["--data", str(path)]) == 1
+            assert message in capsys.readouterr().err
 
     def test_theorem4(self, capsys):
         rc = cli.main(["bound", "--theorem", "4", "--n", "1000", "--T", "5",

@@ -56,6 +56,15 @@ class TestLoadCsv:
         assert ds.class_names == ["-1", "1"]
         assert ds.y.tolist() == [0, 1, 0]
 
+    def test_schema_fixes_columns_and_classes(self, tmp_path):
+        schema = data.load_csv(write(tmp_path, MIXED), "label").schema
+        other = write(tmp_path, "label,color,a\nno,green,1.0\nyes,red,2.0\n",
+                      "other.csv")
+        ds = data.load_csv(other, schema=schema)
+        assert ds.class_names == ["yes", "no"]
+        assert ds.y.tolist() == [1, 0]
+        np.testing.assert_array_equal(ds.X, [[1.0, 0, 1, 0], [2.0, 0, 0, 1]])
+
     def test_missing_value_rejected(self, tmp_path):
         p = write(tmp_path, "a,label\n1.0,yes\n,no\n")
         with pytest.raises(ValueError, match="missing value at row 2"):
@@ -118,14 +127,13 @@ class TestEncodeRows:
     def test_round_trip_without_label(self, tmp_path):
         schema = self.schema(tmp_path)
         rows = [["2.5", "green"], ["1.0", "blue"]]
-        X, names = data.encode_rows(rows, ["a", "color"], schema)
+        X, y = data.encode_rows(rows, ["a", "color"], schema)
         np.testing.assert_array_equal(X, [[2.5, 0, 1, 0], [1.0, 1, 0, 0]])
-        assert names == ["a", "color=blue", "color=green", "color=red"]
+        assert y is None
 
     def test_positional_without_header_label_absent(self, tmp_path):
         schema = self.schema(tmp_path)
-        X, _ = data.encode_rows([["2.5", "red"]], None, schema,
-                                label_present=False)
+        X, _ = data.encode_rows([["2.5", "red"]], None, schema)
         np.testing.assert_array_equal(X, [[2.5, 0, 0, 1]])
 
     def test_unseen_level_warns_and_zeroes(self, tmp_path):
@@ -135,10 +143,27 @@ class TestEncodeRows:
                                     schema)
         np.testing.assert_array_equal(X, [[1.0, 0, 0, 0]])
 
+    def test_labels_map_through_the_schema_classes(self, tmp_path):
+        schema = self.schema(tmp_path)  # classes ["yes", "no"]
+        header = ["a", "color", "label"]
+        X, y = data.encode_rows([["1.0", "red", "no"], ["2.0", "blue", "yes"]],
+                                header, schema)
+        assert y.tolist() == [1, 0]
+        with pytest.raises(ValueError, match="label 'maybe' is not one of"):
+            data.encode_rows([["1.0", "red", "maybe"]], header, schema)
+
+    def test_short_row_rejected(self, tmp_path):
+        schema = self.schema(tmp_path)
+        rows = [["1.0", "red"], ["2.0"]]
+        for header in (["a", "color"], None):
+            with pytest.raises(ValueError, match="row 2 has 1 cells, "
+                                                 "expected 2"):
+                data.encode_rows(rows, header, schema)
+
     def test_empty_rows(self, tmp_path):
         schema = self.schema(tmp_path)
-        X, names = data.encode_rows([], ["a", "color"], schema)
-        assert X.shape == (0, 4) and len(names) == 4
+        X, y = data.encode_rows([], ["a", "color"], schema)
+        assert X.shape == (0, 4) and y is None
 
     def test_missing_column_rejected(self, tmp_path):
         schema = self.schema(tmp_path)

@@ -47,7 +47,7 @@ class TestFitAdaboost:
         for s in model.stages:
             assert s.raw_err < 0.5
             assert s.alpha > 0
-            assert s.probit_risk is not None
+            assert s.model.probit_risk is not None
 
     def test_errors_property(self):
         X, y = noisy_stripes(seed=2)

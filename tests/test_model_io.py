@@ -64,7 +64,7 @@ class TestRoundTrip:
             for sa, sb in zip(ma.stages, mb.stages):
                 assert sa.alpha == sb.alpha
                 assert sa.err == sb.err and sa.raw_err == sb.raw_err
-                assert sa.probit_risk == sb.probit_risk
+                assert sa.model.probit_risk == sb.model.probit_risk
 
 
 class TestFileFormat:
@@ -91,11 +91,12 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="format version"):
             model_io.model_from_dict(doc)
 
-    def test_version_1_rejected_with_refit_message(self):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version_1_rejected_with_refit_message(self, version):
         model, _ = fit_small()
         doc = model_io.model_to_dict(model)
-        doc["format_version"] = 1
-        with pytest.raises(ValueError, match=r"version 1\b.*refit"):
+        doc["format_version"] = version
+        with pytest.raises(ValueError, match=rf"version {version}\b.*refit"):
             model_io.model_from_dict(doc)
 
     def test_stages_are_flat_arrays(self):
@@ -108,10 +109,17 @@ class TestFileFormat:
             assert len(tree[key]) == n_nodes
         assert np.shape(tree["coef"]) == (n_leaves, 3, 3)
         assert "rows" not in json.dumps(doc["members"])
+        # each fact once: the probit risk in the tree, n_classes and depth
+        # in the document and its config, the design seed in the config
+        stage = doc["members"][0]["stages"][0]
+        assert set(stage) == {"alpha", "err", "raw_err", "model"}
+        assert "probit_risk" in tree
+        assert not {"n_classes", "depth"} & set(tree)
+        assert set(doc["design"]) == {"subsets"}
 
     def test_non_finite_number_not_written(self):
         model, _ = fit_small()
-        model.members[0].stages[0].probit_risk = math.nan
+        model.members[0].stages[0].model.probit_risk = math.nan
         with pytest.raises(ValueError):
             model_io.serialize_model(model)
 
