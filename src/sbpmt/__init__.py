@@ -13,11 +13,10 @@ from .cart import build_tree, route_many
 from .data import (Dataset, SimConfig, accuracy, check_inputs, load_csv,
                    simulate, stratified_kfold, summarize_cv)
 from .ensemble import (BoostedPmt, Design, SbpmtConfig, SbpmtModel,
-                       draw_design, fit_adaboost, fit_samme, fit_sbpmt,
-                       predict_boosted_many, predict_sbpmt, predict_sbpmt_many)
+                       draw_design, fit_boosted, fit_sbpmt, predict_sbpmt,
+                       predict_sbpmt_many)
 from .model_io import deserialize_model, load_model, save_model, serialize_model
-from .numerics import (inv_mills, norm_cdf, norm_pdf, probit_loss, wls_fit,
-                       working_response_and_weight)
+from .numerics import inv_mills, probit_loss, working_response_and_weight
 from .pmt import PmtModel, fit_pmt, predict_pmt_many
 from .probitboost import (LinearScore, ProbitBoostTrace, fit_probitboost,
                           fit_probitboost_ova)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
-from .ensemble import Design, SbpmtModel, predict_boosted_many
+from . import data, numerics
+from .ensemble import Design, SbpmtModel
 
 
 @dataclass
@@ -166,27 +166,28 @@ def theorem6_bound(probit_risks, n: int, T: int, d_vc: int,
 def estimate_p_sub(model: SbpmtModel, X, y) -> float:
     """Out-of-subset plug-in estimate of the member error rate p_sub.
 
-    Each member is scored on the rows outside its own design subset; the
-    estimates are averaged.  With alpha = 1 nothing is held out and the
+    Every member votes on every row in one committee pass; each member's
+    error is taken over the rows outside its own design subset, and the
+    errors are averaged.  With alpha = 1 nothing is held out and the
     (optimistic) training error is returned with a warning.  X, y must be
     the rows the design was drawn over: a subset size other than
     floor(alpha * n) or a subset index >= n raises ValueError.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
+    X, y = data.check_inputs(X, y, model.n_classes)
     n = X.shape[0]
     m = math.floor(model.config.alpha * n)
     if any(s.size != m or s.max() >= n for s in model.design.subsets):
         raise ValueError(f"{n} rows cannot be this model's training set: "
                          f"its subsets must hold floor(alpha * n) = {m} "
                          f"indices, all below {n}")
+    wrong = model.committee.member_classes(X) != y[:, None]
     rates = []
-    for member, subset in zip(model.members, model.design.subsets):
-        held_out = np.setdiff1d(np.arange(n), subset)
-        if held_out.size == 0:
+    for k, subset in enumerate(model.design.subsets):
+        held_out = np.ones(n, dtype=bool)
+        held_out[subset] = False
+        if not held_out.any():
             warnings.warn("alpha = 1 leaves no held-out rows; "
                           "falling back to training error for p_sub")
-            held_out = np.arange(n)
-        preds = predict_boosted_many(member, X[held_out])
-        rates.append(float(np.mean(preds != y[held_out])))
+            held_out[:] = True
+        rates.append(float(np.mean(wrong[held_out, k])))
     return float(np.mean(rates))

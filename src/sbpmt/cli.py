@@ -40,9 +40,8 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
                        help=f"{_HYPER_HELP[f.name]} (default %(default)s)")
 
 
-def _build_config(args) -> SbpmtConfig:
-    return SbpmtConfig(**{f.name: getattr(args, f.name)
-                          for f in fields(SbpmtConfig)})
+def _build_config(args, cls=SbpmtConfig):
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 def _load_with_schema(path) -> ensemble.SbpmtModel:
@@ -153,9 +152,7 @@ def _parse_sweep(spec: str):
 
 
 def cmd_simulate(args) -> int:
-    sim = data.SimConfig(d=args.d, E=args.E, q=args.q,
-                         n_train=args.n_train, n_test=args.n_test,
-                         seed=args.seed)
+    sim = _build_config(args, data.SimConfig)
     base = _build_config(args)
     sweep_name, sweep_values = (_parse_sweep(args.sweep) if args.sweep
                                 else (None, [None]))
@@ -313,11 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate",
                            help="synthetic benchmark with parameter sweeps")
-    p_sim.add_argument("--d", type=int, default=10)
-    p_sim.add_argument("--E", type=int, default=5)
-    p_sim.add_argument("--q", type=float, default=0.1)
-    p_sim.add_argument("--n-train", type=int, default=2000, dest="n_train")
-    p_sim.add_argument("--n-test", type=int, default=10000, dest="n_test")
+    for f in fields(data.SimConfig):
+        if f.name != "seed":  # the hyperparameter flags supply --seed
+            p_sim.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                               type=type(f.default), default=f.default)
     p_sim.add_argument("--repeats", type=int, default=1,
                        help="seeds per sweep point (seed, seed+1, ...)")
     p_sim.add_argument("--sweep", help="M|T|B|alpha=v1,v2,...")

@@ -116,7 +116,11 @@ def load_csv(path, label_column=-1, has_header: bool = True,
 
 
 def _infer_schema(header, rows, label_column) -> dict:
-    width = _check_rows(rows, header)
+    # encode_rows checks every cell; here only the widths are needed, and
+    # a row of another width is reported as _check_rows would.
+    width = len(header) if header is not None else len(rows[0])
+    if any(len(row) != width for row in rows):
+        _check_rows(rows, header)
     if isinstance(label_column, int):
         label_idx = label_column
     else:

@@ -1,10 +1,10 @@
 """Boosting and subagging layers over Probit Model Trees.
 
-Binary AdaBoost and multi-class SAMME share one loop: SAMME adds ln(J-1)
-to the stage weight and retains a stage iff err_t < 1 - 1/J; for J = 2
-that is exactly AdaBoost.  The subagging layer draws M index subsets of
-size floor(alpha * n) without replacement (with replacement at the subset
-level) and majority-votes the boosted members.
+fit_boosted is multi-class SAMME: it adds ln(J-1) to the stage weight and
+retains a stage iff err_t < 1 - 1/J; for J = 2 that is exactly binary
+AdaBoost.  The subagging layer draws M index subsets of size
+floor(alpha * n) without replacement (with replacement at the subset
+level) and majority-votes the boosted members through a Committee.
 """
 
 from __future__ import annotations
@@ -36,15 +36,10 @@ class BoostStage:
 class BoostedPmt:
     stages: list[BoostStage]
 
-    @property
-    def errors(self) -> list[float]:
-        return [s.raw_err for s in self.stages]
-
 
 @dataclass
 class Design:
     subsets: list[np.ndarray]
-    seed: int
 
     @property
     def M(self) -> int:
@@ -94,27 +89,38 @@ class Committee:
         return cls(trees, roots, np.array([st.alpha for _, st in stages]),
                    np.array([k for k, _ in stages]))
 
-    def predict(self, X) -> np.ndarray:
-        """Majority vote of the members, each the stage-weighted vote of
-        its trees; argmax ties go to the smallest class index (for two
+    def member_classes(self, X) -> np.ndarray:
+        """Each member's stage-weighted vote for every row of X, shape
+        (n, M); argmax ties go to the smallest class index (for two
         classes, the sign(0) = -1 convention).  Runs block by block over
-        the rows, so no temporary grows with their number."""
+        the rows, so only the result grows with their number."""
         trees, J, M = self.trees, self.trees.n_classes, self.member[-1] + 1
         X, _ = data.check_inputs(X, n_features=trees.coef.shape[-1])
         block = max(1, BLOCK_FLOATS // (self.alpha.size * trees.coef[0].size))
-        out = np.empty(X.shape[0], dtype=int)
+        out = np.empty((X.shape[0], M), dtype=int)
         for start in range(0, X.shape[0], block):
             cls = pmt.tree_classes(trees, self.roots, X[start:start + block])
-            rows = np.arange(cls.shape[0])[:, None]
             votes = np.zeros((cls.shape[0], M, J))
-            np.add.at(votes, (rows, self.member, cls), self.alpha)
-            counts = np.zeros((cls.shape[0], J))
-            np.add.at(counts, (rows, votes.argmax(axis=2)), 1)
-            out[start:start + cls.shape[0]] = counts.argmax(axis=1)
+            np.add.at(votes, (np.arange(cls.shape[0])[:, None], self.member,
+                              cls), self.alpha)
+            out[start:start + cls.shape[0]] = votes.argmax(axis=2)
         return out
 
+    def predict(self, X) -> np.ndarray:
+        """Majority vote of the members' classes; ties go to the smallest
+        class index."""
+        classes = self.member_classes(X)
+        counts = np.zeros((classes.shape[0], self.trees.n_classes))
+        np.add.at(counts, (np.arange(classes.shape[0])[:, None], classes), 1)
+        return counts.argmax(axis=1)
 
-def _fit_boosted(X, y, n_classes, T, depth, min_leaf_size, probit_iters):
+
+def fit_boosted(X, y, n_classes: int, T: int, depth: int, min_leaf_size: int,
+                probit_iters: int) -> BoostedPmt:
+    """SAMME over PMT base learners: at most T stages, each a PMT fitted
+    to the current sample weights."""
+    if n_classes < 2:
+        raise ValueError("need at least 2 classes")
     X, y = data.check_inputs(X, y, n_classes)
     m = X.shape[0]
     if T < 1:
@@ -141,27 +147,11 @@ def _fit_boosted(X, y, n_classes, T, depth, min_leaf_size, probit_iters):
     return BoostedPmt(stages=stages)
 
 
-def fit_adaboost(X, y, T: int, depth: int, min_leaf_size: int,
-                 probit_iters: int) -> BoostedPmt:
-    """Binary AdaBoost over PMT base learners (class indices 0/1)."""
-    return _fit_boosted(X, y, 2, T, depth, min_leaf_size, probit_iters)
-
-
-def fit_samme(X, y, n_classes: int, T: int, depth: int, min_leaf_size: int,
-              probit_iters: int) -> BoostedPmt:
-    """SAMME multi-class AdaBoost; for n_classes = 2 it equals fit_adaboost."""
-    if n_classes < 2:
-        raise ValueError("need at least 2 classes")
-    return _fit_boosted(X, y, n_classes, T, depth, min_leaf_size, probit_iters)
-
-
-def predict_boosted_many(model: BoostedPmt, X) -> np.ndarray:
-    return Committee.of([model]).predict(X)
-
-
 def draw_design(n: int, alpha: float, M: int, seed: int) -> Design:
     """M subsets of size floor(alpha*n), sampled without replacement each,
     independently across subsets; reproducible from seed."""
+    if M < 1:
+        raise ValueError(f"need at least one member, got M = {M}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("subagging ratio must be in (0, 1]")
     m = int(math.floor(alpha * n))
@@ -169,7 +159,7 @@ def draw_design(n: int, alpha: float, M: int, seed: int) -> Design:
         raise ValueError("subsample size floor(alpha*n) must be >= 1")
     rng = np.random.default_rng(seed)
     subsets = [np.sort(rng.choice(n, size=m, replace=False)) for _ in range(M)]
-    return Design(subsets=subsets, seed=seed)
+    return Design(subsets=subsets)
 
 
 def fit_sbpmt(X, y, n_classes: int, config: SbpmtConfig,
@@ -177,8 +167,8 @@ def fit_sbpmt(X, y, n_classes: int, config: SbpmtConfig,
     X, y = data.check_inputs(X, y, n_classes)
     design = draw_design(X.shape[0], config.alpha, config.M, config.seed)
     members = [
-        _fit_boosted(X[idx], y[idx], n_classes, config.T, config.depth,
-                     config.min_leaf_size, config.B)
+        fit_boosted(X[idx], y[idx], n_classes, config.T, config.depth,
+                    config.min_leaf_size, config.B)
         for idx in design.subsets
     ]
     return SbpmtModel(members=members, design=design, config=config,

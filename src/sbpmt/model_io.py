@@ -4,10 +4,10 @@ The format is a self-describing JSON document with explicit
 format_version; coefficients stay human-inspectable.  Each tree is stored
 as the arrays of pmt.PmtModel, written as (nested) lists, with its probit
 risk.  Every fact is written once: a tree's n_classes and depth come from
-the document's n_classes and config.depth, and the design's seed from
-config.seed.  Serialization is deterministic (sorted keys, fixed layout),
-so identical models produce byte-identical files, and
-deserialize(serialize(m)) predicts bit-identically.
+the document's n_classes and config.depth.  Serialization is
+deterministic (sorted keys, fixed layout), so identical models produce
+byte-identical files, and deserialize(serialize(m)) predicts
+bit-identically.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ def model_from_dict(doc: dict) -> ensemble.SbpmtModel:
     cfg = ensemble.SbpmtConfig(**doc["config"])
     n_classes = doc["n_classes"]
     design = ensemble.Design(
-        subsets=[np.array(s, dtype=int) for s in doc["design"]["subsets"]],
-        seed=cfg.seed)
+        subsets=[np.array(s, dtype=int) for s in doc["design"]["subsets"]])
     members = [ensemble.BoostedPmt(stages=[
         ensemble.BoostStage(
             alpha=sd["alpha"], err=sd["err"], raw_err=sd["raw_err"],

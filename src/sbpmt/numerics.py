@@ -1,4 +1,4 @@
-"""Numerically stable probit kernel and the single-feature WLS solver.
+"""Numerically stable probit kernel and the per-feature WLS solver.
 
 Everything here is pure and operates on scalars or numpy arrays alike.
 The central object is the margin u = y*f(x); all response/weight algebra
@@ -9,7 +9,6 @@ nothing overflows or cancels for u far below zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -21,19 +20,7 @@ U_MAX = 8.0
 LN2 = math.log(2.0)
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
-
-def norm_pdf(x):
-    """Standard normal density phi(x)."""
-    return _INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
-
-
-def norm_cdf(x):
-    """Standard normal cdf Phi(x), via erfc so the lower tail keeps
-    relative accuracy (Phi(-8) ~ 6.2e-16 is exact to ~1 ulp)."""
-    return 0.5 * special.erfc(-np.asarray(x, dtype=float) / _SQRT2)
 
 
 def inv_mills(u):
@@ -65,55 +52,21 @@ def working_response_and_weight(y, f):
     return y / t, r * t
 
 
-@dataclass(frozen=True)
-class WlsFit:
-    """Weighted simple-regression fit z ~ slope*x + intercept."""
-
-    slope: float
-    intercept: float
-    weighted_sse: float
-
-
 # Weighted feature variance below this is treated as a constant feature.
 _VAR_TOL = 1e-12
 
 
-def wls_fit(x, z, w) -> WlsFit:
-    """Closed-form weighted least squares of z on a single feature x.
+def wls_fit_columns(X, z, w):
+    """Closed-form weighted least squares of z on each column of X alone.
 
-    A feature whose weighted variance falls below tolerance yields slope 0
-    and intercept equal to the weighted mean of z, so feature selection
-    simply never prefers a constant column.
+    Returns (slopes, intercepts, sses) arrays of length p: column j's fit
+    z ~ slopes[j] * x_j + intercepts[j] and its weighted residual sum of
+    squares.  A column whose weighted variance falls below tolerance gets
+    slope 0 and intercept equal to the weighted mean of z, so feature
+    selection never prefers a constant column.  This is the inner loop of
+    ProbitBoost, so it is fully vectorized.
 
     Raises ValueError on empty input or nonpositive total weight.
-    """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if x.size == 0:
-        raise ValueError("empty regression")
-    sw = float(np.sum(w))
-    if sw <= 0.0:
-        raise ValueError("total weight must be positive")
-    xm = float(np.dot(w, x)) / sw
-    zm = float(np.dot(w, z)) / sw
-    dx = x - xm
-    dz = z - zm
-    sxx = float(np.dot(w, dx * dx))
-    szz = float(np.dot(w, dz * dz))
-    if sxx / sw < _VAR_TOL:
-        return WlsFit(slope=0.0, intercept=zm, weighted_sse=szz)
-    sxz = float(np.dot(w, dx * dz))
-    slope = sxz / sxx
-    sse = max(szz - slope * sxz, 0.0)
-    return WlsFit(slope=slope, intercept=zm - slope * xm, weighted_sse=sse)
-
-
-def wls_fit_columns(X, z, w):
-    """wls_fit applied to every column of X at once.
-
-    Returns (slopes, intercepts, sses) arrays of length p.  This is the
-    inner loop of ProbitBoost, so it is fully vectorized.
     """
     X = np.asarray(X, dtype=float)
     z = np.asarray(z, dtype=float)

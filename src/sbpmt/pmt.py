@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cart, data, numerics, probitboost
+from . import cart, data, probitboost
 
 
 @dataclass
@@ -115,15 +115,3 @@ def tree_classes(trees: PmtModel, roots, X) -> np.ndarray:
 def predict_pmt_many(model: PmtModel, X) -> np.ndarray:
     X, _ = data.check_inputs(X, n_features=model.coef.shape[-1])
     return tree_classes(model, [0], X)[:, 0]
-
-
-def weighted_probit_risk(model: PmtModel, X, y, sample_weights) -> float:
-    """Binary PMT probit risk sum_i w_i * Q(y_i * f_leaf(x_i)) on given data."""
-    if model.n_classes != 2:
-        raise ValueError("probit risk is defined for binary models")
-    X = np.asarray(X, dtype=float)
-    ypm = np.where(np.asarray(y) == 1, 1.0, -1.0)
-    w = np.asarray(sample_weights, dtype=float)
-    w = w / float(np.sum(w))
-    f = margins(model, [0], X)[:, 0, 0]
-    return float(np.dot(w, numerics.probit_loss(ypm * f)))

@@ -96,10 +96,12 @@ class TestCriterion4Theorem5Live:
             X = rng.uniform(-1, 1, size=(n, int(rng.integers(1, 5))))
             y = (X[:, 0] + 0.5 * rng.normal(size=n) > 0).astype(int)
             T = int(rng.integers(1, 8))
-            model = ensemble.fit_adaboost(X, y, T, int(rng.integers(1, 4)),
-                                          2, int(rng.integers(0, 6)))
-            err = float(np.mean(ensemble.predict_boosted_many(model, X) != y))
-            bound = bounds.theorem5_bound(model.errors, 0.0)
+            model = ensemble.fit_boosted(X, y, 2, T, int(rng.integers(1, 4)),
+                                         2, int(rng.integers(0, 6)))
+            preds = ensemble.Committee.of([model]).predict(X)
+            err = float(np.mean(preds != y))
+            bound = bounds.theorem5_bound([s.raw_err for s in model.stages],
+                                          0.0)
             assert err <= bound + 1e-12, (err, bound)
             checked += 1
         report("4: theorem-5 live bound", True,
@@ -124,7 +126,7 @@ class TestCriterion5BoundOracles:
                 for combo in itertools.combinations_with_replacement(pool, M):
                     design = ensemble.Design(
                         subsets=[np.array(sorted(s), dtype=int)
-                                 for s in combo], seed=0)
+                                 for s in combo])
                     stats = bounds.design_stats(design, n)
                     R, A, B, C = brute_stats([set(s) for s in combo], n)
                     assert stats.R.tolist() == R
@@ -343,10 +345,10 @@ class TestCriterion8DegenerateIdentities:
         cfg = SbpmtConfig(M=1, T=4, B=5, alpha=1.0, depth=2,
                           min_leaf_size=5, seed=0)
         sub = ensemble.fit_sbpmt(X, y, 2, cfg)
-        single = ensemble.fit_adaboost(X, y, 4, 2, 5, 5)
+        single = ensemble.fit_boosted(X, y, 2, 4, 2, 5, 5)
         Xq = rng.uniform(-1, 1, size=(1000, 3))
         same = np.array_equal(ensemble.predict_sbpmt_many(sub, Xq),
-                              ensemble.predict_boosted_many(single, Xq))
+                              ensemble.Committee.of([single]).predict(Xq))
         report("8a: M=1, alpha=1 equals single boosted PMT", same)
         assert same
 
@@ -373,10 +375,10 @@ class TestCriterion8DegenerateIdentities:
                           min_leaf_size=5, seed=0)
         model = ensemble.fit_sbpmt(X, y, 2, cfg)
         Xq = rng.uniform(-1, 1, size=(400, 2))
-        member = ensemble.predict_boosted_many(model.members[0], Xq)
+        member = ensemble.Committee.of(model.members[:1]).predict(Xq)
         for other in model.members[1:]:
             assert np.array_equal(
-                member, ensemble.predict_boosted_many(other, Xq))
+                member, ensemble.Committee.of([other]).predict(Xq))
         vote = ensemble.predict_sbpmt_many(model, Xq)
         ok = np.array_equal(vote, member)
         report("8c: unanimous members, vote equals member output", ok)

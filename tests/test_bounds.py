@@ -28,8 +28,7 @@ def brute_force_stats(subsets, n):
 
 
 def make_design(subsets):
-    return Design(subsets=[np.asarray(sorted(s), dtype=int) for s in subsets],
-                  seed=0)
+    return Design(subsets=[np.asarray(sorted(s), dtype=int) for s in subsets])
 
 
 class TestDesignStats:
@@ -283,7 +282,7 @@ class TestEstimatePSub:
         rates = []
         for member, subset in zip(model.members, model.design.subsets):
             out = np.setdiff1d(np.arange(200), subset)
-            preds = ensemble.predict_boosted_many(member, X[out])
+            preds = ensemble.Committee.of([member]).predict(X[out])
             rates.append(np.mean(preds != y[out]))
         assert got == pytest.approx(np.mean(rates), rel=1e-14)
         assert 0.0 <= got <= 1.0

@@ -1,9 +1,10 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from sbpmt import cli, model_io
+from sbpmt import cli, data, model_io
 
 FAST = ["--M", "3", "--T", "2", "--B", "3", "--alpha", "0.7",
         "--depth", "2", "--min-leaf", "5"]
@@ -78,6 +79,16 @@ class TestTrain:
                       + FAST)
         assert rc == 1
         assert "non-finite value nan in row 17" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("M", ["0", "-1"])
+    def test_no_members_is_runtime_error(self, tmp_path, capsys, M):
+        csv_path = write_csv(tmp_path, n=30)
+        out = tmp_path / "m.json"
+        rc = cli.main(["train", "--data", str(csv_path), "--out", str(out)]
+                      + FAST + ["--M", M])
+        assert rc == 1
+        assert f"M = {M}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_required_flag_is_usage_error(self, tmp_path):
@@ -186,6 +197,16 @@ class TestSimulate:
         assert rc == 0
         doc = json.loads(report.read_text())
         assert [r["value"] for r in doc["results"]] == [1, 3]
+
+    def test_flag_defaults_are_the_sim_config(self):
+        args = cli.build_parser().parse_args(["simulate"])
+        for f in fields(data.SimConfig):
+            assert getattr(args, f.name) == f.default, f.name
+        args = cli.build_parser().parse_args(
+            ["simulate", "--d", "4", "--E", "2", "--q", "0.2",
+             "--n-train", "50", "--n-test", "60"])
+        assert (args.d, args.E, args.q, args.n_train, args.n_test) == \
+            (4, 2, 0.2, 50, 60)
 
     def test_bad_sweep_spec(self, capsys):
         rc = cli.main(["simulate", "--sweep", "bogus=1,2"] + FAST)

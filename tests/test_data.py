@@ -77,6 +77,14 @@ class TestLoadCsv:
                                              "feature 2"):
             data.load_csv(p, "label")
 
+    def test_cells_checked_once(self, tmp_path, monkeypatch):
+        calls = []
+        check = data._check_rows
+        monkeypatch.setattr(data, "_check_rows",
+                            lambda *a: calls.append(1) or check(*a))
+        data.load_csv(write(tmp_path, MIXED), "label")
+        assert len(calls) == 1
+
     def test_ragged_rows_rejected(self, tmp_path):
         p = write(tmp_path, "a,b,label\n1,2,yes\n1,no\n")
         with pytest.raises(ValueError, match="inconsistent column counts"):

@@ -14,18 +14,30 @@ def xor_data(n=300, seed=0):
     return X, y
 
 
-def reference_vote(model, X):
-    """Loop reference: stage-weighted vote per member, then a count of
-    member outputs, ties to the smallest class index."""
-    J = model.n_classes
-    counts = np.zeros((X.shape[0], J), dtype=int)
+def reference_member_classes(model, X):
+    """Loop reference: each member's stage-weighted vote, shape (n, M),
+    ties to the smallest class index."""
+    columns = []
     for member in model.members:
-        votes = np.zeros((X.shape[0], J))
+        votes = np.zeros((X.shape[0], model.n_classes))
         for stage in member.stages:
             preds = pmt.predict_pmt_many(stage.model, X)
             votes[np.arange(X.shape[0]), preds] += stage.alpha
-        counts[np.arange(X.shape[0]), np.argmax(votes, axis=1)] += 1
+        columns.append(np.argmax(votes, axis=1))
+    return np.stack(columns, axis=1)
+
+
+def reference_vote(model, X):
+    """Loop reference: a count of member outputs, ties to the smallest
+    class index."""
+    member_classes = reference_member_classes(model, X)
+    counts = np.stack([(member_classes == c).sum(axis=1)
+                       for c in range(model.n_classes)], axis=1)
     return np.argmax(counts, axis=1)
+
+
+def predict_member(member, X):
+    return ensemble.Committee.of([member]).predict(X)
 
 
 def noisy_stripes(n=300, seed=0):
@@ -42,7 +54,7 @@ def noisy_stripes(n=300, seed=0):
 class TestFitAdaboost:
     def test_stage_count_and_monotone_weights(self):
         X, y = noisy_stripes(seed=1)
-        model = ensemble.fit_adaboost(X, y, 6, 1, 5, 3)
+        model = ensemble.fit_boosted(X, y, 2, 6, 1, 5, 3)
         assert 1 <= len(model.stages) <= 6
         for s in model.stages:
             assert s.raw_err < 0.5
@@ -50,16 +62,20 @@ class TestFitAdaboost:
             assert s.model.probit_risk is not None
 
     def test_errors_property(self):
+        # the first stage sees uniform weights, so its raw error is its
+        # training error rate
         X, y = noisy_stripes(seed=2)
-        model = ensemble.fit_adaboost(X, y, 4, 1, 5, 3)
-        assert model.errors == [s.raw_err for s in model.stages]
+        model = ensemble.fit_boosted(X, y, 2, 4, 1, 5, 3)
+        first = model.stages[0]
+        assert first.raw_err == pytest.approx(
+            np.mean(pmt.predict_pmt_many(first.model, X) != y), rel=1e-12)
 
     def test_boosting_improves_training_accuracy(self):
         X, y = noisy_stripes(n=500, seed=3)
-        one = ensemble.fit_adaboost(X, y, 1, 1, 5, 2)
-        many = ensemble.fit_adaboost(X, y, 12, 1, 5, 2)
-        acc1 = np.mean(ensemble.predict_boosted_many(one, X) == y)
-        acc12 = np.mean(ensemble.predict_boosted_many(many, X) == y)
+        one = ensemble.fit_boosted(X, y, 2, 1, 1, 5, 2)
+        many = ensemble.fit_boosted(X, y, 2, 12, 1, 5, 2)
+        acc1 = np.mean(predict_member(one, X) == y)
+        acc12 = np.mean(predict_member(many, X) == y)
         assert acc12 >= acc1
 
     def test_perfect_stages_clamp_and_continue(self):
@@ -67,20 +83,20 @@ class TestFitAdaboost:
         # but finite, weights are unchanged, and the loop runs to T
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
-        model = ensemble.fit_adaboost(X, y, 10, 1, 1, 2)
+        model = ensemble.fit_boosted(X, y, 2, 10, 1, 1, 2)
         assert len(model.stages) == 10
         for s in model.stages:
             assert s.raw_err == 0.0
             assert s.err == pytest.approx(ensemble.ERR_CLAMP)
             assert s.alpha == pytest.approx(11.5129, abs=1e-3)
-        assert np.array_equal(ensemble.predict_boosted_many(model, X), y)
+        assert np.array_equal(predict_member(model, X), y)
 
     def test_useless_first_stage_kept_with_clamped_error(self):
         # depth 0, zero probit iterations: every stage predicts class 0,
         # so err = P(y=1) = 0.5 exactly -> clamped stage 1 kept, then stop
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 1, 0, 1])
-        model = ensemble.fit_adaboost(X, y, 8, 0, 1, 0)
+        model = ensemble.fit_boosted(X, y, 2, 8, 0, 1, 0)
         assert len(model.stages) == 1
         assert model.stages[0].raw_err == pytest.approx(0.5)
         assert model.stages[0].err == pytest.approx(0.5 - ensemble.ERR_CLAMP)
@@ -88,13 +104,13 @@ class TestFitAdaboost:
     def test_invalid_rounds(self):
         X, y = xor_data(20)
         with pytest.raises(ValueError, match="at least one"):
-            ensemble.fit_adaboost(X, y, 0, 1, 1, 1)
+            ensemble.fit_boosted(X, y, 2, 0, 1, 1, 1)
 
     def test_reweighting_focuses_on_mistakes(self):
         # stage 2 must differ from stage 1 whenever stage 1 errs: upweighted
         # mistakes move the stump
         X, y = noisy_stripes(n=400, seed=7)
-        model = ensemble.fit_adaboost(X, y, 2, 1, 5, 2)
+        model = ensemble.fit_boosted(X, y, 2, 2, 1, 5, 2)
         if len(model.stages) == 2:
             p1 = pmt.predict_pmt_many(model.stages[0].model, X)
             p2 = pmt.predict_pmt_many(model.stages[1].model, X)
@@ -103,11 +119,11 @@ class TestFitAdaboost:
 
 class TestFitSamme:
     def test_matches_adaboost_for_two_classes(self):
+        # ln(J - 1) = 0: the stage weights are AdaBoost's
         X, y = noisy_stripes(seed=9)
-        a = ensemble.fit_adaboost(X, y, 5, 1, 5, 2)
-        s = ensemble.fit_samme(X, y, 2, 5, 1, 5, 2)
-        assert [st.alpha for st in a.stages] == [st.alpha for st in s.stages]
-        assert a.errors == s.errors
+        model = ensemble.fit_boosted(X, y, 2, 5, 1, 5, 2)
+        for st in model.stages:
+            assert st.alpha == 0.5 * math.log((1 - st.err) / st.err)
 
     def test_three_class_stage_weights_include_shift(self):
         rng = np.random.default_rng(10)
@@ -115,34 +131,34 @@ class TestFitSamme:
         y = np.floor(X[:, 0]).astype(int)
         flip = rng.uniform(size=300) < 0.1
         y[flip] = (y[flip] + 1) % 3
-        model = ensemble.fit_samme(X, y, 3, 5, 1, 5, 2)
+        model = ensemble.fit_boosted(X, y, 3, 5, 1, 5, 2)
         for s in model.stages:
             assert s.raw_err < 2 / 3
             expected = 0.5 * math.log((1 - s.err) / s.err) + math.log(2)
             assert s.alpha == pytest.approx(expected)
-        acc = np.mean(ensemble.predict_boosted_many(model, X) == y)
+        acc = np.mean(predict_member(model, X) == y)
         assert acc > 0.8
 
     def test_single_class_count_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            ensemble.fit_samme(np.zeros((4, 1)), np.zeros(4, dtype=int), 1,
+            ensemble.fit_boosted(np.zeros((4, 1)), np.zeros(4, dtype=int), 1,
                                3, 1, 1, 1)
 
 
 class TestPredictBoosted:
     def test_scalar_matches_vectorized(self):
         X, y = noisy_stripes(seed=11)
-        model = ensemble.fit_adaboost(X, y, 4, 1, 5, 2)
+        model = ensemble.fit_boosted(X, y, 2, 4, 1, 5, 2)
         Xq = np.random.default_rng(0).uniform(0, 4, size=(50, 1))
-        many = ensemble.predict_boosted_many(model, Xq)
+        many = predict_member(model, Xq)
         assert many.tolist() == [
-            ensemble.predict_boosted_many(model, x[None])[0] for x in Xq]
+            predict_member(model, x[None])[0] for x in Xq]
 
     def test_single_stage_vote_is_the_stage(self):
         X, y = noisy_stripes(seed=12)
-        model = ensemble.fit_adaboost(X, y, 1, 1, 5, 2)
+        model = ensemble.fit_boosted(X, y, 2, 1, 1, 5, 2)
         np.testing.assert_array_equal(
-            ensemble.predict_boosted_many(model, X),
+            predict_member(model, X),
             pmt.predict_pmt_many(model.stages[0].model, X))
 
 
@@ -213,18 +229,18 @@ class TestFitSbpmt:
         X, y = xor_data(150, seed=15)
         cfg = self.small_config(M=1, alpha=1.0, T=3, B=5)
         sub = ensemble.fit_sbpmt(X, y, 2, cfg)
-        boosted = ensemble.fit_adaboost(X, y, 3, 2, 5, 5)
+        boosted = ensemble.fit_boosted(X, y, 2, 3, 2, 5, 5)
         Xq = np.random.default_rng(2).uniform(-1, 1, size=(60, 2))
         np.testing.assert_array_equal(
             ensemble.predict_sbpmt_many(sub, Xq),
-            ensemble.predict_boosted_many(boosted, Xq))
+            predict_member(boosted, Xq))
 
     def test_binary_vote_tie_goes_to_class0(self):
         X, y = xor_data(100, seed=16)
         cfg = self.small_config(M=2)  # even member count permits exact ties
         model = ensemble.fit_sbpmt(X, y, 2, cfg)
         Xq = np.random.default_rng(3).uniform(-1, 1, size=(200, 2))
-        member_preds = np.stack([ensemble.predict_boosted_many(m, Xq)
+        member_preds = np.stack([predict_member(m, Xq)
                                  for m in model.members])
         vote = ensemble.predict_sbpmt_many(model, Xq)
         tie = member_preds.sum(axis=0) == 1  # one says 0, the other 1
@@ -239,7 +255,7 @@ class TestFitSbpmt:
         cfg = self.small_config(M=4, depth=2)
         model = ensemble.fit_sbpmt(X, y, 3, cfg)
         Xq = rng.uniform(0, 3, size=(80, 1))
-        member_preds = np.stack([ensemble.predict_boosted_many(m, Xq)
+        member_preds = np.stack([predict_member(m, Xq)
                                  for m in model.members])
         counts = np.stack([(member_preds == c).sum(axis=0) for c in range(3)],
                           axis=1)
@@ -262,12 +278,14 @@ class TestFitSbpmt:
         model = ensemble.fit_sbpmt(X, y, n_classes,
                                    self.small_config(M=4, T=3))
         Xq = rng.uniform(-1, 1, size=(300, 3))
+        members = reference_member_classes(model, Xq)
         expected = reference_vote(model, Xq)
-        np.testing.assert_array_equal(ensemble.predict_sbpmt_many(model, Xq),
-                                      expected)
-        monkeypatch.setattr(ensemble, "BLOCK_FLOATS", 1)  # one row a block
-        np.testing.assert_array_equal(ensemble.predict_sbpmt_many(model, Xq),
-                                      expected)
+        for block_floats in (ensemble.BLOCK_FLOATS, 1):  # 1: one row a block
+            monkeypatch.setattr(ensemble, "BLOCK_FLOATS", block_floats)
+            np.testing.assert_array_equal(
+                model.committee.member_classes(Xq), members)
+            np.testing.assert_array_equal(
+                ensemble.predict_sbpmt_many(model, Xq), expected)
 
     def test_bad_input_rejected_at_the_boundary(self):
         X, y = xor_data(60, seed=20)
@@ -284,6 +302,18 @@ class TestFitSbpmt:
             ensemble.predict_sbpmt(model, [0.1, 0.2, 0.3])
         with pytest.raises(ValueError, match="2-D"):
             ensemble.predict_sbpmt_many(model, [0.1, 0.2])
+
+    @pytest.mark.parametrize("M", [0, -1])
+    def test_no_members_rejected(self, M):
+        X, y = xor_data(30, seed=21)
+        with pytest.raises(ValueError, match=f"M = {M}"):
+            ensemble.fit_sbpmt(X, y, 2, self.small_config(M=M))
+
+    def test_single_class_count_rejected(self):
+        X, _ = xor_data(30, seed=22)
+        with pytest.raises(ValueError, match="at least 2 classes"):
+            ensemble.fit_sbpmt(X, np.zeros(30, dtype=int), 1,
+                               self.small_config())
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError, match="empty"):

@@ -56,7 +56,6 @@ class TestRoundTrip:
         assert restored.config == model.config
         assert restored.schema == model.schema
         assert restored.n_classes == model.n_classes
-        assert restored.design.seed == model.design.seed
         for a, b in zip(restored.design.subsets, model.design.subsets):
             np.testing.assert_array_equal(a, b)
         for ma, mb in zip(restored.members, model.members):

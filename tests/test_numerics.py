@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -15,37 +16,45 @@ def mp_inv_mills(u):
     return mpmath.npdf(u) / mpmath.ncdf(u)
 
 
+def phi(u):
+    """Standard normal density as the kernel evaluates it, r(u) Phi(u)."""
+    return numerics.inv_mills(u) * Phi(u)
+
+
+def Phi(u):
+    """Standard normal cdf as the kernel evaluates it, exp(-Q(u))."""
+    return np.exp(-numerics.probit_loss(u))
+
+
 class TestNormPdf:
     def test_at_zero(self):
-        assert numerics.norm_pdf(0.0) == pytest.approx(
-            1.0 / math.sqrt(2 * math.pi), rel=1e-15)
+        assert phi(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi),
+                                         rel=1e-15)
 
     def test_against_oracle(self):
-        assert numerics.norm_pdf(1.0) == pytest.approx(
-            float(mpmath.npdf(1)), rel=1e-15)
+        assert phi(1.0) == pytest.approx(float(mpmath.npdf(1)), rel=1e-15)
 
     def test_even_symmetry(self):
         u = np.linspace(-8, 8, 101)
-        np.testing.assert_array_equal(numerics.norm_pdf(u),
-                                      numerics.norm_pdf(-u))
+        np.testing.assert_allclose(phi(u), phi(-u), rtol=1e-13)
 
 
 class TestNormCdf:
     def test_at_zero(self):
-        assert numerics.norm_cdf(0.0) == 0.5
+        assert Phi(0.0) == 0.5
 
     def test_quantile_oracle(self):
         # 97.5% quantile from a high-precision inverse
         q = float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf("0.975") - 1))
-        assert numerics.norm_cdf(q) == pytest.approx(0.975, rel=1e-12)
+        assert Phi(q) == pytest.approx(0.975, rel=1e-12)
 
     def test_deep_tail_relative_accuracy(self):
         oracle = float(mpmath.ncdf(-8))
-        assert numerics.norm_cdf(-8.0) == pytest.approx(oracle, rel=1e-13)
+        assert Phi(-8.0) == pytest.approx(oracle, rel=1e-13)
 
     def test_monotone(self):
         u = np.linspace(-10, 10, 2001)
-        assert np.all(np.diff(numerics.norm_cdf(u)) >= 0)
+        assert np.all(np.diff(Phi(u)) >= 0)
 
 
 class TestInvMills:
@@ -132,29 +141,65 @@ class TestWorkingResponseAndWeight:
         assert z * y > 0
 
 
+@dataclass(frozen=True)
+class WlsFit:
+    """Weighted simple-regression fit z ~ slope*x + intercept."""
+
+    slope: float
+    intercept: float
+    weighted_sse: float
+
+
+def wls_fit(x, z, w) -> WlsFit:
+    """Scalar reference for wls_fit_columns: the weighted least squares
+    of z on a single feature x, from centred sums.  A feature whose
+    weighted variance falls below numerics._VAR_TOL gets slope 0 and the
+    weighted mean of z."""
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if x.size == 0:
+        raise ValueError("empty regression")
+    sw = float(np.sum(w))
+    if sw <= 0.0:
+        raise ValueError("total weight must be positive")
+    xm = float(np.dot(w, x)) / sw
+    zm = float(np.dot(w, z)) / sw
+    dx = x - xm
+    dz = z - zm
+    sxx = float(np.dot(w, dx * dx))
+    szz = float(np.dot(w, dz * dz))
+    if sxx / sw < numerics._VAR_TOL:
+        return WlsFit(slope=0.0, intercept=zm, weighted_sse=szz)
+    sxz = float(np.dot(w, dx * dz))
+    slope = sxz / sxx
+    sse = max(szz - slope * sxz, 0.0)
+    return WlsFit(slope=slope, intercept=zm - slope * xm, weighted_sse=sse)
+
+
 class TestWlsFit:
     def test_exact_interpolation(self):
-        fit = numerics.wls_fit([0, 1], [0, 1], [1, 1])
+        fit = wls_fit([0, 1], [0, 1], [1, 1])
         assert fit.slope == pytest.approx(1.0)
         assert fit.intercept == pytest.approx(0.0)
         assert fit.weighted_sse == pytest.approx(0.0, abs=1e-14)
 
     def test_constant_feature_returns_weighted_mean(self):
-        fit = numerics.wls_fit([0, 0, 0], [1, 2, 3], [1, 1, 1])
+        fit = wls_fit([0, 0, 0], [1, 2, 3], [1, 1, 1])
         assert fit.slope == 0.0
         assert fit.intercept == pytest.approx(2.0)
         assert fit.weighted_sse == pytest.approx(2.0)
 
     def test_hand_solved_normal_equations(self):
         # 9a + 5b = 5, 5a + 4b = 3  =>  a = 5/11, b = 2/11, sse = 2/11
-        fit = numerics.wls_fit([0, 1, 2], [0, 1, 1], [1, 1, 2])
+        fit = wls_fit([0, 1, 2], [0, 1, 1], [1, 1, 2])
         assert fit.slope == pytest.approx(5 / 11, rel=1e-14)
         assert fit.intercept == pytest.approx(2 / 11, rel=1e-14)
         assert fit.weighted_sse == pytest.approx(2 / 11, rel=1e-13)
 
     def test_empty_input(self):
         with pytest.raises(ValueError, match="empty regression"):
-            numerics.wls_fit([], [], [])
+            wls_fit([], [], [])
 
     def test_matches_lstsq_oracle(self):
         rng = np.random.default_rng(7)
@@ -163,7 +208,7 @@ class TestWlsFit:
             x = rng.normal(size=n)
             z = rng.normal(size=n)
             w = rng.uniform(0.1, 2.0, size=n)
-            fit = numerics.wls_fit(x, z, w)
+            fit = wls_fit(x, z, w)
             design = np.column_stack([x, np.ones(n)]) * np.sqrt(w)[:, None]
             coef, *_ = np.linalg.lstsq(design, z * np.sqrt(w), rcond=None)
             assert fit.slope == pytest.approx(coef[0], rel=1e-9, abs=1e-9)
@@ -177,7 +222,7 @@ class TestWlsFit:
         x = rng.normal(size=n)
         z = rng.normal(size=n)
         w = rng.uniform(0.01, 3.0, size=n)
-        fit = numerics.wls_fit(x, z, w)
+        fit = wls_fit(x, z, w)
         for _ in range(20):
             a = fit.slope + rng.normal(scale=0.5)
             b = fit.intercept + rng.normal(scale=0.5)
@@ -192,7 +237,7 @@ class TestWlsFit:
         w = rng.uniform(0.05, 1.0, size=40)
         slopes, intercepts, sses = numerics.wls_fit_columns(X, z, w)
         for j in range(6):
-            fit = numerics.wls_fit(X[:, j], z, w)
+            fit = wls_fit(X[:, j], z, w)
             assert slopes[j] == pytest.approx(fit.slope, rel=1e-10, abs=1e-12)
             assert intercepts[j] == pytest.approx(fit.intercept, rel=1e-10,
                                                   abs=1e-12)
