@@ -18,7 +18,6 @@ from .ensemble import (BoostedPmt, Design, SbpmtConfig, SbpmtModel,
 from .model_io import deserialize_model, load_model, save_model, serialize_model
 from .numerics import inv_mills, probit_loss, working_response_and_weight
 from .pmt import PmtModel, fit_pmt, predict_pmt_many
-from .probitboost import (LinearScore, ProbitBoostTrace, fit_probitboost,
-                          fit_probitboost_ova)
+from .probitboost import LinearScore, ProbitBoostTrace, fit_probitboost
 
 __version__ = "0.1.0"

@@ -112,6 +112,10 @@ def theorem3_bound(inputs: BoundInputs) -> BoundReport:
 def theorem4_bound(n: int, T: int, d_vc: int, delta: float,
                    empirical_error: float) -> float:
     """VC complexity bound for a T-round boosted classifier on n samples."""
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    if d_vc < 1:
+        raise ValueError(f"d_vc must be >= 1, got {d_vc}")
     if n < max(d_vc, T):
         raise ValueError("requires n >= max(d_vc, T)")
     if not (0.0 < delta < 1.0):

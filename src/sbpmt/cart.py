@@ -1,9 +1,10 @@
 """Weighted axis-parallel CART partition builder.
 
-Classification splitting with weighted Gini impurity.  Trees only provide
-the partition; leaf models are attached one level up.  Routing convention:
-x goes left iff x[feature] <= threshold.  Grown trees are Leaf/Internal
-nodes; fitted models keep only their flattened arrays.
+Classification splitting with weighted Gini impurity; a node's split
+search scores every cut of every feature in one array pass.  Trees only
+provide the partition; leaf models are attached one level up.  Routing
+convention: x goes left iff x[feature] <= threshold.  Grown trees are
+Leaf/Internal nodes; fitted models keep only their flattened arrays.
 """
 
 from __future__ import annotations
@@ -32,56 +33,41 @@ class Internal:
 TreeNode = Internal | Leaf
 
 
-def _weighted_gini_sum(class_weights: np.ndarray) -> float:
-    # W * gini = W - sum_c w_c^2 / W; additive over children.
-    total = float(np.sum(class_weights))
-    if total <= 0.0:
-        return 0.0
-    return total - float(np.sum(np.square(class_weights))) / total
+def _gini(cw: np.ndarray) -> np.ndarray:
+    # W * gini = W - sum_c w_c^2 / W over the class (last) axis, 0 where
+    # W = 0; additive over children.
+    total = cw.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return total - np.where(total > 0, np.square(cw).sum(axis=-1) / total,
+                                0.0)
 
 
 def _best_split(X, y, w, rows, n_classes, min_leaf_size):
-    """Best (gain, feature, threshold) over all midpoint candidates.
+    """Best (gain, feature, threshold) over the midpoint cuts of every
+    feature at once, or None when no cut gains more than tolerance.
 
-    Ties break to the lowest feature index, then the lowest threshold
-    (the first maximum along each sorted feature).
+    A cut lies between consecutive distinct values of a feature and leaves
+    min_leaf_size raw rows on both sides.  Ties break to the lowest feature
+    index, then the lowest threshold (the first maximum in feature-major
+    order).
     """
     n = rows.size
-    y_node = y[rows]
-    w_node = w[rows]
+    Xn = X[rows]
     onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y_node] = 1.0
-    onehot *= w_node[:, None]
-    parent_impurity = _weighted_gini_sum(onehot.sum(axis=0))
-
-    best = None  # (gain, feature, threshold)
-    for j in range(X.shape[1]):
-        v = X[rows, j]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        # candidate boundaries: between consecutive distinct values, with
-        # enough raw rows on both sides
-        cut = np.arange(1, n)
-        ok = vs[1:] > vs[:-1]
-        ok &= (cut >= min_leaf_size) & (n - cut >= min_leaf_size)
-        if not np.any(ok):
-            continue
-        cw = np.cumsum(onehot[order], axis=0)  # class-weight mass left of cut
-        left = cw[:-1][ok]
-        total_cw = cw[-1]
-        right = total_cw - left
-        lt = left.sum(axis=1)
-        rt = right.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gl = lt - np.where(lt > 0, np.square(left).sum(axis=1) / lt, 0.0)
-            gr = rt - np.where(rt > 0, np.square(right).sum(axis=1) / rt, 0.0)
-        gains = parent_impurity - gl - gr
-        k = int(np.argmax(gains))
-        if gains[k] > _GAIN_TOL and (best is None or gains[k] > best[0]):
-            idx = cut[ok][k]
-            thr = 0.5 * (vs[idx - 1] + vs[idx])
-            best = (float(gains[k]), j, float(thr))
-    return best
+    onehot[np.arange(n), y[rows]] = w[rows]
+    order = np.argsort(Xn, axis=0, kind="stable")
+    vs = np.take_along_axis(Xn, order, axis=0)
+    cw = np.cumsum(onehot[order], axis=0)  # (n, p, J) class mass up to a row
+    cut = np.arange(1, n)[:, None]
+    ok = ((vs[1:] > vs[:-1]) & (cut >= min_leaf_size)
+          & (n - cut >= min_leaf_size))
+    gains = (_gini(onehot.sum(axis=0)) - _gini(cw[:-1])
+             - _gini(cw[-1] - cw[:-1]))
+    gains[~ok] = -np.inf
+    j, k = np.unravel_index(np.argmax(gains.T), gains.T.shape)
+    if not gains[k, j] > _GAIN_TOL:
+        return None
+    return float(gains[k, j]), int(j), float(0.5 * (vs[k, j] + vs[k + 1, j]))
 
 
 def build_tree(X, y, n_classes: int, sample_weights, max_depth: int,
@@ -95,7 +81,7 @@ def build_tree(X, y, n_classes: int, sample_weights, max_depth: int,
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     w = np.asarray(sample_weights, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
+    if X.ndim != 2 or X.size == 0:
         raise ValueError("empty data")
     if max_depth < 0 or min_leaf_size < 1:
         raise ValueError("bad tree configuration")

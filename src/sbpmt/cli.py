@@ -53,9 +53,9 @@ def _load_with_schema(path) -> ensemble.SbpmtModel:
 
 def _write_report(args, report: dict) -> None:
     if getattr(args, "report", None):
+        text = json.dumps(report, indent=1, sort_keys=True, allow_nan=False)
         with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
 
 
 def _member_rows(model: ensemble.SbpmtModel) -> list[dict]:
@@ -152,6 +152,8 @@ def _parse_sweep(spec: str):
 
 
 def cmd_simulate(args) -> int:
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     sim = _build_config(args, data.SimConfig)
     base = _build_config(args)
     sweep_name, sweep_values = (_parse_sweep(args.sweep) if args.sweep

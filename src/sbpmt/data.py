@@ -65,13 +65,16 @@ def check_inputs(X, y=None, n_classes: int | None = None,
                  n_features: int | None = None):
     """Reject input the models cannot take, with a message naming it.
 
-    X must be a 2-D array of finite values with n_features columns (when
-    given); y, when given, one class index in 0..n_classes-1 per row.
+    X must be a 2-D array of finite values with at least one column (with
+    n_features columns when given); y, when given, one class index in
+    0..n_classes-1 per row.
     Returns (X as floats, y); a fit (y given) also needs at least one row.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got {X.ndim}-D")
+    if X.shape[1] == 0:
+        raise ValueError("X has no feature columns")
     if n_features is not None and X.shape[1] != n_features:
         raise ValueError(f"feature dimension mismatch: got {X.shape[1]}, "
                          f"expected {n_features}")
@@ -136,6 +139,8 @@ def _infer_schema(header, rows, label_column) -> dict:
         label_idx += width
     if not 0 <= label_idx < width:
         raise ValueError("label column index out of range")
+    if width == 1:
+        raise ValueError("no feature columns: the label is the only column")
 
     class_names = list(dict.fromkeys(row[label_idx] for row in rows))
     if len(class_names) < 2:

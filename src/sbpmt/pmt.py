@@ -39,10 +39,15 @@ def fit_pmt(X, y, n_classes: int, sample_weights, depth: int,
             min_leaf_size: int, probit_iters: int) -> PmtModel:
     """Fit the CART partition, then ProbitBoost within each leaf.
 
-    sample_weights are used both for splitting and, renormalized within
-    each leaf, for the leaf fits.  A leaf whose weight mass underflowed to
-    zero falls back to uniform weights over its rows.
+    Each leaf fits K one-versus-rest columns, one fit_probitboost call
+    each: class 1 against class 0 when n_classes == 2 (K = 1), otherwise
+    class k against the rest for every k (K = n_classes).  sample_weights
+    are used both for splitting and, renormalized within each leaf, for
+    the leaf fits.  A leaf whose weight mass underflowed to zero falls
+    back to uniform weights over its rows.
     """
+    if n_classes < 2:
+        raise ValueError("need at least 2 classes")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     w = np.asarray(sample_weights, dtype=float)
@@ -53,9 +58,9 @@ def fit_pmt(X, y, n_classes: int, sample_weights, depth: int,
 
     tree = cart.build_tree(X, y, n_classes, w, depth, min_leaf_size)
     feature, threshold, left, right, leaf, leaf_rows = cart.flatten(tree)
-    K = 1 if n_classes == 2 else n_classes
-    intercept = np.zeros((len(leaf_rows), K))
-    coef = np.zeros((len(leaf_rows), K, X.shape[1]))
+    positive = [1] if n_classes == 2 else range(n_classes)
+    intercept = np.zeros((len(leaf_rows), len(positive)))
+    coef = np.zeros((len(leaf_rows), len(positive), X.shape[1]))
     risk = 0.0
     for lf, rows in enumerate(leaf_rows):
         lw = w[rows]
@@ -63,17 +68,13 @@ def fit_pmt(X, y, n_classes: int, sample_weights, depth: int,
         if mass <= 0.0:
             lw = np.ones(rows.size)
             mass = 0.0
-        if n_classes == 2:
-            ypm = np.where(y[rows] == 1, 1.0, -1.0)
+        for k, c in enumerate(positive):
             score, trace = probitboost.fit_probitboost(
-                X[rows], ypm, lw, probit_iters)
-            scores = [score]
+                X[rows], np.where(y[rows] == c, 1.0, -1.0), lw, probit_iters)
+            intercept[lf, k] = score.intercept
+            coef[lf, k] = score.coefficients
+        if n_classes == 2:
             risk += mass * trace.risks[-1]
-        else:
-            scores = probitboost.fit_probitboost_ova(
-                X[rows], y[rows], n_classes, lw, probit_iters)
-        intercept[lf] = [s.intercept for s in scores]
-        coef[lf] = [s.coefficients for s in scores]
     return PmtModel(feature=feature, threshold=threshold, left=left,
                     right=right, leaf=leaf, intercept=intercept, coef=coef,
                     n_classes=n_classes, depth=depth,

@@ -2,8 +2,8 @@
 
 Each iteration performs one Newton step on the (weighted) empirical probit
 risk, realized as a weighted least-squares fit of the working response on
-the single best feature.  Binary labels live in {-1, +1}; the multi-class
-entry point reduces to J one-versus-all binary fits.
+the single best feature.  Labels live in {-1, +1}; a Probit Model Tree
+fits its multi-class leaves as several such one-versus-rest fits.
 """
 
 from __future__ import annotations
@@ -99,19 +99,3 @@ def fit_probitboost(X, y, sample_weights, n_iter: int):
 
     return LinearScore(intercept=intercept, coefficients=coef), trace
 
-
-def fit_probitboost_ova(X, labels, n_classes: int, sample_weights, n_iter: int):
-    """One-versus-all ProbitBoost: one LinearScore per class.
-
-    labels are class indices in 0..n_classes-1; class j is relabeled +1
-    against the rest for its fit.
-    """
-    if n_classes < 2:
-        raise ValueError("need at least 2 classes")
-    labels = np.asarray(labels)
-    scores = []
-    for j in range(n_classes):
-        yj = np.where(labels == j, 1.0, -1.0)
-        score, _ = fit_probitboost(X, yj, sample_weights, n_iter)
-        scores.append(score)
-    return scores

@@ -199,6 +199,11 @@ class TestTheorem4:
             bounds.theorem4_bound(10, 20, 5, 0.05, 0.0)
         with pytest.raises(ValueError, match="delta"):
             bounds.theorem4_bound(100, 5, 5, 1.5, 0.0)
+        for T in (0, -1):
+            with pytest.raises(ValueError, match="T must be >= 1"):
+                bounds.theorem4_bound(100, T, 3, 0.05, 0.1)
+        with pytest.raises(ValueError, match="d_vc must be >= 1"):
+            bounds.theorem4_bound(100, 5, 0, 0.05, 0.1)
 
 
 class TestTheorem5:
@@ -255,6 +260,12 @@ class TestTheorem6:
     def test_risk_count_must_match_T(self):
         with pytest.raises(ValueError, match="per boosting round"):
             bounds.theorem6_bound([0.1, 0.1], 1000, 3, 20, 0.05)
+
+    def test_zero_rounds_or_dimension_rejected(self):
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            bounds.theorem6_bound([], 100, 0, 3, 0.05)
+        with pytest.raises(ValueError, match="d_vc must be >= 1"):
+            bounds.theorem6_bound([0.1], 100, 1, 0, 0.05)
 
     def test_oracle_value(self):
         risks = [0.05, 0.12, 0.30]

@@ -2,9 +2,53 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbpmt import cart, pmt
 from sbpmt.cart import Internal, Leaf
+
+
+def reference_best_split(X, y, w, rows, n_classes, min_leaf_size):
+    """Per-feature reference for cart._best_split: each feature's cuts are
+    scored on their own, and a running best keeps the first feature whose
+    best gain is strictly greater than every earlier feature's."""
+
+    def weighted_gini_sum(class_weights):
+        total = float(np.sum(class_weights))
+        if total <= 0.0:
+            return 0.0
+        return total - float(np.sum(np.square(class_weights))) / total
+
+    n = rows.size
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y[rows]] = 1.0
+    onehot *= w[rows][:, None]
+    parent_impurity = weighted_gini_sum(onehot.sum(axis=0))
+    best = None
+    for j in range(X.shape[1]):
+        v = X[rows, j]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        cut = np.arange(1, n)
+        ok = vs[1:] > vs[:-1]
+        ok &= (cut >= min_leaf_size) & (n - cut >= min_leaf_size)
+        if not np.any(ok):
+            continue
+        cw = np.cumsum(onehot[order], axis=0)
+        left = cw[:-1][ok]
+        right = cw[-1] - left
+        lt = left.sum(axis=1)
+        rt = right.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gl = lt - np.where(lt > 0, np.square(left).sum(axis=1) / lt, 0.0)
+            gr = rt - np.where(rt > 0, np.square(right).sum(axis=1) / rt, 0.0)
+        gains = parent_impurity - gl - gr
+        k = int(np.argmax(gains))
+        if gains[k] > cart._GAIN_TOL and (best is None or gains[k] > best[0]):
+            idx = cut[ok][k]
+            best = (float(gains[k]), j, float(0.5 * (vs[idx - 1] + vs[idx])))
+    return best
 
 
 def flat(tree, depth):
@@ -148,6 +192,9 @@ class TestBuildTree:
         with pytest.raises(ValueError, match="empty"):
             cart.build_tree(np.zeros((0, 2)), np.zeros(0, dtype=int), 2,
                             np.zeros(0), 2, 1)
+        with pytest.raises(ValueError, match="empty"):
+            cart.build_tree(np.zeros((3, 0)), np.array([0, 1, 0]), 2,
+                            np.ones(3), 2, 1)
 
     def test_bad_configuration_rejected(self):
         X = np.array([[0.0], [1.0]])
@@ -156,6 +203,35 @@ class TestBuildTree:
             cart.build_tree(X, y, 2, np.ones(2), -1, 1)
         with pytest.raises(ValueError, match="configuration"):
             cart.build_tree(X, y, 2, np.ones(2), 2, 0)
+
+
+class TestBestSplit:
+    @given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(2, 4),
+           min_leaf_size=st.integers(1, 5),
+           decimals=st.sampled_from([0, 1, 6]), n=st.integers(2, 40),
+           p=st.integers(1, 5), equal_weights=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_exactly(self, seed, n_classes, min_leaf_size,
+                                       decimals, n, p, equal_weights):
+        # rounding to few decimals ties feature values, equal weights tie
+        # gains across features and cuts, and a large min_leaf_size on few
+        # rows leaves nodes with no valid cut
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(n + 5, p)), decimals)
+        y = rng.integers(0, n_classes, size=n + 5)
+        w = (np.ones(n + 5) if equal_weights else
+             rng.uniform(size=n + 5) * (rng.uniform(size=n + 5) > 0.1))
+        rows = np.sort(rng.choice(n + 5, size=n, replace=False))
+        got = cart._best_split(X, y, w, rows, n_classes, min_leaf_size)
+        assert got == reference_best_split(X, y, w, rows, n_classes,
+                                           min_leaf_size)
+
+    def test_no_valid_cut(self):
+        X = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        y = np.array([0, 1, 2])
+        rows = np.arange(3)
+        assert cart._best_split(X, y, np.ones(3), rows, 3, 1) is None
+        assert reference_best_split(X, y, np.ones(3), rows, 3, 1) is None
 
 
 class TestRouting:

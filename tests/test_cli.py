@@ -91,6 +91,14 @@ class TestTrain:
         assert f"M = {M}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_label_only_file_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "labels.csv"
+        path.write_text("label\na\nb\na\n", encoding="utf-8")
+        rc = cli.main(["train", "--data", str(path),
+                       "--out", str(tmp_path / "m.json")] + FAST)
+        assert rc == 1
+        assert "no feature columns" in capsys.readouterr().err
+
     def test_missing_required_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["train", "--data", "x.csv"])  # no --out
@@ -208,6 +216,22 @@ class TestSimulate:
         assert (args.d, args.E, args.q, args.n_train, args.n_test) == \
             (4, 2, 0.2, 50, 60)
 
+    def test_zero_repeats_rejected(self, tmp_path, capsys):
+        report = tmp_path / "sim.json"
+        rc = cli.main(["simulate", "--repeats", "0", "--report", str(report)]
+                      + FAST)
+        assert rc == 1
+        assert "--repeats must be >= 1" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_report_refuses_non_finite_numbers(self, tmp_path):
+        report = tmp_path / "r.json"
+        args = cli.build_parser().parse_args(
+            ["simulate", "--report", str(report)])
+        with pytest.raises(ValueError, match="JSON compliant"):
+            cli._write_report(args, {"mean_test_error": float("nan")})
+        assert not report.exists()
+
     def test_bad_sweep_spec(self, capsys):
         rc = cli.main(["simulate", "--sweep", "bogus=1,2"] + FAST)
         assert rc == 1
@@ -292,6 +316,20 @@ class TestBound:
                        "--d-vc", "20", "--empirical-error", "0.1"])
         assert rc == 0
         assert "theorem 4 bound:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--theorem", "4", "--empirical-error", "0.1", "--T", "0",
+          "--d-vc", "3"], "T must be >= 1"),
+        (["--theorem", "4", "--empirical-error", "0.1", "--T", "5",
+          "--d-vc", "0"], "d_vc must be >= 1"),
+        (["--theorem", "6", "--probit-risks", "0.1", "--T", "1",
+          "--d-vc", "0"], "d_vc must be >= 1"),
+    ])
+    def test_zero_rounds_or_dimension_is_runtime_error(self, capsys, argv,
+                                                       message):
+        assert cli.main(["bound", "--n", "100"] + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
     def test_theorem5_pipe_through(self, capsys):
         from sbpmt import bounds

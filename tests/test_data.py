@@ -99,6 +99,10 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="not found"):
             data.load_csv(write(tmp_path, MIXED), "nope")
 
+    def test_label_only_file_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="no feature columns"):
+            data.load_csv(write(tmp_path, "label\nyes\nno\n"), "label")
+
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no data rows"):
             data.load_csv(write(tmp_path, "a,label\n"), "label")
@@ -126,6 +130,9 @@ class TestCheckInputs:
             data.check_inputs(X, np.array([0, 1]), 2)
         with pytest.raises(ValueError, match="empty data"):
             data.check_inputs(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
+        for X0 in (np.zeros((3, 0)), np.zeros((0, 0))):
+            with pytest.raises(ValueError, match="no feature columns"):
+                data.check_inputs(X0)
 
 
 class TestEncodeRows:

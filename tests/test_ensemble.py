@@ -315,6 +315,11 @@ class TestFitSbpmt:
             ensemble.fit_sbpmt(X, np.zeros(30, dtype=int), 1,
                                self.small_config())
 
+    def test_no_feature_columns_rejected(self):
+        with pytest.raises(ValueError, match="no feature columns"):
+            ensemble.fit_sbpmt(np.zeros((40, 0)), np.arange(40) % 2, 2,
+                               self.small_config())
+
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             ensemble.fit_sbpmt(np.zeros((0, 2)), np.zeros(0, dtype=int), 2,

@@ -110,36 +110,35 @@ class TestFitProbitboost:
 class TestOneVersusAll:
     def test_two_class_antisymmetry(self):
         X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
-        labels = np.array([0, 0, 1, 1])
-        scores = probitboost.fit_probitboost_ova(X, labels, 2, np.ones(4), 15)
-        assert scores[1].intercept == pytest.approx(-scores[0].intercept,
-                                                    abs=1e-12)
-        np.testing.assert_allclose(scores[1].coefficients,
-                                   -scores[0].coefficients, atol=1e-12)
+        y = np.array([-1.0, -1.0, 1.0, 1.0])
+        pos, _ = probitboost.fit_probitboost(X, y, np.ones(4), 15)
+        neg, _ = probitboost.fit_probitboost(X, -y, np.ones(4), 15)
+        assert neg.intercept == pytest.approx(-pos.intercept, abs=1e-12)
+        np.testing.assert_allclose(neg.coefficients, -pos.coefficients,
+                                   atol=1e-12)
 
     def test_zero_iterations_all_zero(self):
         X = np.zeros((6, 2))
         labels = np.array([0, 1, 2, 0, 1, 2])
-        scores = probitboost.fit_probitboost_ova(X, labels, 3, np.ones(6), 0)
-        assert len(scores) == 3
-        for s in scores:
-            assert s.intercept == 0.0 and np.all(s.coefficients == 0.0)
+        model = pmt.fit_pmt(X, labels, 3, np.ones(6), depth=0,
+                            min_leaf_size=1, probit_iters=0)
+        assert model.intercept.shape == (1, 3)
+        assert np.all(model.intercept == 0.0) and np.all(model.coef == 0.0)
 
     def test_three_blobs_separable(self):
         rng = np.random.default_rng(21)
         centers = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]])
         X = np.vstack([c + 0.3 * rng.normal(size=(20, 2)) for c in centers])
         labels = np.repeat([0, 1, 2], 20)
-        scores = probitboost.fit_probitboost_ova(X, labels, 3, np.ones(60), 50)
-        margins = np.column_stack([s.intercept + X @ s.coefficients
-                                   for s in scores])
-        assert np.array_equal(np.argmax(margins, axis=1), labels)
+        model = pmt.fit_pmt(X, labels, 3, np.ones(60), depth=0,
+                            min_leaf_size=1, probit_iters=50)
+        assert model.coef.shape == (1, 3, 2)
+        assert np.array_equal(pmt.predict_pmt_many(model, X), labels)
 
     def test_single_class_count_rejected(self):
         with pytest.raises(ValueError, match="2 classes"):
-            probitboost.fit_probitboost_ova(np.zeros((3, 1)),
-                                            np.zeros(3, dtype=int), 1,
-                                            np.ones(3), 5)
+            pmt.fit_pmt(np.zeros((3, 1)), np.zeros(3, dtype=int), 1,
+                        np.ones(3), depth=0, min_leaf_size=1, probit_iters=5)
 
 
 class TestPredictMargin:
