@@ -95,6 +95,23 @@ def check_inputs(X, y=None, n_classes: int | None = None,
     return X, y
 
 
+def check_weights(sample_weights, n: int) -> np.ndarray:
+    """Reject sample weights a fit cannot take: there must be one finite,
+    nonnegative weight per row, with a positive, finite sum.  Returns the
+    weights as floats."""
+    w = np.asarray(sample_weights, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"need one sample weight per row: got shape "
+                         f"{w.shape}, expected ({n},)")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("sample weights must be finite")
+    if np.any(w < 0):
+        raise ValueError("sample weights must be nonnegative")
+    if not 0.0 < float(np.sum(w)) < np.inf:
+        raise ValueError("sample weights must have positive sum")
+    return w
+
+
 def load_csv(path, label_column=-1, has_header: bool = True,
              schema: dict | None = None) -> Dataset:
     """Load and encode a CSV file through encode_rows.

@@ -56,35 +56,47 @@ def working_response_and_weight(y, f):
 _VAR_TOL = 1e-12
 
 
-def wls_fit_columns(X, z, w):
-    """Closed-form weighted least squares of z on each column of X alone.
+def wls_fit_columns(X, z, w, starts):
+    """Closed-form weighted least squares of z on each column of X alone,
+    within each segment of rows.
 
-    Returns (slopes, intercepts, sses) arrays of length p: column j's fit
-    z ~ slopes[j] * x_j + intercepts[j] and its weighted residual sum of
-    squares.  A column whose weighted variance falls below tolerance gets
-    slope 0 and intercept equal to the weighted mean of z, so feature
-    selection never prefers a constant column.  This is the inner loop of
+    Segment l holds the rows from starts[l] up to the next start (the last
+    one up to the end); starts rise strictly from 0.  Returns (slopes,
+    intercepts, sses) of shape (L, p): segment l's fit of column j,
+    z ~ slopes[l, j] * x_j + intercepts[l, j], and its weighted residual
+    sum of squares.  A column whose weighted variance within a segment
+    falls below tolerance gets slope 0 and intercept equal to the weighted
+    mean of z there, so feature selection never prefers a constant column.
+    Every sum runs over one segment's rows in order, so a segment's fit
+    does not depend on the other segments.  This is the inner loop of
     ProbitBoost, so it is fully vectorized.
 
-    Raises ValueError on empty input or nonpositive total weight.
+    Raises ValueError on empty input or a segment without positive weight.
     """
     X = np.asarray(X, dtype=float)
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
     if X.size == 0:
         raise ValueError("empty regression")
-    sw = float(np.sum(w))
-    if sw <= 0.0:
-        raise ValueError("total weight must be positive")
-    wx = w @ X
-    xm = wx / sw
-    zm = float(np.dot(w, z)) / sw
-    dz = z - zm
-    sxx = np.maximum((w @ np.square(X)) - sw * np.square(xm), 0.0)
-    szz = float(np.dot(w, dz * dz))
-    sxz = ((w * dz) @ X)  # sum w * (x - xm) * (z - zm), since sum w*dz*xm = 0
+    starts = np.asarray(starts)
+    sw = np.add.reduceat(w, starts)
+    if np.any(sw <= 0.0):
+        raise ValueError("total weight must be positive in every segment")
+    # Work on (p, n) columns: for a column-major X each column's segment
+    # sums then run over contiguous memory.
+    XT = X.T
+    wXT = XT * w
+    xm = np.add.reduceat(wXT, starts, axis=1) / sw
+    zm = np.add.reduceat(w * z, starts) / sw
+    dz = z - np.repeat(zm, np.diff(starts, append=z.size))
+    wdz = w * dz
+    sxx = np.maximum(np.add.reduceat(wXT * XT, starts, axis=1)
+                     - sw * np.square(xm), 0.0)
+    szz = np.add.reduceat(wdz * dz, starts)
+    # sum w * (x - xm) * (z - zm), since sum w*dz*xm = 0 in every segment
+    sxz = np.add.reduceat(XT * wdz, starts, axis=1)
     degenerate = sxx / sw < _VAR_TOL
     slopes = np.where(degenerate, 0.0, sxz / np.where(degenerate, 1.0, sxx))
     intercepts = zm - slopes * xm
     sses = np.maximum(szz - slopes * sxz, 0.0)
-    return slopes, intercepts, sses
+    return slopes.T, intercepts.T, sses.T

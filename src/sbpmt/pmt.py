@@ -39,46 +39,36 @@ def fit_pmt(X, y, n_classes: int, sample_weights, depth: int,
             min_leaf_size: int, probit_iters: int) -> PmtModel:
     """Fit the CART partition, then ProbitBoost within each leaf.
 
-    Each leaf fits K one-versus-rest columns, one fit_probitboost call
-    each: class 1 against class 0 when n_classes == 2 (K = 1), otherwise
-    class k against the rest for every k (K = n_classes).  sample_weights
-    are used both for splitting and, renormalized within each leaf, for
-    the leaf fits.  A leaf whose weight mass underflowed to zero falls
-    back to uniform weights over its rows.
+    The leaves fit K one-versus-rest columns: class 1 against class 0 when
+    n_classes == 2 (K = 1), otherwise class k against the rest for every k
+    (K = n_classes).  The rows are sorted by leaf once, and each column is
+    one fit_probitboost call with a segment per leaf.  sample_weights are
+    used both for splitting and, renormalized within each leaf, for the
+    leaf fits (a leaf whose weight mass is zero gets uniform weights).
     """
     if n_classes < 2:
         raise ValueError("need at least 2 classes")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    w = np.asarray(sample_weights, dtype=float)
-    total = float(np.sum(w))
-    if total <= 0:
-        raise ValueError("sample weights must have positive sum")
-    w = w / total
+    X, y = data.check_inputs(X, y, n_classes)
+    w = data.check_weights(sample_weights, X.shape[0])
+    w = w / float(np.sum(w))
 
     tree = cart.build_tree(X, y, n_classes, w, depth, min_leaf_size)
     feature, threshold, left, right, leaf, leaf_rows = cart.flatten(tree)
+    order = np.concatenate(leaf_rows)
+    sizes = np.array([rows.size for rows in leaf_rows])
+    starts = np.cumsum(sizes) - sizes
+    Xs, ys, ws = X[order], y[order], w[order]
     positive = [1] if n_classes == 2 else range(n_classes)
-    intercept = np.zeros((len(leaf_rows), len(positive)))
-    coef = np.zeros((len(leaf_rows), len(positive), X.shape[1]))
-    risk = 0.0
-    for lf, rows in enumerate(leaf_rows):
-        lw = w[rows]
-        mass = float(np.sum(lw))
-        if mass <= 0.0:
-            lw = np.ones(rows.size)
-            mass = 0.0
-        for k, c in enumerate(positive):
-            score, trace = probitboost.fit_probitboost(
-                X[rows], np.where(y[rows] == c, 1.0, -1.0), lw, probit_iters)
-            intercept[lf, k] = score.intercept
-            coef[lf, k] = score.coefficients
-        if n_classes == 2:
-            risk += mass * trace.risks[-1]
+    fits = [probitboost.fit_probitboost(Xs, np.where(ys == c, 1.0, -1.0), ws,
+                                        probit_iters, starts)
+            for c in positive]
     return PmtModel(feature=feature, threshold=threshold, left=left,
-                    right=right, leaf=leaf, intercept=intercept, coef=coef,
+                    right=right, leaf=leaf,
+                    intercept=np.stack([s.intercept for s, _ in fits], axis=1),
+                    coef=np.stack([s.coefficients for s, _ in fits], axis=1),
                     n_classes=n_classes, depth=depth,
-                    probit_risk=risk if n_classes == 2 else None)
+                    probit_risk=(fits[0][1].risks[-1] if n_classes == 2
+                                 else None))
 
 
 def stack(models: list[PmtModel]):

@@ -7,6 +7,11 @@ import inspect
 import runpy
 from pathlib import Path
 
+import numpy as np
+
+import sbpmt
+from sbpmt import data, pmt
+
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
 
@@ -19,3 +24,26 @@ def test_every_hook_names_a_public_function():
         fn = getattr(module, attr, None)
         assert not attr.startswith("_") and inspect.isfunction(fn), name
         assert fn.__module__ == module.__name__, name
+
+
+def test_probitboost_hook_sees_a_multi_leaf_fit():
+    # fit_pmt fits all leaves of a tree in one fit_probitboost call per
+    # one-vs-rest column; the tracer's hook must still count its steps and
+    # find no rise in its risk path.
+    tracer = runpy.run_path(str(TRACER))
+    train, _ = data.simulate(data.SimConfig(n_train=600, n_test=1, seed=2))
+    tr = tracer["Tracer"](sbpmt)
+    tr.install()
+    try:
+        with tr.op("fit"):
+            model = pmt.fit_pmt(train.X, train.y, 2, np.ones(600), 3, 20, 30)
+    finally:
+        tr.restore()
+    metrics, problems = tracer["per_layer_metrics"](tr, 0.0)
+    assert model.intercept.shape[0] > 1
+    assert metrics["probitboost.fit_probitboost.calls"] == 1
+    assert metrics["probitboost.iterations"] == 30
+    assert metrics["probitboost.iterations_ratio"] == 1.0
+    assert metrics["probitboost.halvings"] >= 0
+    assert "probitboost.risk_increases" not in tr.counters
+    assert not problems

@@ -131,6 +131,15 @@ class TestWorkingResponseAndWeight:
         z_out, w_out = numerics.working_response_and_weight(1.0, 1e6)
         assert z_out == z_in and w_out == w_in
 
+    def test_weight_floor_at_the_clamp(self):
+        # The smallest weight any margin can get is w(+U_MAX) ~ 4.04e-14,
+        # so a ProbitBoost segment with normalized sample weights always
+        # has positive curvature mass and never needs an underflow stop.
+        u = np.array([numerics.U_MAX, -numerics.U_MAX, 1e300, -1e300])
+        _, w = numerics.working_response_and_weight(np.ones(4), u)
+        assert np.all(w >= 4.0e-14)
+        assert w[0] == np.min(w) == w[2]
+
     @given(st.sampled_from([-1.0, 1.0]),
            st.floats(min_value=-50, max_value=50))
     @settings(max_examples=300, deadline=None)
@@ -233,13 +242,26 @@ class TestWlsFit:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(40, 6))
         X[:, 3] = 2.5  # constant column exercises the degenerate rule
+        X[13:27, 4] = -1.0  # constant in the middle segment only
         z = rng.normal(size=40)
         w = rng.uniform(0.05, 1.0, size=40)
-        slopes, intercepts, sses = numerics.wls_fit_columns(X, z, w)
-        for j in range(6):
-            fit = wls_fit(X[:, j], z, w)
-            assert slopes[j] == pytest.approx(fit.slope, rel=1e-10, abs=1e-12)
-            assert intercepts[j] == pytest.approx(fit.intercept, rel=1e-10,
-                                                  abs=1e-12)
-            assert sses[j] == pytest.approx(fit.weighted_sse, rel=1e-9,
-                                            abs=1e-9)
+        for starts in ((0,), (0, 13, 27)):
+            slopes, intercepts, sses = numerics.wls_fit_columns(X, z, w,
+                                                                starts)
+            assert slopes.shape == (len(starts), 6)
+            bounds = list(starts) + [40]
+            for seg, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                for j in range(6):
+                    fit = wls_fit(X[lo:hi, j], z[lo:hi], w[lo:hi])
+                    assert slopes[seg, j] == pytest.approx(
+                        fit.slope, rel=1e-10, abs=1e-12)
+                    assert intercepts[seg, j] == pytest.approx(
+                        fit.intercept, rel=1e-10, abs=1e-12)
+                    assert sses[seg, j] == pytest.approx(
+                        fit.weighted_sse, rel=1e-9, abs=1e-9)
+
+    def test_segment_without_weight_rejected(self):
+        X = np.ones((4, 1))
+        w = np.array([1.0, 1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="every segment"):
+            numerics.wls_fit_columns(X, np.zeros(4), w, (0, 2))
