@@ -89,8 +89,12 @@ def theorem3_bound(inputs: BoundInputs) -> BoundReport:
         raise ValueError("delta must be in (0, 1)")
     if m > n:
         raise ValueError("subsample size m cannot exceed n")
-    if min(inputs.sigma1_sq, inputs.beta_kernel, inputs.gamma_kernel) < 0:
-        raise ValueError("kernel moment inputs must be nonnegative")
+    if not all(0.0 <= v < math.inf for v in (
+            inputs.sigma1_sq, inputs.beta_kernel, inputs.gamma_kernel)):
+        raise ValueError("kernel moment inputs must be finite and "
+                         "nonnegative")
+    if not 0.0 <= inputs.p_sub <= 1.0:
+        raise ValueError(f"p_sub must be in [0, 1], got {inputs.p_sub}")
     log3d = math.log(3.0 / delta)
     c = 1.0 + 4.0 * math.sqrt(log3d)
     Q_A = math.sqrt(m**2 / n) + c * math.sqrt(m / M)
@@ -120,6 +124,9 @@ def theorem4_bound(n: int, T: int, d_vc: int, delta: float,
         raise ValueError("requires n >= max(d_vc, T)")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
+    if not 0.0 <= empirical_error <= 1.0:
+        raise ValueError(f"empirical error must be in [0, 1], got "
+                         f"{empirical_error}")
     inner = (T * math.log(math.e * n / T)
              + d_vc * math.log(math.e * n / d_vc)
              + math.log(8.0 / delta))
@@ -129,8 +136,10 @@ def theorem4_bound(n: int, T: int, d_vc: int, delta: float,
 def theorem5_bound(errors, theta: float = 0.0) -> float:
     """Margin bound 2^T prod_t sqrt(err_t^(1-theta) (1-err_t)^(1+theta))."""
     errors = np.asarray(errors, dtype=float)
-    if np.any((errors < 0) | (errors > 1)):
+    if not np.all((errors >= 0) & (errors <= 1)):
         raise ValueError("stage errors must lie in [0, 1]")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     T = errors.size
     prod = float(np.prod(np.sqrt(errors ** (1.0 - theta)
                                  * (1.0 - errors) ** (1.0 + theta))))
@@ -155,6 +164,8 @@ def theorem6_bound(probit_risks, n: int, T: int, d_vc: int,
     risks = np.asarray(probit_risks, dtype=float)
     if risks.size != T:
         raise ValueError("need one probit risk per boosting round")
+    if not np.all(np.isfinite(risks)):
+        raise ValueError("probit risks must be finite")
     scaled = risks / numerics.LN2
     ok = bool(np.all((scaled >= 0.0) & (scaled < 0.5)))
     if ok:

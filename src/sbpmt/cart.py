@@ -18,7 +18,6 @@ _GAIN_TOL = 1e-12
 
 @dataclass
 class Leaf:
-    leaf_id: int
     rows: np.ndarray  # training row indices landing here
 
 
@@ -86,8 +85,6 @@ def build_tree(X, y, n_classes: int, sample_weights, max_depth: int,
     if max_depth < 0 or min_leaf_size < 1:
         raise ValueError("bad tree configuration")
 
-    leaves: list[Leaf] = []
-
     def grow(rows: np.ndarray, depth: int) -> TreeNode:
         if depth < max_depth and np.unique(y[rows]).size > 1:
             found = _best_split(X, y, w, rows, n_classes, min_leaf_size)
@@ -97,9 +94,7 @@ def build_tree(X, y, n_classes: int, sample_weights, max_depth: int,
                 left = grow(rows[mask], depth + 1)
                 right = grow(rows[~mask], depth + 1)
                 return Internal(feature=j, threshold=thr, left=left, right=right)
-        leaf = Leaf(leaf_id=len(leaves), rows=rows)
-        leaves.append(leaf)
-        return leaf
+        return Leaf(rows=rows)
 
     return grow(np.arange(X.shape[0]), 0)
 
@@ -109,9 +104,9 @@ def flatten(tree: TreeNode):
 
     Returns (feature, threshold, left, right, leaf, leaf_rows).  Internal
     node i sends x to left[i] iff x[feature[i]] <= threshold[i].  Leaf
-    node i routes to itself (left[i] == right[i] == i) and leaf[i] is its
-    leaf_id, the index of its training rows in leaf_rows; internal nodes
-    have leaf -1.
+    node i routes to itself (left[i] == right[i] == i) and leaf[i] numbers
+    the leaves in preorder, the index of its training rows in leaf_rows;
+    internal nodes have leaf -1.
     """
     nodes: list[list] = []  # [feature, threshold, left, right, leaf]
     leaf_rows: list[np.ndarray] = []

@@ -61,6 +61,12 @@ def _check_rows(rows, header) -> int:
     return width
 
 
+def _check_unique(header) -> None:
+    if header is not None and len(set(header)) < len(header):
+        name = next(h for i, h in enumerate(header) if h in header[:i])
+        raise ValueError(f"header repeats column {name!r}")
+
+
 def check_inputs(X, y=None, n_classes: int | None = None,
                  n_features: int | None = None):
     """Reject input the models cannot take, with a message naming it.
@@ -138,20 +144,18 @@ def load_csv(path, label_column=-1, has_header: bool = True,
 def _infer_schema(header, rows, label_column) -> dict:
     # encode_rows checks every cell; here only the widths are needed, and
     # a row of another width is reported as _check_rows would.
+    _check_unique(header)
     width = len(header) if header is not None else len(rows[0])
     if any(len(row) != width for row in rows):
         _check_rows(rows, header)
-    if isinstance(label_column, int):
-        label_idx = label_column
-    else:
-        try:
-            label_idx = int(label_column)
-        except ValueError:
-            if header is None:
-                raise ValueError("label column by name requires a header")
-            if label_column not in header:
-                raise ValueError(f"label column {label_column!r} not found")
-            label_idx = header.index(label_column)
+    try:
+        label_idx = int(label_column)
+    except ValueError:
+        if header is None:
+            raise ValueError("label column by name requires a header")
+        if label_column not in header:
+            raise ValueError(f"label column {label_column!r} not found")
+        label_idx = header.index(label_column)
     if label_idx < 0:
         label_idx += width
     if not 0 <= label_idx < width:
@@ -197,38 +201,34 @@ def _feature_names(schema) -> list[str]:
 def encode_rows(rows, header, schema):
     """Encode raw CSV rows under a recorded schema; returns (X, y).
 
-    Columns are matched by name when a header is given, otherwise by the
-    recorded positions (shifted past the label if its column is absent).
-    y holds each row's index in schema["label"]["classes"], or is None
-    when the rows carry no label column.  Rows of another width than the
+    Columns are matched by name.  Rows without a header take the names of
+    the schema's recorded positions, less the label's when the rows are
+    too narrow to hold it.  y holds each row's index in
+    schema["label"]["classes"], or is None when the rows carry no label
+    column.  A header that repeats a name, rows of another width than the
     header (or the first row), empty cells, non-numeric cells in numeric
     columns and labels outside the class list raise ValueError.  Unseen
     categorical levels encode as an all-zero one-hot block with a warning.
     """
     label = schema["label"]
+    _check_unique(header)
     if not rows:
         return np.zeros((0, len(_feature_names(schema)))), None
     width = _check_rows(rows, header)
-    if header is not None:
-        index = {name: i for i, name in enumerate(header)}
-        label_idx = index.get(label["name"])
-
-        def locate(col):
-            if col["name"] not in index:
-                raise ValueError(f"column {col['name']!r} missing from input")
-            return index[col["name"]]
-    else:
-        present = width >= len(schema["columns"]) + 1
-        label_idx = label["position"] if present else None
-
-        def locate(col):
-            pos = col["position"]
-            return pos if present or pos < label["position"] else pos - 1
+    if header is None:
+        named = sorted([label, *schema["columns"]],
+                       key=lambda col: col["position"])
+        if width <= len(schema["columns"]):
+            named.remove(label)
+        header = [col["name"] for col in named[:width]]
+    index = {name: i for i, name in enumerate(header)}
+    label_idx = index.get(label["name"])
 
     blocks = []
     for col in schema["columns"]:
-        idx = locate(col)
-        raw = [row[idx] for row in rows]
+        if col["name"] not in index:
+            raise ValueError(f"column {col['name']!r} missing from input")
+        raw = [row[index[col["name"]]] for row in rows]
         if col["kind"] == "numeric":
             try:
                 blocks.append(np.array([float(v) for v in raw])[:, None])

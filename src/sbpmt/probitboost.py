@@ -18,13 +18,11 @@ from . import data, numerics
 
 @dataclass
 class LinearScore:
-    """Accumulated additive probit model: margin(x) = intercept + coef . x.
+    """Accumulated additive probit models, one per segment of a fit:
+    margin_l(x) = intercept[l] + coefficients[l] . x."""
 
-    One model per segment of a segmented fit: intercept (L,) and
-    coefficients (L, p); a float and (p,) for a fit without segments."""
-
-    intercept: float | np.ndarray
-    coefficients: np.ndarray
+    intercept: np.ndarray     # (L,)
+    coefficients: np.ndarray  # (L, p)
 
 
 @dataclass
@@ -73,8 +71,9 @@ def fit_probitboost(X, y, sample_weights, n_iter: int, starts=None):
     lowest index), and halves a segment's step while its risk would rise:
     at most 40 times, then the step is 0.
 
-    Returns (LinearScore, ProbitBoostTrace); the trace always holds
-    n_iter + 1 risks.
+    Returns (LinearScore, ProbitBoostTrace): the score holds L intercepts
+    and an (L, p) coefficient block, L = 1 without starts, and the trace
+    always holds n_iter + 1 risks.
     """
     y = np.asarray(y, dtype=float)
     if not np.all(np.isin(y, (-1.0, 1.0))):
@@ -141,6 +140,4 @@ def fit_probitboost(X, y, sample_weights, n_iter: int, starts=None):
         risks=[float(np.sum(share * r)) for r in leaf_risks],
         selected_features=np.array(selected, dtype=int).reshape(n_iter, L),
         leaf_risks=np.array(leaf_risks))
-    if starts is None:
-        return LinearScore(float(intercept[0]), coef[0]), trace
     return LinearScore(intercept, coef), trace

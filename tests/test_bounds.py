@@ -168,6 +168,17 @@ class TestTheorem3:
         with pytest.raises(ValueError, match="nonnegative"):
             bounds.theorem3_bound(self.inputs(sigma1_sq=-1.0))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("p_sub", math.nan, "p_sub"), ("p_sub", -3.0, "p_sub"),
+        ("p_sub", 1.5, "p_sub"), ("sigma1_sq", math.nan, "finite"),
+        ("beta_kernel", math.inf, "finite"),
+        ("gamma_kernel", math.nan, "finite")])
+    def test_non_finite_or_out_of_range_inputs(self, field, value, message):
+        # NaN fails every comparison, so each range test must accept,
+        # not reject
+        with pytest.raises(ValueError, match=message):
+            bounds.theorem3_bound(self.inputs(**{field: value}))
+
 
 class TestTheorem4:
     def test_oracle_value(self):
@@ -205,6 +216,11 @@ class TestTheorem4:
         with pytest.raises(ValueError, match="d_vc must be >= 1"):
             bounds.theorem4_bound(100, 5, 0, 0.05, 0.1)
 
+    @pytest.mark.parametrize("error", [math.nan, math.inf, -0.1, 1.5])
+    def test_empirical_error_must_be_a_rate(self, error):
+        with pytest.raises(ValueError, match="empirical error"):
+            bounds.theorem4_bound(1000, 5, 20, 0.05, error)
+
 
 class TestTheorem5:
     def test_all_half_is_one(self):
@@ -237,6 +253,10 @@ class TestTheorem5:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             bounds.theorem5_bound([0.2, 1.2], 0.0)
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            bounds.theorem5_bound([math.nan, 0.2], 0.0)
+        with pytest.raises(ValueError, match="theta"):
+            bounds.theorem5_bound([0.2], math.nan)
 
 
 class TestTheorem6:
@@ -260,6 +280,11 @@ class TestTheorem6:
     def test_risk_count_must_match_T(self):
         with pytest.raises(ValueError, match="per boosting round"):
             bounds.theorem6_bound([0.1, 0.1], 1000, 3, 20, 0.05)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_risk_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            bounds.theorem6_bound([0.1, bad], 1000, 2, 20, 0.05)
 
     def test_zero_rounds_or_dimension_rejected(self):
         with pytest.raises(ValueError, match="T must be >= 1"):

@@ -63,11 +63,25 @@ def leaf_labels(tree, y):
             for i, rows in enumerate(cart.flatten(tree)[-1])}
 
 
-def walk(node, x):
-    """Reference router: follow the grown nodes to the leaf_id of x."""
+def preorder_leaves(node):
+    """The leaves of a grown tree, in the preorder that numbers them."""
+    if isinstance(node, Leaf):
+        return [node]
+    return preorder_leaves(node.left) + preorder_leaves(node.right)
+
+
+def leaf_number(tree, node):
+    return next(i for i, leaf in enumerate(preorder_leaves(tree))
+                if leaf is node)
+
+
+def walk(tree, x):
+    """Reference router: follow the grown nodes to x's leaf and return its
+    preorder number."""
+    node = tree
     while isinstance(node, Internal):
         node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.leaf_id
+    return leaf_number(tree, node)
 
 
 def route_leaves(tree, depth, X):
@@ -81,7 +95,7 @@ class TestBuildTree:
         y = np.array([0, 1])
         tree = cart.build_tree(X, y, 2, np.ones(2), 0, 1)
         assert isinstance(tree, Leaf)
-        assert tree.leaf_id == 0
+        assert flat(tree, 0).leaf.tolist() == [0]
         np.testing.assert_array_equal(np.sort(tree.rows), [0, 1])
 
     def test_pure_node_not_split(self):
@@ -187,6 +201,9 @@ class TestBuildTree:
         assert np.all(t.leaf[~is_leaf] == -1)
         all_rows = np.concatenate(t.rows)
         np.testing.assert_array_equal(np.sort(all_rows), np.arange(100))
+        leaves = preorder_leaves(tree)
+        assert len(leaves) == len(t.rows)
+        assert all(r is lf.rows for r, lf in zip(t.rows, leaves))
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -251,7 +268,7 @@ class TestRouting:
         y = np.array([0, 1])
         tree = cart.build_tree(X, y, 2, np.ones(2), 1, 1)
         assert tree.threshold == pytest.approx(1.0)
-        left_id = tree.left.leaf_id
+        left_id = leaf_number(tree, tree.left)
         assert route_leaves(tree, 1, [[1.0]])[0] == left_id  # x == threshold
         assert route_leaves(tree, 1, [[np.nextafter(1.0, 2.0)]])[0] != left_id
 

@@ -157,6 +157,40 @@ class TestPredict:
         assert "row 2 has 1 cells, expected 2" in capsys.readouterr().err
         assert not preds_path.exists()
 
+    def test_no_header_file_one_column_short(self, tmp_path, capsys):
+        # without a header the columns are found by their recorded names,
+        # so a missing one is named
+        _, model_path = self.train(tmp_path)
+        query = tmp_path / "query.csv"
+        query.write_text("0.9\n-0.9\n", encoding="utf-8")
+        preds_path = tmp_path / "preds.csv"
+        rc = cli.main(["predict", "--model", str(model_path), "--no-header",
+                       "--data", str(query), "--out", str(preds_path)])
+        assert rc == 1
+        assert "column 'f2' missing from input" in capsys.readouterr().err
+        assert not preds_path.exists()
+
+    def test_no_header_predicts_as_with_header(self, tmp_path):
+        csv_path, model_path = self.train(tmp_path)
+        rows = csv_path.read_text(encoding="utf-8").splitlines()[1:]
+        unlabeled = [r.rsplit(",", 1)[0] for r in rows]
+        files = {
+            "header": ("f1,f2\n" + "\n".join(unlabeled), []),
+            "no-header": ("\n".join(unlabeled), ["--no-header"]),
+            "no-header-label": ("\n".join(rows), ["--no-header"]),
+        }
+        preds = {}
+        for name, (text, flags) in files.items():
+            query = tmp_path / f"{name}.csv"
+            query.write_text(text + "\n", encoding="utf-8")
+            out = tmp_path / f"{name}.out"
+            assert cli.main(["predict", "--model", str(model_path), "--data",
+                             str(query), "--out", str(out)] + flags) == 0
+            preds[name] = out.read_text()
+        assert len(preds["header"].split()) == 120
+        assert preds["no-header"] == preds["header"]
+        assert preds["no-header-label"] == preds["header"]
+
     def test_bad_model_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format_version": 42}', encoding="utf-8")
@@ -330,6 +364,27 @@ class TestBound:
         assert cli.main(["bound", "--n", "100"] + argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--theorem", "3", "--m", "14000", "--M", "99", "--p-sub", "nan",
+          "--sigma1-sq", "0.25"], "p_sub must be in [0, 1]"),
+        (["--theorem", "3", "--m", "14000", "--M", "99", "--p-sub", "0.2",
+          "--sigma1-sq", "nan"], "finite and nonnegative"),
+        (["--theorem", "3", "--m", "14000", "--M", "99", "--p-sub", "-3",
+          "--sigma1-sq", "0.25"], "p_sub must be in [0, 1]"),
+        (["--theorem", "4", "--T", "5", "--d-vc", "20",
+          "--empirical-error", "nan"], "empirical error"),
+        (["--theorem", "5", "--errors", "nan,0.2"], "[0, 1]"),
+        (["--theorem", "6", "--probit-risks", "nan", "--T", "1",
+          "--d-vc", "20"], "finite"),
+    ])
+    def test_non_finite_input_is_runtime_error(self, capsys, argv, message):
+        # no bound is printed for input outside its range
+        rc = cli.main(["bound", "--n", "20000", "--beta", "1", "--gamma",
+                       "1"] + argv)
+        assert rc == 1
+        out = capsys.readouterr()
+        assert message in out.err and "bound" not in out.out
 
     def test_theorem5_pipe_through(self, capsys):
         from sbpmt import bounds

@@ -107,6 +107,16 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="no data rows"):
             data.load_csv(write(tmp_path, "a,label\n"), "label")
 
+    def test_repeated_header_name_rejected(self, tmp_path):
+        # by-name lookup could only see one of the two columns
+        p = write(tmp_path, "a,a,label\n1.0,2.0,yes\n3.0,4.0,no\n")
+        with pytest.raises(ValueError, match="header repeats column 'a'"):
+            data.load_csv(p, "label")
+        schema = data.load_csv(write(tmp_path, MIXED, "m.csv"), "label").schema
+        query = write(tmp_path, "a,color,a\n1.0,red,2.0\n", "q.csv")
+        with pytest.raises(ValueError, match="header repeats column 'a'"):
+            data.load_csv(query, schema=schema)
+
 
 class TestCheckInputs:
     def test_accepts_and_converts(self):
@@ -150,6 +160,35 @@ class TestEncodeRows:
         schema = self.schema(tmp_path)
         X, _ = data.encode_rows([["2.5", "red"]], None, schema)
         np.testing.assert_array_equal(X, [[2.5, 0, 0, 1]])
+
+    def test_without_header_label_present(self, tmp_path):
+        schema = self.schema(tmp_path)
+        rows = [["1.0", "red", "no"], ["2.0", "blue", "yes"]]
+        X, y = data.encode_rows(rows, None, schema)
+        X_h, y_h = data.encode_rows(rows, ["a", "color", "label"], schema)
+        np.testing.assert_array_equal(X, X_h)
+        assert y.tolist() == y_h.tolist() == [1, 0]
+
+    def test_without_header_positions_around_the_label(self, tmp_path):
+        # the label sits between the features: without it, the columns
+        # after it move one to the left
+        schema = data.load_csv(write(tmp_path, "a,label,b\n1,yes,2\n"
+                                     "3,no,4\n"), "label").schema
+        X, y = data.encode_rows([["5", "no", "6"]], None, schema)
+        assert X.tolist() == [[5.0, 6.0]] and y.tolist() == [1]
+        X, y = data.encode_rows([["5", "6"]], None, schema)
+        assert X.tolist() == [[5.0, 6.0]] and y is None
+
+    def test_without_header_short_rows_miss_a_column(self, tmp_path):
+        schema = self.schema(tmp_path)
+        with pytest.raises(ValueError, match="column 'color' missing"):
+            data.encode_rows([["2.5"]], None, schema)
+
+    def test_repeated_header_name_rejected(self, tmp_path):
+        schema = self.schema(tmp_path)
+        for rows in ([["1.0", "red", "2.0"]], []):
+            with pytest.raises(ValueError, match="header repeats column 'a'"):
+                data.encode_rows(rows, ["a", "color", "a"], schema)
 
     def test_unseen_level_warns_and_zeroes(self, tmp_path):
         schema = self.schema(tmp_path)

@@ -134,6 +134,94 @@ class TestFileFormat:
         assert top == sorted(top)
 
 
+class TestUntrustedFile:
+    """A model file is outside input: what prediction could not follow is
+    rejected on load with a ValueError naming the member and stage."""
+
+    def doc(self):
+        model, _ = fit_small(n_classes=3)
+        return json.loads(model_io.serialize_model(model))
+
+    def test_nan_token_rejected(self):
+        text = model_io.serialize_model(fit_small()[0])
+        text = text.replace('"probit_risk": ', '"probit_risk": NaN, "x": ', 1)
+        with pytest.raises(ValueError, match="non-finite number NaN"):
+            model_io.deserialize_model(text)
+        doc = self.doc()
+        doc["members"][0]["stages"][0]["model"]["coef"][0][0][0] = math.inf
+        with pytest.raises(ValueError, match="non-finite number Infinity"):
+            model_io.deserialize_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.pop("leaf"), r"missing keys \['leaf'\]"),
+        (lambda t: t.update(rows=[]), r"unknown keys \['rows'\]"),
+        (lambda t: t.update(left=[10**6] + t["left"][1:]),
+         "node 0 has left index 1000000"),
+        (lambda t: t.update(right=[-1] + t["right"][1:]),
+         "node 0 has right index -1"),
+        (lambda t: t.update(feature=[99] + t["feature"][1:]),
+         "node 0 has feature index 99, outside 0..2"),
+        (lambda t: t.update(leaf=[len(t["intercept"])] * len(t["leaf"])),
+         "leaf index"),
+        (lambda t: t.update(leaf=[-1] * len(t["leaf"])),
+         "leaf index -1, outside 0"),
+        (lambda t: t.update(feature=[0.5] * len(t["feature"])),
+         "feature must hold integers"),
+        (lambda t: t.update(threshold=t["threshold"][1:]),
+         "nonempty lists of one length"),
+        (lambda t: t.update(intercept=t["intercept"][1:]),
+         r"intercept \(\d+, 3\) and coef"),
+        (lambda t: t["coef"][0].pop(), ""),  # ragged lists
+        (lambda t: t.update(coef=[row[:1] for row in t["coef"]]),
+         r"must be \(L, 3\)"),
+        (lambda t: t.update(coef=[[[0.0] * 4] * 3] * len(t["coef"])),
+         r"\(L, 3, 3\)"),
+    ])
+    def test_bad_tree_rejected(self, edit, message):
+        doc = self.doc()
+        edit(doc["members"][1]["stages"][0]["model"])
+        with pytest.raises(ValueError, match="member 1 stage 0 tree: "
+                                             f".*{message}"):
+            model_io.deserialize_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["members"][0]["stages"][0].pop("alpha"),
+         "member 0 stage 0: missing keys"),
+        (lambda d: d["members"][0]["stages"][0].update(alpha="x"),
+         "member 0 stage 0: alpha, err and raw_err must be numbers"),
+        (lambda d: d["config"].update(depth="6"), "config: depth"),
+        (lambda d: d["config"].update(extra=1), r"unknown keys \['extra'\]"),
+        (lambda d: d.update(members=[]), "members must be a nonempty list"),
+        (lambda d: d["members"][2].update(stages=[]), "member 2: stages"),
+        (lambda d: d.update(n_classes=1), "n_classes"),
+        # routing runs config.depth steps, so every path from the root
+        # must reach a leaf within them
+        (lambda d: d["config"].update(depth=0),
+         "member 0 stage 0 tree: node 0 is 0 steps below the root"),
+        (lambda d: d["members"][0]["stages"][0]["model"]["left"].__setitem__(
+            1, 0), "member 0 stage 0 tree: node 0 is 2 steps below"),
+    ])
+    def test_bad_document_rejected(self, edit, message):
+        doc = self.doc()
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            model_io.deserialize_model(json.dumps(doc))
+
+    def test_cli_predict_reports_the_tree(self, tmp_path, capsys):
+        from sbpmt import cli
+        doc = self.doc()
+        doc["members"][0]["stages"][1]["model"]["feature"][0] = 99
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        query = tmp_path / "q.csv"
+        query.write_text("x0,x1,x2\n0.1,0.2,0.3\n", encoding="utf-8")
+        out = tmp_path / "p.csv"
+        assert cli.main(["predict", "--model", str(path), "--data",
+                         str(query), "--out", str(out)]) == 1
+        assert "member 0 stage 1 tree" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @st.composite
 def small_problems(draw):
     """Small fits with constant columns, duplicate rows, single-class

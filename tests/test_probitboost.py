@@ -79,12 +79,13 @@ def reference_fit_pmt(X, y, n_classes, sample_weights, depth, min_leaf_size,
 
 
 def score_margin(score: LinearScore, x) -> float:
-    """Margin of one row, as a batch of one through a single-leaf PMT."""
-    p = score.coefficients.size
+    """Margin of one row under a one-segment score, as a batch of one
+    through a single-leaf PMT."""
+    p = score.coefficients.shape[1]
     model = pmt.PmtModel(
         feature=np.zeros(1, dtype=int), threshold=np.zeros(1),
         left=np.zeros(1, dtype=int), right=np.zeros(1, dtype=int),
-        leaf=np.zeros(1, dtype=int), intercept=np.array([[score.intercept]]),
+        leaf=np.zeros(1, dtype=int), intercept=score.intercept.reshape(1, 1),
         coef=score.coefficients.reshape(1, 1, p), n_classes=2, depth=0)
     X, _ = data.check_inputs(np.asarray(x, dtype=float)[None, :],
                              n_features=p)
@@ -101,7 +102,8 @@ class TestFitProbitboost:
     def test_zero_iterations(self):
         X, y = separable_1d()
         score, trace = probitboost.fit_probitboost(X, y, np.ones(4), 0)
-        assert score.intercept == 0.0
+        assert score.intercept.tolist() == [0.0]
+        assert score.coefficients.shape == (1, 1)
         assert np.all(score.coefficients == 0.0)
         assert trace.risks == [pytest.approx(math.log(2))]
 
@@ -110,8 +112,8 @@ class TestFitProbitboost:
         # slope and separates the data
         X, y = separable_1d()
         score, trace = probitboost.fit_probitboost(X, y, np.ones(4), 25)
-        assert score.coefficients[0] > 0
-        margins = score.intercept + X @ score.coefficients
+        assert score.coefficients[0, 0] > 0
+        margins = score.intercept[0] + X @ score.coefficients[0]
         assert np.all(np.sign(margins) == y)
         risks = np.array(trace.risks)
         assert np.all(np.diff(risks) <= 1e-9)
@@ -143,7 +145,7 @@ class TestFitProbitboost:
         w = rng.uniform(0.1, 1.0, size=30)
         s1, _ = probitboost.fit_probitboost(X, y, w, 10)
         s2, _ = probitboost.fit_probitboost(X, y, 37.5 * w, 10)
-        assert s1.intercept == pytest.approx(s2.intercept, rel=1e-12)
+        np.testing.assert_allclose(s1.intercept, s2.intercept, rtol=1e-12)
         np.testing.assert_allclose(s1.coefficients, s2.coefficients,
                                    rtol=1e-12, atol=1e-15)
 
@@ -206,8 +208,9 @@ class TestSegments:
             ww = w[rows] if np.any(w[rows] > 0) else np.ones(size)
             one, one_trace = probitboost.fit_probitboost(
                 X[rows], y[rows], ww, n_iter)
-            assert score.intercept[seg] == one.intercept
-            assert np.array_equal(score.coefficients[seg], one.coefficients)
+            assert score.intercept[seg] == one.intercept[0]
+            assert np.array_equal(score.coefficients[seg],
+                                  one.coefficients[0])
             assert np.array_equal(trace.leaf_risks[:, seg], one_trace.risks)
             assert np.array_equal(trace.selected_features[:, seg],
                                   one_trace.selected_features[:, 0])
@@ -222,10 +225,10 @@ class TestSegments:
             score, trace = probitboost.fit_probitboost(X, y, w, 40)
             intercept, coef, risks = reference_probitboost(X, y, w, 40)
             np.testing.assert_allclose(trace.risks, risks, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(score.coefficients, coef, rtol=1e-6,
-                                       atol=1e-12)
-            assert score.intercept == pytest.approx(intercept, rel=1e-6,
-                                                    abs=1e-12)
+            np.testing.assert_allclose(score.coefficients[0], coef,
+                                       rtol=1e-6, atol=1e-12)
+            assert score.intercept[0] == pytest.approx(intercept, rel=1e-6,
+                                                       abs=1e-12)
 
     @pytest.mark.parametrize("n_classes", [2, 3])
     def test_fit_pmt_matches_leaf_by_leaf_reference(self, n_classes):
@@ -257,7 +260,7 @@ class TestSegments:
         score, trace = probitboost.fit_probitboost(X, y, w, 5, [0, 10, 20])
         uniform, _ = probitboost.fit_probitboost(X[10:20], y[10:20],
                                                  np.ones(10), 5)
-        assert np.array_equal(score.coefficients[1], uniform.coefficients)
+        assert np.array_equal(score.coefficients[1], uniform.coefficients[0])
         # the segment carries no mass in the summed risk
         share = np.array([w[:10].sum(), 0.0, w[20:].sum()]) / w.sum()
         assert trace.risks[-1] == pytest.approx(
@@ -322,7 +325,7 @@ class TestOneVersusAll:
         y = np.array([-1.0, -1.0, 1.0, 1.0])
         pos, _ = probitboost.fit_probitboost(X, y, np.ones(4), 15)
         neg, _ = probitboost.fit_probitboost(X, -y, np.ones(4), 15)
-        assert neg.intercept == pytest.approx(-pos.intercept, abs=1e-12)
+        np.testing.assert_allclose(neg.intercept, -pos.intercept, atol=1e-12)
         np.testing.assert_allclose(neg.coefficients, -pos.coefficients,
                                    atol=1e-12)
 
@@ -352,21 +355,22 @@ class TestOneVersusAll:
 
 class TestPredictMargin:
     def test_zero_score(self):
-        s = LinearScore(intercept=0.0, coefficients=np.zeros(3))
+        s = LinearScore(intercept=np.zeros(1), coefficients=np.zeros((1, 3)))
         assert score_margin(s, [1.0, 2.0, 3.0]) == 0.0
 
     def test_unit_slope(self):
-        s = LinearScore(intercept=0.5, coefficients=np.array([1.0, 0.0]))
+        s = LinearScore(intercept=np.array([0.5]),
+                        coefficients=np.array([[1.0, 0.0]]))
         assert score_margin(s, [2.0, 9.0]) == pytest.approx(2.5)
 
     def test_matches_dot_product_on_fitted_model(self):
         X, y = separable_1d()
         score, _ = probitboost.fit_probitboost(X, y, np.ones(4), 5)
         x = np.array([0.37])
-        expected = score.intercept + score.coefficients[0] * 0.37
+        expected = score.intercept[0] + score.coefficients[0, 0] * 0.37
         assert score_margin(score, x) == pytest.approx(expected)
 
     def test_dimension_mismatch(self):
-        s = LinearScore(intercept=0.0, coefficients=np.zeros(3))
+        s = LinearScore(intercept=np.zeros(1), coefficients=np.zeros((1, 3)))
         with pytest.raises(ValueError, match="dimension mismatch"):
             score_margin(s, [1.0, 2.0])
