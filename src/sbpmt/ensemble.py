@@ -5,11 +5,21 @@ retains a stage iff err_t < 1 - 1/J; for J = 2 that is exactly binary
 AdaBoost.  The subagging layer draws M index subsets of size
 floor(alpha * n) without replacement (with replacement at the subset
 level) and majority-votes the boosted members through a Committee.
+
+The members are independent: each needs only its own subset, and the
+design is drawn before any is fitted.  fit_sbpmt therefore fits them in a
+pool of forked worker processes, one per usable CPU and at most M, which
+inherit X and y through the fork and receive only a subset's indices.
+Each worker runs the same fit_boosted as the in-process loop, and the
+members come back in design order, so the model does not depend on the
+worker count.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -162,15 +172,74 @@ def draw_design(n: int, alpha: float, M: int, seed: int) -> Design:
     return Design(subsets=subsets)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity off Linux
+        return os.cpu_count() or 1
+
+
+def _worker_count(M: int, workers, cpus: int) -> int:
+    """Processes that fit M members: workers (None: one per CPU), capped
+    at M and at the cpus usable."""
+    if workers is not None and (isinstance(workers, bool) or not isinstance(
+            workers, numbers.Integral) or workers < 1):
+        raise ValueError(f"workers must be an integer >= 1 or None, got "
+                         f"{workers!r}")
+    return min(M, cpus, cpus if workers is None else int(workers))
+
+
+def _fit_member(X, y, n_classes: int, config: SbpmtConfig,
+                idx: np.ndarray) -> BoostedPmt:
+    return fit_boosted(X[idx], y[idx], n_classes, config.T, config.depth,
+                       config.min_leaf_size, config.B)
+
+
+# A pool worker's (X, y, n_classes, config), set once when the worker
+# starts; never set in the process that fits.
+_worker_fit = None
+
+
+def _start_worker(*fit) -> None:
+    global _worker_fit
+    _worker_fit = fit
+
+
+def _fit_in_worker(idx: np.ndarray) -> BoostedPmt:
+    return _fit_member(*_worker_fit, idx)
+
+
+def _fit_members(X, y, n_classes: int, config: SbpmtConfig,
+                 subsets: list[np.ndarray], workers: int) -> list[BoostedPmt]:
+    """One boosted member per subset, in design order: fitted by a pool of
+    `workers` forked processes (see the module docstring), or here, one
+    after another, with one worker or without the fork start method."""
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_start_worker, initargs=(X, y, n_classes, config))
+            try:
+                return list(pool.map(_fit_in_worker, subsets))
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return [_fit_member(X, y, n_classes, config, idx) for idx in subsets]
+
+
 def fit_sbpmt(X, y, n_classes: int, config: SbpmtConfig,
-              schema: dict | None = None) -> SbpmtModel:
+              schema: dict | None = None, workers=None) -> SbpmtModel:
+    """Fit config.M boosted members on subagged subsets of (X, y).
+
+    workers is the number of processes that fit the members: None for one
+    per usable CPU, 1 to fit them in this process; it is capped at M and
+    at the usable CPUs.  The fitted model does not depend on it."""
     X, y = data.check_inputs(X, y, n_classes)
     design = draw_design(X.shape[0], config.alpha, config.M, config.seed)
-    members = [
-        fit_boosted(X[idx], y[idx], n_classes, config.T, config.depth,
-                    config.min_leaf_size, config.B)
-        for idx in design.subsets
-    ]
+    members = _fit_members(X, y, n_classes, config, design.subsets,
+                           _worker_count(config.M, workers, _usable_cpus()))
     return SbpmtModel(members=members, design=design, config=config,
                       n_classes=n_classes, schema=schema)
 

@@ -8,8 +8,9 @@ the document's n_classes and config.depth.  Serialization is
 deterministic (sorted keys, fixed layout), so identical models produce
 byte-identical files, and deserialize(serialize(m)) predicts
 bit-identically.  Loading treats the document as outside input: NaN or
-Infinity tokens, missing or unknown keys, and tree arrays that routing or
-scoring could not follow raise ValueError naming the member and stage.
+Infinity tokens, missing or unknown keys, tree arrays that routing or
+scoring could not follow (the error names the member and stage), a schema
+that encoding could not follow and a malformed design raise ValueError.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ _TREE_KEYS = {f.name for f in fields(pmt.PmtModel)} - set(_SHARED)
 _NODE_KEYS = ("feature", "threshold", "left", "right", "leaf")
 _INDEX_KEYS = ("feature", "left", "right", "leaf")
 _ARRAY_KEYS = _NODE_KEYS + ("intercept", "coef")
+_SCHEMA_KEYS = {"label", "columns", "has_header"}
+_LABEL_KEYS = {"name", "position", "classes"}
+_COLUMN_KEYS = {"numeric": {"name", "kind", "position"},
+                "categorical": {"name", "kind", "position", "levels"}}
 
 
 def model_to_dict(model: ensemble.SbpmtModel) -> dict:
@@ -133,6 +138,83 @@ def _check_indices(trees: list[dict], wheres: list[str], n_features: int,
                         "depth, but is not a leaf")
 
 
+def _distinct_strings(values) -> bool:
+    return (isinstance(values, list) and all(isinstance(v, str) for v in values)
+            and len(set(values)) == len(values))
+
+
+def _check_schema(schema, n_classes: int, n_features: int) -> None:
+    """Reject a schema that data.encode_rows could not follow: every column
+    needs a name, a kind and a position (a categorical one also its
+    levels), names and positions must be distinct, the label must list
+    n_classes classes, and the columns must encode n_features features."""
+    if schema is None:
+        return
+    _check_keys(schema, _SCHEMA_KEYS, "schema")
+    if not isinstance(schema["has_header"], bool):
+        raise ValueError("schema: has_header must be true or false")
+    label = schema["label"]
+    _check_keys(label, _LABEL_KEYS, "schema label")
+    if not _distinct_strings(label["classes"]) \
+            or len(label["classes"]) != n_classes:
+        raise ValueError(f"schema label: classes must be {n_classes} "
+                         "distinct strings, one per class")
+    columns = schema["columns"]
+    if not isinstance(columns, list) or not columns:
+        raise ValueError("schema: columns must be a nonempty list")
+    width = 0
+    for i, col in enumerate(columns):
+        where = f"schema column {i}"
+        kind = col.get("kind") if isinstance(col, dict) else None
+        _check_keys(col, _COLUMN_KEYS["categorical" if kind == "categorical"
+                                      else "numeric"], where)
+        if kind not in _COLUMN_KEYS:
+            raise ValueError(f"{where}: kind must be 'numeric' or "
+                             f"'categorical', got {kind!r}")
+        if kind == "categorical":
+            if not _distinct_strings(col["levels"]) or not col["levels"]:
+                raise ValueError(f"{where}: levels must be a nonempty list "
+                                 "of distinct strings")
+            width += len(col["levels"])
+        else:
+            width += 1
+    for where, col in [("schema label", label)] + [
+            (f"schema column {i}", c) for i, c in enumerate(columns)]:
+        if not isinstance(col["name"], str):
+            raise ValueError(f"{where}: name must be a string")
+        position = col["position"]
+        if type(position) is not int or position < 0:
+            raise ValueError(f"{where}: position must be an integer >= 0")
+    named = [label] + columns
+    for key in ("name", "position"):
+        if len({col[key] for col in named}) < len(named):
+            raise ValueError(f"schema: two columns share a {key}")
+    if width != n_features:
+        raise ValueError(f"schema: the columns encode {width} features, "
+                         f"but the trees read {n_features}")
+
+
+def _design(subsets, M: int) -> ensemble.Design:
+    """The stored design, checked: one subset per member, each a nonempty,
+    strictly increasing list of nonnegative row indices, all of one size."""
+    if not isinstance(subsets, list) or len(subsets) != M:
+        raise ValueError(f"design: subsets must be a list of {M} index "
+                         "lists, one per member")
+    ragged = ValueError("design: subsets must be nonempty lists of one size")
+    try:
+        a = np.array(subsets)
+    except ValueError:
+        raise ragged from None
+    if a.ndim != 2 or a.shape[1] == 0:
+        raise ragged
+    if a.dtype.kind not in "iu":
+        raise ValueError("design: subsets must hold integers")
+    if a.min() < 0 or np.any(np.diff(a, axis=1) <= 0):
+        raise ValueError("design: each subset must hold nonnegative row "
+                         "indices in strictly increasing order")
+    return ensemble.Design(subsets=list(a))
+
+
 def model_from_dict(doc: dict) -> ensemble.SbpmtModel:
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != FORMAT_VERSION:
@@ -152,10 +234,9 @@ def model_from_dict(doc: dict) -> ensemble.SbpmtModel:
     n_classes = doc["n_classes"]
     if not isinstance(n_classes, int) or n_classes < 2:
         raise ValueError(f"n_classes must be an integer >= 2, got {n_classes}")
-    design = ensemble.Design(
-        subsets=[np.array(s, dtype=int) for s in doc["design"]["subsets"]])
     if not isinstance(doc["members"], list) or not doc["members"]:
         raise ValueError("model file: members must be a nonempty list")
+    design = _design(doc["design"]["subsets"], len(doc["members"]))
     members, n_features, trees, wheres = [], None, [], []
     for k, mdoc in enumerate(doc["members"]):
         _check_keys(mdoc, {"stages"}, f"member {k}")
@@ -181,6 +262,7 @@ def model_from_dict(doc: dict) -> ensemble.SbpmtModel:
                                    **arrays)))
         members.append(ensemble.BoostedPmt(stages=stages))
     _check_indices(trees, wheres, n_features, cfg.depth)
+    _check_schema(doc["schema"], n_classes, n_features)
     return ensemble.SbpmtModel(members=members, design=design, config=cfg,
                                n_classes=n_classes, schema=doc["schema"])
 

@@ -191,6 +191,27 @@ class TestPredict:
         assert preds["no-header"] == preds["header"]
         assert preds["no-header-label"] == preds["header"]
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["schema"]["columns"][0].pop("kind"),
+         "schema column 0: missing keys ['kind']"),
+        (lambda d: d["schema"]["label"]["classes"].pop(),
+         "schema label: classes must be 2 distinct strings"),
+        (lambda d: d["design"]["subsets"][0].__setitem__(0, 0.5),
+         "design: subsets must hold integers"),
+    ])
+    def test_bad_schema_or_design_is_runtime_error(self, tmp_path, capsys,
+                                                   edit, message):
+        csv_path, model_path = self.train(tmp_path)
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
+        edit(doc)
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        preds_path = tmp_path / "preds.csv"
+        rc = cli.main(["predict", "--model", str(model_path),
+                       "--data", str(csv_path), "--out", str(preds_path)])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not preds_path.exists()
+
     def test_bad_model_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format_version": 42}', encoding="utf-8")

@@ -1,9 +1,11 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
-from sbpmt import ensemble, pmt
+from sbpmt import data, ensemble, model_io, pmt
 from sbpmt.ensemble import SbpmtConfig
 
 
@@ -324,3 +326,111 @@ class TestFitSbpmt:
         with pytest.raises(ValueError, match="empty"):
             ensemble.fit_sbpmt(np.zeros((0, 2)), np.zeros(0, dtype=int), 2,
                                self.small_config())
+
+
+class TestWorkerPool:
+    """The members are fitted in forked worker processes; the model must
+    not depend on it."""
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        # the pool starts whatever the host's CPU count
+        monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 2)
+
+    @pytest.fixture
+    def no_fork(self, monkeypatch):
+        def fork():
+            raise AssertionError("a process was started")
+        monkeypatch.setattr(os, "fork", fork)
+
+    @staticmethod
+    def serial_reference(X, y, n_classes, cfg):
+        """Loop reference: the members fitted one after another here."""
+        design = ensemble.draw_design(X.shape[0], cfg.alpha, cfg.M, cfg.seed)
+        members = [ensemble.fit_boosted(X[idx], y[idx], n_classes, cfg.T,
+                                        cfg.depth, cfg.min_leaf_size, cfg.B)
+                   for idx in design.subsets]
+        return model_io.serialize_model(ensemble.SbpmtModel(
+            members=members, design=design, config=cfg, n_classes=n_classes))
+
+    @staticmethod
+    def problem(n_classes):
+        if n_classes == 2:  # the sim-fit shape at small n
+            train, _ = data.simulate(data.SimConfig(n_train=400, n_test=1,
+                                                    seed=3))
+            return train.X, train.y, SbpmtConfig(M=4, T=5, B=20, seed=3)
+        rng = np.random.default_rng(4)
+        X = rng.uniform(-1, 1, size=(300, 3))
+        y = np.digitize(X[:, 0] + X[:, 1], [-0.4, 0.4])
+        return X, y, SbpmtConfig(M=3, T=3, B=5, depth=3, min_leaf_size=10,
+                                 seed=4)
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_model_bytes_equal_the_serial_loop(self, n_classes, two_cpus):
+        X, y, cfg = self.problem(n_classes)
+        expected = self.serial_reference(X, y, n_classes, cfg)
+        for workers in (None, 1, 2):
+            model = ensemble.fit_sbpmt(X, y, n_classes, cfg, workers=workers)
+            assert model_io.serialize_model(model) == expected
+        assert multiprocessing.active_children() == []
+
+    def test_default_fit_starts_one_worker_per_cpu(self, two_cpus,
+                                                  monkeypatch):
+        forks, real_fork = [], os.fork
+
+        def fork():
+            forks.append(os.getpid())
+            return real_fork()
+        monkeypatch.setattr(os, "fork", fork)
+        X, y, cfg = self.problem(3)
+        ensemble.fit_sbpmt(X, y, 3, cfg)
+        assert len(forks) == 2
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [None, 1])
+    def test_member_error_reaches_the_caller(self, workers, two_cpus):
+        X, y = xor_data(80, seed=30)
+        cfg = SbpmtConfig(M=3, T=2, B=2, depth=2, min_leaf_size=0)
+        with pytest.raises(ValueError, match="^bad tree configuration$"):
+            ensemble.fit_sbpmt(X, y, 2, cfg, workers=workers)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("M, workers, cpus", [
+        (4, 1, 2),      # workers=1
+        (1, None, 2),   # one member
+        (4, None, 1),   # one usable CPU
+    ])
+    def test_one_worker_starts_no_process(self, M, workers, cpus, no_fork,
+                                          monkeypatch):
+        monkeypatch.setattr(ensemble, "_usable_cpus", lambda: cpus)
+        X, y = xor_data(80, seed=31)
+        cfg = SbpmtConfig(M=M, T=2, B=2, depth=2, min_leaf_size=5)
+        ensemble.fit_sbpmt(X, y, 2, cfg, workers=workers)
+
+    def test_no_fork_start_method_fits_in_process(self, two_cpus, no_fork,
+                                                  monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        X, y, cfg = self.problem(3)
+        model = ensemble.fit_sbpmt(X, y, 3, cfg)
+        assert (model_io.serialize_model(model)
+                == self.serial_reference(X, y, 3, cfg))
+
+    @pytest.mark.parametrize("M, workers, cpus, expected", [
+        (4, None, 2, 2), (4, None, 8, 4), (1, None, 8, 1), (4, None, 1, 1),
+        (4, 1, 8, 1), (4, 3, 8, 3), (4, 16, 2, 2), (2, 16, 8, 2),
+        (4, np.int64(2), 8, 2),
+    ])
+    def test_worker_count_caps_at_members_and_cpus(self, M, workers, cpus,
+                                                   expected):
+        assert ensemble._worker_count(M, workers, cpus) == expected
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, 2.0, "2", True])
+    def test_bad_worker_count_rejected_before_any_process(self, workers,
+                                                          two_cpus, no_fork):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            ensemble._worker_count(4, workers, 2)
+        X, y = xor_data(60, seed=32)
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            ensemble.fit_sbpmt(X, y, 2, SbpmtConfig(M=4, T=1, B=1, depth=1),
+                               workers=workers)

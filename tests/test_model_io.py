@@ -200,6 +200,49 @@ class TestUntrustedFile:
          "member 0 stage 0 tree: node 0 is 0 steps below the root"),
         (lambda d: d["members"][0]["stages"][0]["model"]["left"].__setitem__(
             1, 0), "member 0 stage 0 tree: node 0 is 2 steps below"),
+        # the schema that data.encode_rows follows
+        (lambda d: d["schema"]["columns"][0].pop("kind"),
+         r"schema column 0: missing keys \['kind'\]"),
+        (lambda d: d["schema"]["columns"][1].update(kind="text"),
+         "schema column 1: kind must be 'numeric' or 'categorical'"),
+        (lambda d: d["schema"]["columns"][1].update(kind="categorical"),
+         r"schema column 1: missing keys \['levels'\]"),
+        (lambda d: d["schema"]["columns"][1].update(kind="categorical",
+                                                    levels=["a", "a"]),
+         "schema column 1: levels must be a nonempty list of distinct"),
+        (lambda d: d["schema"]["columns"][1].update(kind="categorical",
+                                                    levels=["a", "b"]),
+         "the columns encode 4 features, but the trees read 3"),
+        (lambda d: d["schema"]["columns"].pop(),
+         "the columns encode 2 features, but the trees read 3"),
+        (lambda d: d["schema"]["columns"][2].update(name=2),
+         "schema column 2: name must be a string"),
+        (lambda d: d["schema"]["columns"][2].update(position=-1),
+         "schema column 2: position must be an integer >= 0"),
+        (lambda d: d["schema"]["label"].update(position="3"),
+         "schema label: position must be an integer >= 0"),
+        (lambda d: d["schema"]["columns"][2].update(name="x0"),
+         "two columns share a name"),
+        (lambda d: d["schema"]["columns"][2].update(position=3),
+         "two columns share a position"),
+        (lambda d: d["schema"]["label"]["classes"].pop(),
+         "schema label: classes must be 3 distinct strings"),
+        (lambda d: d["schema"]["label"].pop("classes"),
+         r"schema label: missing keys \['classes'\]"),
+        (lambda d: d["schema"].update(has_header="yes"), "has_header"),
+        (lambda d: d["schema"].pop("columns"),
+         r"schema: missing keys \['columns'\]"),
+        # the design: one subset per member, increasing row indices
+        (lambda d: d["design"]["subsets"][1].__setitem__(0, 0.5),
+         "design: subsets must hold integers"),
+        (lambda d: d["design"]["subsets"][1].__setitem__(0, -1),
+         "design: each subset must hold nonnegative row indices"),
+        (lambda d: d["design"]["subsets"][1].reverse(),
+         "in strictly increasing order"),
+        (lambda d: d["design"]["subsets"][1].pop(),
+         "design: subsets must be nonempty lists of one size"),
+        (lambda d: d["design"]["subsets"].pop(),
+         "design: subsets must be a list of 3 index lists, one per member"),
     ])
     def test_bad_document_rejected(self, edit, message):
         doc = self.doc()
