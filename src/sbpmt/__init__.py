@@ -12,8 +12,8 @@ from .bounds import (BoundInputs, BoundReport, DesignStats, design_stats,
 from .cart import build_tree, route_many
 from .data import (Dataset, SimConfig, accuracy, check_inputs, load_csv,
                    simulate, stratified_kfold, summarize_cv)
-from .ensemble import (BoostedPmt, Design, SbpmtConfig, SbpmtModel,
-                       draw_design, fit_boosted, fit_sbpmt, predict_sbpmt,
+from .ensemble import (BoostedPmt, SbpmtConfig, SbpmtModel, draw_design,
+                       fit_boosted, fit_sbpmt, predict_sbpmt,
                        predict_sbpmt_many)
 from .model_io import deserialize_model, load_model, save_model, serialize_model
 from .numerics import inv_mills, probit_loss, working_response_and_weight

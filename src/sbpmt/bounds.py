@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data, numerics
-from .ensemble import Design, SbpmtModel
+from .ensemble import SbpmtModel
 
 
 @dataclass
@@ -35,10 +35,11 @@ class DesignStats:
     C: float
 
 
-def design_stats(design: Design, n: int) -> DesignStats:
-    M = design.M
+def design_stats(subsets, n: int) -> DesignStats:
+    """Statistics of M subsets of rows 0..n-1; their sizes may differ."""
+    M = len(subsets)
     incidence = np.zeros((M, n), dtype=np.int64)
-    for i, subset in enumerate(design.subsets):
+    for i, subset in enumerate(subsets):
         incidence[i, subset] = 1
     R = incidence.sum(axis=0)
     # sum_{k,l} R_kl^2 = ||I^T I||_F^2 = ||I I^T||_F^2, and I I^T is only
@@ -189,20 +190,18 @@ def estimate_p_sub(model: SbpmtModel, X, y) -> float:
     floor(alpha * n) or a subset index >= n raises ValueError.
     """
     X, y = data.check_inputs(X, y, model.n_classes)
-    n = X.shape[0]
+    n, (M, size) = X.shape[0], model.design.shape
     m = math.floor(model.config.alpha * n)
-    if any(s.size != m or s.max() >= n for s in model.design.subsets):
+    if size != m or model.design.max() >= n:
         raise ValueError(f"{n} rows cannot be this model's training set: "
                          f"its subsets must hold floor(alpha * n) = {m} "
                          f"indices, all below {n}")
     wrong = model.committee.member_classes(X) != y[:, None]
-    rates = []
-    for k, subset in enumerate(model.design.subsets):
-        held_out = np.ones(n, dtype=bool)
-        held_out[subset] = False
-        if not held_out.any():
-            warnings.warn("alpha = 1 leaves no held-out rows; "
-                          "falling back to training error for p_sub")
-            held_out[:] = True
-        rates.append(float(np.mean(wrong[held_out, k])))
+    held_out = np.ones((n, M), dtype=bool)
+    if m < n:  # each subset's m distinct rows leave n - m out
+        held_out[model.design, np.arange(M)[:, None]] = False
+    else:
+        warnings.warn("alpha = 1 leaves no held-out rows; "
+                      "falling back to training error for p_sub")
+    rates = (wrong & held_out).sum(axis=0) / held_out.sum(axis=0)
     return float(np.mean(rates))

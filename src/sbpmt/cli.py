@@ -214,8 +214,7 @@ def cmd_bound(args, parser: argparse.ArgumentParser) -> int:
             if dataset.y is None:
                 raise ValueError(f"{args.data} has no label column")
             n = dataset.X.shape[0]
-            m = len(model.design.subsets[0])
-            M = model.design.M
+            M, m = model.design.shape
             p_sub = bounds.estimate_p_sub(model, dataset.X, dataset.y)
         else:
             _require(parser, args, "theorem 3 needs {}", "n", "m", "M",

@@ -21,9 +21,15 @@ import numpy as np
 class Dataset:
     X: np.ndarray             # (n, p) encoded feature matrix
     y: np.ndarray | None      # class indices 0..J-1; None without labels
-    class_names: list[str]
     schema: dict              # column/label metadata for round-trip encoding
-    feature_names: list[str]
+
+    @property
+    def class_names(self) -> list[str]:
+        return self.schema["label"]["classes"]
+
+    @property
+    def feature_names(self) -> list[str]:
+        return _feature_names(self.schema)
 
     @property
     def n_classes(self) -> int:
@@ -137,8 +143,7 @@ def load_csv(path, label_column=-1, has_header: bool = True,
         schema = _infer_schema(header, rows, label_column)
     X, y = encode_rows(rows, header, schema)
     check_inputs(X)
-    return Dataset(X=X, y=y, class_names=schema["label"]["classes"],
-                   schema=schema, feature_names=_feature_names(schema))
+    return Dataset(X=X, y=y, schema=schema)
 
 
 def _infer_schema(header, rows, label_column) -> dict:
@@ -294,13 +299,11 @@ def _sim_dataset(rng, n, cfg: SimConfig) -> Dataset:
     X = rng.random((n, cfg.d))
     p1 = cfg.q + (1.0 - 2.0 * cfg.q) * (X[:, :cfg.E].sum(axis=1) > cfg.E / 2.0)
     y = (rng.random(n) < p1).astype(int)
-    columns = [{"name": f"x{j + 1}", "kind": "numeric", "position": j}
-               for j in range(cfg.d)]
-    schema = {"label": {"name": "y", "position": cfg.d,
-                        "classes": ["-1", "1"]},
-              "columns": columns, "has_header": True}
-    return Dataset(X=X, y=y, class_names=["-1", "1"], schema=schema,
-                   feature_names=[c["name"] for c in columns])
+    return Dataset(X=X, y=y, schema={
+        "label": {"name": "y", "position": cfg.d, "classes": ["-1", "1"]},
+        "columns": [{"name": f"x{j + 1}", "kind": "numeric", "position": j}
+                    for j in range(cfg.d)],
+        "has_header": True})
 
 
 def simulate(cfg: SimConfig):

@@ -2,9 +2,11 @@
 
 fit_boosted is multi-class SAMME: it adds ln(J-1) to the stage weight and
 retains a stage iff err_t < 1 - 1/J; for J = 2 that is exactly binary
-AdaBoost.  The subagging layer draws M index subsets of size
-floor(alpha * n) without replacement (with replacement at the subset
-level) and majority-votes the boosted members through a Committee.
+AdaBoost.  BoostStage derives the clamped error and vote weight from a
+stage's tree and raw error.  The subagging layer draws an (M, m) design
+of M index subsets of size floor(alpha * n) without replacement (with
+replacement at the subset level) and majority-votes the boosted members
+through a Committee.
 
 The members are independent: each needs only its own subset, and the
 design is drawn before any is fitted.  fit_sbpmt therefore fits them in a
@@ -36,24 +38,25 @@ BLOCK_FLOATS = 1 << 17
 
 @dataclass
 class BoostStage:
-    alpha: float
     model: pmt.PmtModel
-    err: float       # clamped error used for alpha
     raw_err: float   # weighted error as observed
+
+    @property
+    def err(self) -> float:
+        """raw_err clamped into [ERR_CLAMP, 1 - 1/J - ERR_CLAMP]."""
+        return min(max(self.raw_err, ERR_CLAMP),
+                   1.0 - 1.0 / self.model.n_classes - ERR_CLAMP)
+
+    @property
+    def alpha(self) -> float:
+        """The SAMME vote weight ln((1 - err) / err) / 2 + ln(J - 1)."""
+        return (0.5 * math.log((1.0 - self.err) / self.err)
+                + math.log(self.model.n_classes - 1))
 
 
 @dataclass
 class BoostedPmt:
     stages: list[BoostStage]
-
-
-@dataclass
-class Design:
-    subsets: list[np.ndarray]
-
-    @property
-    def M(self) -> int:
-        return len(self.subsets)
 
 
 @dataclass
@@ -72,7 +75,7 @@ class SbpmtConfig:
 @dataclass
 class SbpmtModel:
     members: list[BoostedPmt]
-    design: Design
+    design: np.ndarray  # (M, m): the rows of each member's subset, sorted
     config: SbpmtConfig
     n_classes: int
     schema: dict | None = field(default=None)
@@ -135,31 +138,28 @@ def fit_boosted(X, y, n_classes: int, T: int, depth: int, min_leaf_size: int,
     m = X.shape[0]
     if T < 1:
         raise ValueError("need at least one boosting round")
-    err_ceiling = 1.0 - 1.0 / n_classes
-    shift = math.log(n_classes - 1)
+    chance = 1.0 - 1.0 / n_classes - ERR_CLAMP
     w = np.full(m, 1.0 / m)
     stages: list[BoostStage] = []
-    for t in range(T):
+    for _ in range(T):
         model = pmt.fit_pmt(X, y, n_classes, w, depth, min_leaf_size,
                             probit_iters)
         miss = pmt.predict_pmt_many(model, X) != y
-        raw_err = float(np.dot(w, miss))
-        if raw_err >= err_ceiling - ERR_CLAMP and t > 0:
-            break  # weak learner no better than chance; keep prior stages
-        err = min(max(raw_err, ERR_CLAMP), err_ceiling - ERR_CLAMP)
-        alpha = 0.5 * math.log((1.0 - err) / err) + shift
-        stages.append(BoostStage(alpha=alpha, model=model, err=err,
-                                 raw_err=raw_err))
-        if raw_err >= err_ceiling - ERR_CLAMP:
-            break  # clamped first stage; further rounds would repeat it
-        w = w * np.exp(alpha * miss)
+        stage = BoostStage(model=model, raw_err=float(np.dot(w, miss)))
+        if stage.raw_err >= chance:
+            if not stages:  # clamped; further rounds would repeat it
+                stages.append(stage)
+            break  # no better than chance: keep the prior stages
+        stages.append(stage)
+        w = w * np.exp(stage.alpha * miss)
         w = w / float(np.sum(w))
     return BoostedPmt(stages=stages)
 
 
-def draw_design(n: int, alpha: float, M: int, seed: int) -> Design:
-    """M subsets of size floor(alpha*n), sampled without replacement each,
-    independently across subsets; reproducible from seed."""
+def draw_design(n: int, alpha: float, M: int, seed: int) -> np.ndarray:
+    """M sorted subsets of size m = floor(alpha*n) as an (M, m) array, each
+    sampled without replacement, independently across subsets;
+    reproducible from seed."""
     if M < 1:
         raise ValueError(f"need at least one member, got M = {M}")
     if not 0.0 < alpha <= 1.0:
@@ -168,8 +168,8 @@ def draw_design(n: int, alpha: float, M: int, seed: int) -> Design:
     if m < 1:
         raise ValueError("subsample size floor(alpha*n) must be >= 1")
     rng = np.random.default_rng(seed)
-    subsets = [np.sort(rng.choice(n, size=m, replace=False)) for _ in range(M)]
-    return Design(subsets=subsets)
+    return np.stack([np.sort(rng.choice(n, size=m, replace=False))
+                     for _ in range(M)])
 
 
 def _usable_cpus() -> int:
@@ -211,7 +211,7 @@ def _fit_in_worker(idx: np.ndarray) -> BoostedPmt:
 
 
 def _fit_members(X, y, n_classes: int, config: SbpmtConfig,
-                 subsets: list[np.ndarray], workers: int) -> list[BoostedPmt]:
+                 subsets: np.ndarray, workers: int) -> list[BoostedPmt]:
     """One boosted member per subset, in design order: fitted by a pool of
     `workers` forked processes (see the module docstring), or here, one
     after another, with one worker or without the fork start method."""
@@ -238,7 +238,7 @@ def fit_sbpmt(X, y, n_classes: int, config: SbpmtConfig,
     at the usable CPUs.  The fitted model does not depend on it."""
     X, y = data.check_inputs(X, y, n_classes)
     design = draw_design(X.shape[0], config.alpha, config.M, config.seed)
-    members = _fit_members(X, y, n_classes, config, design.subsets,
+    members = _fit_members(X, y, n_classes, config, design,
                            _worker_count(config.M, workers, _usable_cpus()))
     return SbpmtModel(members=members, design=design, config=config,
                       n_classes=n_classes, schema=schema)

@@ -1,36 +1,45 @@
 """Versioned JSON model persistence.
 
 The format is a self-describing JSON document with explicit
-format_version; coefficients stay human-inspectable.  Each tree is stored
-as the arrays of pmt.PmtModel, written as (nested) lists, with its probit
-risk.  Every fact is written once: a tree's n_classes and depth come from
-the document's n_classes and config.depth.  Serialization is
-deterministic (sorted keys, fixed layout), so identical models produce
-byte-identical files, and deserialize(serialize(m)) predicts
-bit-identically.  Loading treats the document as outside input: NaN or
-Infinity tokens, missing or unknown keys, tree arrays that routing or
-scoring could not follow (the error names the member and stage), a schema
-that encoding could not follow and a malformed design raise ValueError.
+format_version; coefficients stay human-inspectable.  A stage is stored
+as its raw_err and its tree, the tree as the arrays of pmt.PmtModel,
+written as (nested) lists, with its probit risk.  Every fact is written
+once: ensemble.BoostStage derives a stage's err and alpha from raw_err,
+a tree's class count is read off its score block and its depth is
+config.depth.  Serialization is deterministic (sorted keys, fixed
+layout), so identical models produce byte-identical files, and
+deserialize(serialize(m)) predicts bit-identically.  Loading treats the
+document as outside input: NaN or Infinity tokens, missing or unknown
+keys, numbers of the wrong kind, member and stage counts that break
+config.M and config.T, tree arrays that routing or scoring could not
+follow (the error names the member and stage), a schema that encoding
+could not follow and a malformed design raise ValueError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import ensemble, pmt
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 # PmtModel fields that the document holds once for all trees.
-_SHARED = ("n_classes", "depth")
+_SHARED = ("depth",)
+
+# raw_err is the weight share of the rows a stage misses, in [0, 1] up to
+# rounding: the weights sum to 1 only as closely as a float sum can, so a
+# stage that misses every row can record 1.0000000000000002.
+_ERR_SLACK = 1e-6
 
 # The keys of each object in a document.
 _DOC_KEYS = {"format_version", "config", "n_classes", "schema", "design",
              "members"}
-_STAGE_KEYS = {"alpha", "err", "raw_err", "model"}
+_STAGE_KEYS = {"raw_err", "model"}
 _TREE_KEYS = {f.name for f in fields(pmt.PmtModel)} - set(_SHARED)
 _NODE_KEYS = ("feature", "threshold", "left", "right", "leaf")
 _INDEX_KEYS = ("feature", "left", "right", "leaf")
@@ -47,10 +56,10 @@ def model_to_dict(model: ensemble.SbpmtModel) -> dict:
         "config": asdict(model.config),
         "n_classes": model.n_classes,
         "schema": model.schema,
-        "design": {"subsets": [s.tolist() for s in model.design.subsets]},
+        "design": {"subsets": model.design.tolist()},
         "members": [
             {"stages": [
-                {"alpha": st.alpha, "err": st.err, "raw_err": st.raw_err,
+                {"raw_err": st.raw_err,
                  "model": {f.name: np.asarray(getattr(st.model, f.name))
                            .tolist() for f in fields(st.model)
                            if f.name not in _SHARED}}
@@ -67,10 +76,21 @@ def _check_keys(obj, keys: set, where: str) -> None:
                          f"unknown keys {sorted(set(obj) - keys)}")
 
 
-def _tree_arrays(tree, n_classes: int, n_features, where: str) -> dict:
-    """The arrays of one stored tree, with their kinds and shapes checked.
-    n_features None takes the feature count from this tree's coef."""
+def _is_number(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _tree_fields(tree, n_classes: int, n_features, where: str) -> dict:
+    """The PmtModel fields of one stored tree but its depth: the arrays,
+    with their kinds and shapes checked, and the probit risk, a finite
+    number for 2 classes and None for more.  n_features None takes the
+    feature count from this tree's coef."""
     _check_keys(tree, _TREE_KEYS, where)
+    risk = tree["probit_risk"]
+    if not (_is_number(risk) if n_classes == 2 else risk is None):
+        raise ValueError(f"{where}: probit_risk must be " + (
+            "a finite number for 2 classes" if n_classes == 2
+            else "null for more than 2 classes"))
     try:
         a = {k: np.array(tree[k]) for k in _ARRAY_KEYS}
     except ValueError as exc:  # ragged lists
@@ -93,7 +113,7 @@ def _tree_arrays(tree, n_classes: int, n_features, where: str) -> dict:
         raise ValueError(
             f"{where}: intercept {a['intercept'].shape} and coef "
             f"{a['coef'].shape} must be (L, {K}) and (L, {K}, {n_features})")
-    return a
+    return {**a, "probit_risk": risk}
 
 
 def _check_indices(trees: list[dict], wheres: list[str], n_features: int,
@@ -194,9 +214,9 @@ def _check_schema(schema, n_classes: int, n_features: int) -> None:
                          f"but the trees read {n_features}")
 
 
-def _design(subsets, M: int) -> ensemble.Design:
-    """The stored design, checked: one subset per member, each a nonempty,
-    strictly increasing list of nonnegative row indices, all of one size."""
+def _design(subsets, M: int) -> np.ndarray:
+    """The stored design as an (M, m) array: one subset per member, each
+    a strictly increasing list of m > 0 nonnegative row indices."""
     if not isinstance(subsets, list) or len(subsets) != M:
         raise ValueError(f"design: subsets must be a list of {M} index "
                          "lists, one per member")
@@ -212,12 +232,12 @@ def _design(subsets, M: int) -> ensemble.Design:
     if a.min() < 0 or np.any(np.diff(a, axis=1) <= 0):
         raise ValueError("design: each subset must hold nonnegative row "
                          "indices in strictly increasing order")
-    return ensemble.Design(subsets=list(a))
+    return a
 
 
 def model_from_dict(doc: dict) -> ensemble.SbpmtModel:
     version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(
             f"unsupported model format version {version!r}; this release "
             f"reads version {FORMAT_VERSION} only, so refit the model")
@@ -226,40 +246,43 @@ def model_from_dict(doc: dict) -> ensemble.SbpmtModel:
                 "config")
     _check_keys(doc["design"], {"subsets"}, "design")
     for f in fields(ensemble.SbpmtConfig):
-        kind = (int, float) if isinstance(f.default, float) else int
-        if not isinstance(doc["config"][f.name], kind):
+        v = doc["config"][f.name]
+        if not (_is_number(v) if isinstance(f.default, float)
+                else type(v) is int):
             raise ValueError(f"config: {f.name} must be a number of the "
                              f"kind of its default {f.default!r}")
     cfg = ensemble.SbpmtConfig(**doc["config"])
     n_classes = doc["n_classes"]
-    if not isinstance(n_classes, int) or n_classes < 2:
+    if type(n_classes) is not int or n_classes < 2:
         raise ValueError(f"n_classes must be an integer >= 2, got {n_classes}")
     if not isinstance(doc["members"], list) or not doc["members"]:
         raise ValueError("model file: members must be a nonempty list")
-    design = _design(doc["design"]["subsets"], len(doc["members"]))
+    if len(doc["members"]) != cfg.M:
+        raise ValueError(f"model file: {len(doc['members'])} members, but "
+                         f"config.M is {cfg.M}")
+    design = _design(doc["design"]["subsets"], cfg.M)
     members, n_features, trees, wheres = [], None, [], []
     for k, mdoc in enumerate(doc["members"]):
         _check_keys(mdoc, {"stages"}, f"member {k}")
-        if not isinstance(mdoc["stages"], list) or not mdoc["stages"]:
-            raise ValueError(f"member {k}: stages must be a nonempty list")
+        if not (isinstance(mdoc["stages"], list)
+                and 1 <= len(mdoc["stages"]) <= cfg.T):
+            raise ValueError(f"member {k}: stages must be a list of 1 to "
+                             f"config.T = {cfg.T} stages")
         stages = []
         for t, sd in enumerate(mdoc["stages"]):
             where = f"member {k} stage {t}"
             _check_keys(sd, _STAGE_KEYS, where)
-            if not all(isinstance(sd[x], (int, float))
-                       for x in ("alpha", "err", "raw_err")):
-                raise ValueError(f"{where}: alpha, err and raw_err must be "
-                                 "numbers")
-            arrays = _tree_arrays(sd["model"], n_classes, n_features,
-                                  where + " tree")
-            n_features = arrays["coef"].shape[2]
-            trees.append(arrays)
+            raw_err = sd["raw_err"]
+            if not (_is_number(raw_err) and 0 <= raw_err <= 1 + _ERR_SLACK):
+                raise ValueError(f"{where}: raw_err must be a number in "
+                                 "[0, 1]")
+            tree = _tree_fields(sd["model"], n_classes, n_features,
+                                where + " tree")
+            n_features = tree["coef"].shape[2]
+            trees.append(tree)
             wheres.append(where)
             stages.append(ensemble.BoostStage(
-                alpha=sd["alpha"], err=sd["err"], raw_err=sd["raw_err"],
-                model=pmt.PmtModel(n_classes=n_classes, depth=cfg.depth,
-                                   probit_risk=sd["model"]["probit_risk"],
-                                   **arrays)))
+                raw_err=raw_err, model=pmt.PmtModel(depth=cfg.depth, **tree)))
         members.append(ensemble.BoostedPmt(stages=stages))
     _check_indices(trees, wheres, n_features, cfg.depth)
     _check_schema(doc["schema"], n_classes, n_features)

@@ -28,11 +28,14 @@ class PmtModel:
     leaf: np.ndarray       # (N,) row of the score block; read at leaves only
     intercept: np.ndarray  # (L, K)
     coef: np.ndarray       # (L, K, p)
-    n_classes: int
     depth: int
     # Weighted probit risk of the whole tree (binary only; None for J > 2).
     # Feeds the Theorem-6-style bound on boosted training error.
     probit_risk: float | None = None
+
+    @property
+    def n_classes(self) -> int:  # K = 1 margin means 2 classes
+        return max(2, self.intercept.shape[1])
 
 
 def fit_pmt(X, y, n_classes: int, sample_weights, depth: int,
@@ -63,10 +66,9 @@ def fit_pmt(X, y, n_classes: int, sample_weights, depth: int,
                                         probit_iters, starts)
             for c in positive]
     return PmtModel(feature=feature, threshold=threshold, left=left,
-                    right=right, leaf=leaf,
+                    right=right, leaf=leaf, depth=depth,
                     intercept=np.stack([s.intercept for s, _ in fits], axis=1),
                     coef=np.stack([s.coefficients for s, _ in fits], axis=1),
-                    n_classes=n_classes, depth=depth,
                     probit_risk=(fits[0][1].risks[-1] if n_classes == 2
                                  else None))
 
@@ -84,8 +86,7 @@ def stack(models: list[PmtModel]):
     return PmtModel(feature=cat("feature"), threshold=cat("threshold"),
                     left=cat("left", roots), right=cat("right", roots),
                     leaf=cat("leaf", leaf_off), intercept=cat("intercept"),
-                    coef=cat("coef"), n_classes=models[0].n_classes,
-                    depth=max(m.depth for m in models)), roots
+                    coef=cat("coef"), depth=max(m.depth for m in models)), roots
 
 
 def margins(trees: PmtModel, roots, X) -> np.ndarray:

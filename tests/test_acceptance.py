@@ -124,9 +124,8 @@ class TestCriterion5BoundOracles:
                     for c in itertools.combinations(range(n), m)]
             for M in range(1, 4):
                 for combo in itertools.combinations_with_replacement(pool, M):
-                    design = ensemble.Design(
-                        subsets=[np.array(sorted(s), dtype=int)
-                                 for s in combo])
+                    design = [np.array(sorted(s), dtype=int)
+                              for s in combo]
                     stats = bounds.design_stats(design, n)
                     R, A, B, C = brute_stats([set(s) for s in combo], n)
                     assert stats.R.tolist() == R

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import sbpmt
-from sbpmt import data, pmt
+from sbpmt import data, ensemble, pmt
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -46,4 +46,24 @@ def test_probitboost_hook_sees_a_multi_leaf_fit():
     assert metrics["probitboost.iterations_ratio"] == 1.0
     assert metrics["probitboost.halvings"] >= 0
     assert "probitboost.risk_increases" not in tr.counters
+    assert not problems
+
+
+def test_traced_serial_fit_counts_every_stage():
+    # fitted in this process, the fit's stages reach the fit_sbpmt hook
+    tracer = runpy.run_path(str(TRACER))
+    train, _ = data.simulate(data.SimConfig(n_train=300, n_test=1, seed=4))
+    cfg = ensemble.SbpmtConfig(M=3, T=3, B=5, depth=2, seed=4)
+    tr = tracer["Tracer"](sbpmt)
+    tr.install()
+    try:
+        with tr.op("fit"):
+            model = ensemble.fit_sbpmt(train.X, train.y, 2, cfg, workers=1)
+    finally:
+        tr.restore()
+    metrics, problems = tracer["per_layer_metrics"](tr, 0.0)
+    stages = sum(len(member.stages) for member in model.members)
+    assert metrics["ensemble.stages"] == stages
+    assert metrics["ensemble.stages_ratio"] == stages / (cfg.M * cfg.T)
+    assert metrics["pmt.fit_pmt.calls"] >= stages  # and any cut at chance
     assert not problems

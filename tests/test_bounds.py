@@ -8,7 +8,7 @@ import pytest
 
 from sbpmt import bounds, ensemble
 from sbpmt.bounds import BoundInputs
-from sbpmt.ensemble import Design, SbpmtConfig
+from sbpmt.ensemble import SbpmtConfig
 
 mpmath.mp.dps = 40
 
@@ -28,7 +28,7 @@ def brute_force_stats(subsets, n):
 
 
 def make_design(subsets):
-    return Design(subsets=[np.asarray(sorted(s), dtype=int) for s in subsets])
+    return [np.asarray(sorted(s), dtype=int) for s in subsets]
 
 
 class TestDesignStats:
@@ -316,7 +316,7 @@ class TestEstimatePSub:
         model, X, y = self.fit_toy()
         got = bounds.estimate_p_sub(model, X, y)
         rates = []
-        for member, subset in zip(model.members, model.design.subsets):
+        for member, subset in zip(model.members, model.design):
             out = np.setdiff1d(np.arange(200), subset)
             preds = ensemble.Committee.of([member]).predict(X[out])
             rates.append(np.mean(preds != y[out]))
@@ -328,7 +328,7 @@ class TestEstimatePSub:
         # alpha = 0.5: 190 rows would need subsets of 95, not 100
         with pytest.raises(ValueError, match="190 rows cannot be"):
             bounds.estimate_p_sub(model, X[:190], y[:190])
-        model.design.subsets[0][-1] = 200  # an index past the last row
+        model.design[0, -1] = 200  # an index past the last row
         with pytest.raises(ValueError, match="200 rows cannot be"):
             bounds.estimate_p_sub(model, X, y)
 

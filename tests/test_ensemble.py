@@ -167,8 +167,8 @@ class TestPredictBoosted:
 class TestDrawDesign:
     def test_sizes_and_range(self):
         d = ensemble.draw_design(100, 0.7, 21, seed=5)
-        assert d.M == 21
-        for s in d.subsets:
+        assert d.shape == (21, 70)
+        for s in d:
             assert s.size == 70
             assert np.unique(s).size == 70  # without replacement
             assert s.min() >= 0 and s.max() < 100
@@ -178,18 +178,16 @@ class TestDrawDesign:
         d1 = ensemble.draw_design(50, 0.5, 5, seed=3)
         d2 = ensemble.draw_design(50, 0.5, 5, seed=3)
         d3 = ensemble.draw_design(50, 0.5, 5, seed=4)
-        for a, b in zip(d1.subsets, d2.subsets):
-            np.testing.assert_array_equal(a, b)
-        assert any(not np.array_equal(a, b)
-                   for a, b in zip(d1.subsets, d3.subsets))
+        np.testing.assert_array_equal(d1, d2)
+        assert any(not np.array_equal(a, b) for a, b in zip(d1, d3))
 
     def test_alpha_one_uses_all_rows(self):
         d = ensemble.draw_design(10, 1.0, 3, seed=0)
-        for s in d.subsets:
+        for s in d:
             np.testing.assert_array_equal(s, np.arange(10))
 
     def test_floor_of_alpha_n(self):
-        assert ensemble.draw_design(7, 0.5, 1, 0).subsets[0].size == 3
+        assert ensemble.draw_design(7, 0.5, 1, 0).shape == (1, 3)
 
     def test_invalid_alpha(self):
         for bad in (0.0, -0.1, 1.5):
@@ -212,9 +210,8 @@ class TestFitSbpmt:
         X, y = xor_data(120, seed=13)
         model = ensemble.fit_sbpmt(X, y, 2, self.small_config())
         assert len(model.members) == 5
-        assert model.design.M == 5
         assert model.n_classes == 2
-        assert all(s.size == 84 for s in model.design.subsets)
+        assert model.design.shape == (5, 84)
 
     def test_determinism(self):
         X, y = xor_data(120, seed=14)
@@ -224,8 +221,7 @@ class TestFitSbpmt:
         Xq = np.random.default_rng(1).uniform(-1, 1, size=(40, 2))
         np.testing.assert_array_equal(ensemble.predict_sbpmt_many(m1, Xq),
                                       ensemble.predict_sbpmt_many(m2, Xq))
-        for s1, s2 in zip(m1.design.subsets, m2.design.subsets):
-            np.testing.assert_array_equal(s1, s2)
+        np.testing.assert_array_equal(m1.design, m2.design)
 
     def test_single_member_alpha_one_equals_boosted(self):
         X, y = xor_data(150, seed=15)
@@ -349,7 +345,7 @@ class TestWorkerPool:
         design = ensemble.draw_design(X.shape[0], cfg.alpha, cfg.M, cfg.seed)
         members = [ensemble.fit_boosted(X[idx], y[idx], n_classes, cfg.T,
                                         cfg.depth, cfg.min_leaf_size, cfg.B)
-                   for idx in design.subsets]
+                   for idx in design]
         return model_io.serialize_model(ensemble.SbpmtModel(
             members=members, design=design, config=cfg, n_classes=n_classes))
 

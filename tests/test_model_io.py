@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,13 +57,12 @@ class TestRoundTrip:
         assert restored.config == model.config
         assert restored.schema == model.schema
         assert restored.n_classes == model.n_classes
-        for a, b in zip(restored.design.subsets, model.design.subsets):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(restored.design, model.design)
         for ma, mb in zip(restored.members, model.members):
             assert len(ma.stages) == len(mb.stages)
             for sa, sb in zip(ma.stages, mb.stages):
-                assert sa.alpha == sb.alpha
-                assert sa.err == sb.err and sa.raw_err == sb.raw_err
+                assert sa.raw_err == sb.raw_err
+                assert sa.alpha == sb.alpha and sa.err == sb.err
                 assert sa.model.probit_risk == sb.model.probit_risk
 
 
@@ -90,7 +90,7 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="format version"):
             model_io.model_from_dict(doc)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_version_1_rejected_with_refit_message(self, version):
         model, _ = fit_small()
         doc = model_io.model_to_dict(model)
@@ -109,9 +109,10 @@ class TestFileFormat:
         assert np.shape(tree["coef"]) == (n_leaves, 3, 3)
         assert "rows" not in json.dumps(doc["members"])
         # each fact once: the probit risk in the tree, n_classes and depth
-        # in the document and its config, the design seed in the config
+        # in the document and its config, the design seed in the config;
+        # a stage's err and alpha follow from its raw_err
         stage = doc["members"][0]["stages"][0]
-        assert set(stage) == {"alpha", "err", "raw_err", "model"}
+        assert set(stage) == {"raw_err", "model"}
         assert "probit_risk" in tree
         assert not {"n_classes", "depth"} & set(tree)
         assert set(doc["design"]) == {"subsets"}
@@ -176,6 +177,11 @@ class TestUntrustedFile:
          r"must be \(L, 3\)"),
         (lambda t: t.update(coef=[[[0.0] * 4] * 3] * len(t["coef"])),
          r"\(L, 3, 3\)"),
+        # the probit risk is the binary fit's; null for 3 classes
+        (lambda t: t.update(probit_risk="abc"),
+         "probit_risk must be null for more than 2 classes"),
+        (lambda t: t.update(probit_risk=[1, 2]),
+         "probit_risk must be null for more than 2 classes"),
     ])
     def test_bad_tree_rejected(self, edit, message):
         doc = self.doc()
@@ -185,11 +191,38 @@ class TestUntrustedFile:
             model_io.deserialize_model(json.dumps(doc))
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda d: d["members"][0]["stages"][0].pop("alpha"),
+        (lambda d: d["members"][0]["stages"][0].pop("raw_err"),
          "member 0 stage 0: missing keys"),
-        (lambda d: d["members"][0]["stages"][0].update(alpha="x"),
-         "member 0 stage 0: alpha, err and raw_err must be numbers"),
+        # alpha and err follow from raw_err and are not stored
+        (lambda d: d["members"][0]["stages"][0].update(alpha=-1e300),
+         "unknown keys .*'alpha'"),
+        (lambda d: d["members"][0]["stages"][0].update(raw_err="x"),
+         r"member 0 stage 0: raw_err must be a number in \[0, 1\]"),
+        (lambda d: d["members"][0]["stages"][0].update(raw_err=None),
+         "member 0 stage 0: raw_err must be a number"),
+        (lambda d: d["members"][0]["stages"][0].update(raw_err=True),
+         "member 0 stage 0: raw_err must be a number"),
+        (lambda d: d["members"][0]["stages"][0].update(raw_err=-0.1),
+         "member 0 stage 0: raw_err must be a number"),
+        (lambda d: d["members"][0]["stages"][0].update(raw_err=1.001),
+         "member 0 stage 0: raw_err must be a number"),
         (lambda d: d["config"].update(depth="6"), "config: depth"),
+        # integers are JSON integers, not booleans or floats
+        (lambda d: d["config"].update(depth=True),
+         "config: depth must be a number"),
+        (lambda d: d["config"].update(M=True), "config: M"),
+        (lambda d: d["config"].update(T=2.0), "config: T"),
+        (lambda d: d["config"].update(alpha=False), "config: alpha"),
+        (lambda d: d.update(n_classes=3.0), "n_classes must be an integer"),
+        (lambda d: d.update(n_classes=True), "n_classes must be an integer"),
+        (lambda d: d.update(format_version=float(model_io.FORMAT_VERSION)),
+         "unsupported model format version 4.0"),
+        # the member count is config.M; no member has more than config.T
+        # stages
+        (lambda d: d["config"].update(M=50),
+         "model file: 3 members, but config.M is 50"),
+        (lambda d: d["config"].update(T=1),
+         "member 0: stages must be a list of 1 to config.T = 1 stages"),
         (lambda d: d["config"].update(extra=1), r"unknown keys \['extra'\]"),
         (lambda d: d.update(members=[]), "members must be a nonempty list"),
         (lambda d: d["members"][2].update(stages=[]), "member 2: stages"),
@@ -249,6 +282,28 @@ class TestUntrustedFile:
         edit(doc)
         with pytest.raises(ValueError, match=message):
             model_io.deserialize_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("risk", ['"abc"', "[1, 2]", "null", "1e999"])
+    def test_binary_probit_risk_must_be_finite(self, risk):
+        text = model_io.serialize_model(fit_small()[0])
+        text = re.sub(r'"probit_risk": [^,\n]*', f'"probit_risk": {risk}',
+                      text, count=1)
+        with pytest.raises(ValueError, match="member 0 stage 0 tree: "
+                           "probit_risk must be a finite number"):
+            model_io.deserialize_model(text)
+
+    def test_raw_err_rounded_past_one_round_trips(self):
+        # a stage that misses every row records the sum of its weights,
+        # which rounding can leave above 1: nine weights of 1/9 sum to
+        # 1.0000000000000002
+        X, y = np.arange(9.0)[:, None], np.ones(9, dtype=int)
+        cfg = SbpmtConfig(M=1, T=1, B=0, alpha=1.0, depth=0, seed=0)
+        model = ensemble.fit_sbpmt(X, y, 2, cfg, workers=1)
+        assert model.members[0].stages[0].raw_err == 1.0000000000000002
+        text = model_io.serialize_model(model)
+        restored = model_io.deserialize_model(text)
+        assert restored.members[0].stages[0].raw_err == 1.0000000000000002
+        assert model_io.serialize_model(restored) == text
 
     def test_cli_predict_reports_the_tree(self, tmp_path, capsys):
         from sbpmt import cli

@@ -15,7 +15,7 @@ def one_leaf(intercept, coef):
         left=np.zeros(1, dtype=int), right=np.zeros(1, dtype=int),
         leaf=np.zeros(1, dtype=int),
         intercept=np.asarray(intercept, dtype=float).reshape(1, K),
-        coef=coef[None], n_classes=2 if K == 1 else K, depth=0)
+        coef=coef[None], depth=0)
 
 
 def reference_predict(model, x):

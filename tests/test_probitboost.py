@@ -86,7 +86,7 @@ def score_margin(score: LinearScore, x) -> float:
         feature=np.zeros(1, dtype=int), threshold=np.zeros(1),
         left=np.zeros(1, dtype=int), right=np.zeros(1, dtype=int),
         leaf=np.zeros(1, dtype=int), intercept=score.intercept.reshape(1, 1),
-        coef=score.coefficients.reshape(1, 1, p), n_classes=2, depth=0)
+        coef=score.coefficients.reshape(1, 1, p), depth=0)
     X, _ = data.check_inputs(np.asarray(x, dtype=float)[None, :],
                              n_features=p)
     return float(pmt.margins(model, [0], X)[0, 0, 0])
