@@ -6,9 +6,9 @@ AdaBoost/SAMME, and ensembled by subagging — plus calculators for the
 associated finite-sample generalization-error bounds.
 """
 
-from .bounds import (BoundInputs, BoundReport, DesignStats, design_stats,
-                     estimate_p_sub, theorem3_bound, theorem4_bound,
-                     theorem5_bound, theorem6_bound)
+from .bounds import (BoundReport, DesignStats, design_stats, estimate_p_sub,
+                     theorem3_bound, theorem4_bound, theorem5_bound,
+                     theorem6_bound)
 from .cart import build_tree, route_many
 from .data import (Dataset, SimConfig, accuracy, check_inputs, load_csv,
                    simulate, stratified_kfold, summarize_cv)

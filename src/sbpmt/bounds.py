@@ -55,18 +55,6 @@ def design_stats(subsets, n: int) -> DesignStats:
 
 
 @dataclass
-class BoundInputs:
-    n: int
-    m: int
-    M: int
-    delta: float
-    p_sub: float
-    sigma1_sq: float
-    beta_kernel: float
-    gamma_kernel: float
-
-
-@dataclass
 class BoundReport:
     Q_A: float
     Q_B: float
@@ -76,7 +64,9 @@ class BoundReport:
     degenerate: bool = False  # set when the exponent margin t is <= 0
 
 
-def theorem3_bound(inputs: BoundInputs) -> BoundReport:
+def theorem3_bound(n: int, m: int, M: int, delta: float, p_sub: float,
+                   sigma1_sq: float, beta_kernel: float,
+                   gamma_kernel: float) -> BoundReport:
     """Voting-classifier generalization bound for a random subagging design.
 
     rhs = exp(-t^2 / (2 Q_A^2 sigma1^2 + Q_B^2 beta/2
@@ -85,30 +75,28 @@ def theorem3_bound(inputs: BoundInputs) -> BoundReport:
     M > ln^2(n) requirement and p_sub < 1/2; a nonpositive t makes the
     bound vacuous (rhs = 1, degenerate).
     """
-    n, m, M, delta = inputs.n, inputs.m, inputs.M, inputs.delta
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
     if m > n:
         raise ValueError("subsample size m cannot exceed n")
-    if not all(0.0 <= v < math.inf for v in (
-            inputs.sigma1_sq, inputs.beta_kernel, inputs.gamma_kernel)):
+    if not all(0.0 <= v < math.inf
+               for v in (sigma1_sq, beta_kernel, gamma_kernel)):
         raise ValueError("kernel moment inputs must be finite and "
                          "nonnegative")
-    if not 0.0 <= inputs.p_sub <= 1.0:
-        raise ValueError(f"p_sub must be in [0, 1], got {inputs.p_sub}")
+    if not 0.0 <= p_sub <= 1.0:
+        raise ValueError(f"p_sub must be in [0, 1], got {p_sub}")
     log3d = math.log(3.0 / delta)
     c = 1.0 + 4.0 * math.sqrt(log3d)
     Q_A = math.sqrt(m**2 / n) + c * math.sqrt(m / M)
     Q_B = m**2 / n + c * m / math.sqrt(M)
     Q_C = m / n + (math.sqrt(2.0 * m) + 3.0) / math.sqrt(M) * log3d
-    t = (math.ceil(M / 2) - M / 2) / M + 1.0 - 2.0 * inputs.p_sub
-    hypothesis_ok = M > math.log(n) ** 2 and inputs.p_sub < 0.5
+    t = (math.ceil(M / 2) - M / 2) / M + 1.0 - 2.0 * p_sub
+    hypothesis_ok = M > math.log(n) ** 2 and p_sub < 0.5
     if t <= 0.0:
         return BoundReport(Q_A=Q_A, Q_B=Q_B, Q_C=Q_C, rhs=1.0,
                            hypothesis_ok=hypothesis_ok, degenerate=True)
-    denom = (2.0 * Q_A**2 * inputs.sigma1_sq
-             + Q_B**2 * inputs.beta_kernel / 2.0
-             + (math.sqrt(Q_B * inputs.gamma_kernel) + 4.0 * Q_C**2 / 3.0) * t)
+    denom = (2.0 * Q_A**2 * sigma1_sq + Q_B**2 * beta_kernel / 2.0
+             + (math.sqrt(Q_B * gamma_kernel) + 4.0 * Q_C**2 / 3.0) * t)
     rhs = math.exp(-t * t / denom) if denom > 0.0 else 0.0
     return BoundReport(Q_A=Q_A, Q_B=Q_B, Q_C=Q_C, rhs=rhs,
                        hypothesis_ok=hypothesis_ok)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import data
+
 _GAIN_TOL = 1e-12
 
 
@@ -75,15 +77,16 @@ def build_tree(X, y, n_classes: int, sample_weights, max_depth: int,
 
     Stops at max_depth, on pure nodes, when no split leaves min_leaf_size
     raw rows on both sides, or when the best impurity decrease is below
-    tolerance.
+    tolerance.  X, y and the weights go through data.check_inputs and
+    data.check_weights.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    w = np.asarray(sample_weights, dtype=float)
     if X.ndim != 2 or X.size == 0:
         raise ValueError("empty data")
     if max_depth < 0 or min_leaf_size < 1:
         raise ValueError("bad tree configuration")
+    X, y = data.check_inputs(X, y, n_classes)
+    w = data.check_weights(sample_weights, X.shape[0])
 
     def grow(rows: np.ndarray, depth: int) -> TreeNode:
         if depth < max_depth and np.unique(y[rows]).size > 1:

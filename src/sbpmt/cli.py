@@ -74,11 +74,10 @@ def _member_rows(model: ensemble.SbpmtModel) -> list[dict]:
 
 
 def cmd_train(args) -> int:
-    dataset = data.load_csv(args.data, args.label, not args.no_header)
     cfg = _build_config(args)
+    dataset = data.load_csv(args.data, args.label, not args.no_header)
     model = ensemble.fit_sbpmt(dataset.X, dataset.y, dataset.n_classes, cfg,
                                schema=dataset.schema)
-    model_io.save_model(model, args.out)
     preds = ensemble.predict_sbpmt_many(model, dataset.X)
     acc = data.accuracy(preds, dataset.y)
     report = {
@@ -92,6 +91,8 @@ def cmd_train(args) -> int:
         "members": _member_rows(model),
         "model_file": args.out,
     }
+    # written once the report is built, so a failing report leaves no file
+    model_io.save_model(model, args.out)
     _write_report(args, report)
     print(f"trained SBPMT on {args.data}: n={report['n']} "
           f"p={report['n_features']} J={dataset.n_classes}")
@@ -220,11 +221,10 @@ def cmd_bound(args, parser: argparse.ArgumentParser) -> int:
             _require(parser, args, "theorem 3 needs {}", "n", "m", "M",
                      "p_sub")
             n, m, M, p_sub = args.n, args.m, args.M, args.p_sub
-        inputs = bounds.BoundInputs(n=n, m=m, M=M, delta=args.delta,
-                                    p_sub=p_sub, sigma1_sq=args.sigma1_sq,
-                                    beta_kernel=args.beta,
-                                    gamma_kernel=args.gamma)
-        rep = bounds.theorem3_bound(inputs)
+        inputs = dict(n=n, m=m, M=M, delta=args.delta, p_sub=p_sub,
+                      sigma1_sq=args.sigma1_sq, beta_kernel=args.beta,
+                      gamma_kernel=args.gamma)
+        rep = bounds.theorem3_bound(**inputs)
         threshold = math.log(n) ** 2
         print(f"hypothesis: M > ln^2(n) = {threshold:.2f} -> "
               f"{'ok' if M > threshold else 'VIOLATED'} (M = {M})")
@@ -233,7 +233,7 @@ def cmd_bound(args, parser: argparse.ArgumentParser) -> int:
         print(f"Q_A = {rep.Q_A:.6f}  Q_B = {rep.Q_B:.6f}  Q_C = {rep.Q_C:.6f}")
         print(f"generalization error bound (prob >= {1 - args.delta:g}): "
               f"{rep.rhs:.6g}{' [degenerate]' if rep.degenerate else ''}")
-        report.update({"inputs": vars(inputs), "Q_A": rep.Q_A, "Q_B": rep.Q_B,
+        report.update({"inputs": inputs, "Q_A": rep.Q_A, "Q_B": rep.Q_B,
                        "Q_C": rep.Q_C, "rhs": rep.rhs,
                        "hypothesis_ok": rep.hypothesis_ok,
                        "hypothesis_threshold": threshold,

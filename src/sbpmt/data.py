@@ -4,8 +4,8 @@ CSV files are comma-delimited UTF-8 with '.' decimals.  Numeric columns
 are parsed as reals; any other column is one-hot expanded, one 0/1 column
 per observed level (levels sorted lexicographically).  The label column
 is mapped to class indices in first-appearance order, or through a fitted
-model's schema.  Rows with missing cells or of the wrong width are
-rejected at ingestion.
+model's schema, which check_schema vets as the model loader does.  Rows
+with missing cells or of the wrong width are rejected at ingestion.
 """
 
 from __future__ import annotations
@@ -124,6 +124,78 @@ def check_weights(sample_weights, n: int) -> np.ndarray:
     return w
 
 
+# The keys of a schema and of its label and columns.
+_SCHEMA_KEYS = {"label", "columns", "has_header"}
+_LABEL_KEYS = {"name", "position", "classes"}
+_COLUMN_KEYS = {"numeric": {"name", "kind", "position"},
+                "categorical": {"name", "kind", "position", "levels"}}
+
+
+def check_keys(obj, keys: set, where: str) -> None:
+    """Reject obj unless it is a dict with exactly the given keys."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    if obj.keys() != keys:
+        raise ValueError(f"{where}: missing keys {sorted(keys - set(obj))}, "
+                         f"unknown keys {sorted(set(obj) - keys)}")
+
+
+def _distinct_strings(values) -> bool:
+    return (isinstance(values, list) and all(isinstance(v, str) for v in values)
+            and len(set(values)) == len(values))
+
+
+def check_schema(schema, n_classes: int | None = None,
+                 n_features: int | None = None) -> None:
+    """Reject a schema that encode_rows could not follow: every column
+    needs a name, a kind and a position (a categorical one also its
+    levels), names and positions must be distinct, and the label must list
+    at least 2 classes.  When given, the label must list n_classes classes
+    and the columns must encode n_features features."""
+    check_keys(schema, _SCHEMA_KEYS, "schema")
+    if not isinstance(schema["has_header"], bool):
+        raise ValueError("schema: has_header must be true or false")
+    label = schema["label"]
+    check_keys(label, _LABEL_KEYS, "schema label")
+    classes = label["classes"]
+    if not (_distinct_strings(classes) and (
+            len(classes) >= 2 if n_classes is None
+            else len(classes) == n_classes)):
+        want = "at least 2" if n_classes is None else n_classes
+        raise ValueError(f"schema label: classes must be {want} distinct "
+                         "strings, one per class")
+    columns = schema["columns"]
+    if not isinstance(columns, list) or not columns:
+        raise ValueError("schema: columns must be a nonempty list")
+    for i, col in enumerate(columns):
+        where = f"schema column {i}"
+        kind = col.get("kind") if isinstance(col, dict) else None
+        check_keys(col, _COLUMN_KEYS["categorical" if kind == "categorical"
+                                     else "numeric"], where)
+        if kind not in _COLUMN_KEYS:
+            raise ValueError(f"{where}: kind must be 'numeric' or "
+                             f"'categorical', got {kind!r}")
+        if kind == "categorical" and not (_distinct_strings(col["levels"])
+                                          and col["levels"]):
+            raise ValueError(f"{where}: levels must be a nonempty list of "
+                             "distinct strings")
+    for where, col in [("schema label", label)] + [
+            (f"schema column {i}", c) for i, c in enumerate(columns)]:
+        if not isinstance(col["name"], str):
+            raise ValueError(f"{where}: name must be a string")
+        position = col["position"]
+        if type(position) is not int or position < 0:
+            raise ValueError(f"{where}: position must be an integer >= 0")
+    named = [label] + columns
+    for key in ("name", "position"):
+        if len({col[key] for col in named}) < len(named):
+            raise ValueError(f"schema: two columns share a {key}")
+    width = len(_feature_names(schema))
+    if n_features is not None and width != n_features:
+        raise ValueError(f"schema: the columns encode {width} features, "
+                         f"but the trees read {n_features}")
+
+
 def load_csv(path, label_column=-1, has_header: bool = True,
              schema: dict | None = None) -> Dataset:
     """Load and encode a CSV file through encode_rows.
@@ -132,10 +204,12 @@ def load_csv(path, label_column=-1, has_header: bool = True,
     or an index) holds the labels, and classes follow first appearance.
     With a schema (a fitted model's), the file is encoded under it and
     label_column is not used; the file may lack the label column, and y is
-    then None.
+    then None.  A schema that encode_rows could not follow raises
+    ValueError (see check_schema).
     """
     if schema is not None:
-        has_header = has_header and schema.get("has_header", True)
+        check_schema(schema)
+        has_header = has_header and schema["has_header"]
     header, rows = _read_rows(path, has_header)
     if schema is None:
         if not rows:

@@ -9,21 +9,20 @@ replacement at the subset level) and majority-votes the boosted members
 through a Committee.
 
 The members are independent: each needs only its own subset, and the
-design is drawn before any is fitted.  fit_sbpmt therefore fits them in a
-pool of forked worker processes, one per usable CPU and at most M, which
-inherit X and y through the fork and receive only a subset's indices.
-Each worker runs the same fit_boosted as the in-process loop, and the
-members come back in design order, so the model does not depend on the
-worker count.
+design is drawn before any is fitted.  fit_sbpmt therefore maps one
+member fit over the design rows, either in a pool of forked worker
+processes, one per usable CPU and at most M, or in this process.  Each
+task carries X, y and one subset's indices, and the members come back in
+design order, so the model does not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -71,6 +70,25 @@ class SbpmtConfig:
     min_leaf_size: int = 20
     seed: int = 0
 
+    def __post_init__(self):
+        """Reject fields of the wrong kind (an integer field takes an int,
+        not a bool or a float; alpha a finite int or float) or out of
+        range."""
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not (type(v) in (int, float) and math.isfinite(v)
+                    if isinstance(f.default, float) else type(v) is int):
+                raise ValueError(f"config: {f.name} must be a number of the "
+                                 f"kind of its default {f.default!r}")
+        for name, low in (("M", 1), ("T", 1), ("B", 0), ("depth", 0),
+                          ("min_leaf_size", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"config: need {name} >= {low}, got "
+                                 f"{name} = {getattr(self, name)}")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"config: need 0 < alpha <= 1, got alpha = "
+                             f"{self.alpha}")
+
 
 @dataclass
 class SbpmtModel:
@@ -80,7 +98,7 @@ class SbpmtModel:
     n_classes: int
     schema: dict | None = field(default=None)
 
-    @cached_property
+    @functools.cached_property
     def committee(self) -> "Committee":
         return Committee.of(self.members)
 
@@ -145,7 +163,9 @@ def fit_boosted(X, y, n_classes: int, T: int, depth: int, min_leaf_size: int,
         model = pmt.fit_pmt(X, y, n_classes, w, depth, min_leaf_size,
                             probit_iters)
         miss = pmt.predict_pmt_many(model, X) != y
-        stage = BoostStage(model=model, raw_err=float(np.dot(w, miss)))
+        # a stage that misses every row can sum its weights past 1
+        stage = BoostStage(model=model,
+                           raw_err=min(float(np.dot(w, miss)), 1.0))
         if stage.raw_err >= chance:
             if not stages:  # clamped; further rounds would repeat it
                 stages.append(stage)
@@ -196,37 +216,23 @@ def _fit_member(X, y, n_classes: int, config: SbpmtConfig,
                        config.min_leaf_size, config.B)
 
 
-# A pool worker's (X, y, n_classes, config), set once when the worker
-# starts; never set in the process that fits.
-_worker_fit = None
-
-
-def _start_worker(*fit) -> None:
-    global _worker_fit
-    _worker_fit = fit
-
-
-def _fit_in_worker(idx: np.ndarray) -> BoostedPmt:
-    return _fit_member(*_worker_fit, idx)
-
-
 def _fit_members(X, y, n_classes: int, config: SbpmtConfig,
                  subsets: np.ndarray, workers: int) -> list[BoostedPmt]:
     """One boosted member per subset, in design order: fitted by a pool of
     `workers` forked processes (see the module docstring), or here, one
     after another, with one worker or without the fork start method."""
+    fit = functools.partial(_fit_member, X, y, n_classes, config)
     if workers > 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
             pool = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_start_worker, initargs=(X, y, n_classes, config))
+                workers, mp_context=multiprocessing.get_context("fork"))
             try:
-                return list(pool.map(_fit_in_worker, subsets))
+                return list(pool.map(fit, subsets))
             finally:
                 pool.shutdown(cancel_futures=True)
-    return [_fit_member(X, y, n_classes, config, idx) for idx in subsets]
+    return list(map(fit, subsets))
 
 
 def fit_sbpmt(X, y, n_classes: int, config: SbpmtConfig,

@@ -10,10 +10,11 @@ config.depth.  Serialization is deterministic (sorted keys, fixed
 layout), so identical models produce byte-identical files, and
 deserialize(serialize(m)) predicts bit-identically.  Loading treats the
 document as outside input: NaN or Infinity tokens, missing or unknown
-keys, numbers of the wrong kind, member and stage counts that break
-config.M and config.T, tree arrays that routing or scoring could not
-follow (the error names the member and stage), a schema that encoding
-could not follow and a malformed design raise ValueError.
+keys, numbers of the wrong kind, a config that SbpmtConfig rejects,
+member and stage counts that break config.M and config.T, tree arrays
+that routing or scoring could not follow or that hold a number too large
+for a float (the error names the member and stage), a schema that
+data.check_schema rejects and a malformed design raise ValueError.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from . import ensemble, pmt
+from . import data, ensemble, pmt
 
 FORMAT_VERSION = 4
 
@@ -44,10 +45,6 @@ _TREE_KEYS = {f.name for f in fields(pmt.PmtModel)} - set(_SHARED)
 _NODE_KEYS = ("feature", "threshold", "left", "right", "leaf")
 _INDEX_KEYS = ("feature", "left", "right", "leaf")
 _ARRAY_KEYS = _NODE_KEYS + ("intercept", "coef")
-_SCHEMA_KEYS = {"label", "columns", "has_header"}
-_LABEL_KEYS = {"name", "position", "classes"}
-_COLUMN_KEYS = {"numeric": {"name", "kind", "position"},
-                "categorical": {"name", "kind", "position", "levels"}}
 
 
 def model_to_dict(model: ensemble.SbpmtModel) -> dict:
@@ -68,14 +65,6 @@ def model_to_dict(model: ensemble.SbpmtModel) -> dict:
     }
 
 
-def _check_keys(obj, keys: set, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} is not a JSON object")
-    if obj.keys() != keys:
-        raise ValueError(f"{where}: missing keys {sorted(keys - set(obj))}, "
-                         f"unknown keys {sorted(set(obj) - keys)}")
-
-
 def _is_number(v) -> bool:
     return type(v) in (int, float) and math.isfinite(v)
 
@@ -85,7 +74,7 @@ def _tree_fields(tree, n_classes: int, n_features, where: str) -> dict:
     with their kinds and shapes checked, and the probit risk, a finite
     number for 2 classes and None for more.  n_features None takes the
     feature count from this tree's coef."""
-    _check_keys(tree, _TREE_KEYS, where)
+    data.check_keys(tree, _TREE_KEYS, where)
     risk = tree["probit_risk"]
     if not (_is_number(risk) if n_classes == 2 else risk is None):
         raise ValueError(f"{where}: probit_risk must be " + (
@@ -100,6 +89,8 @@ def _tree_fields(tree, n_classes: int, n_features, where: str) -> dict:
         if v.dtype.kind not in ("iu" if index else "iuf"):
             raise ValueError(f"{where}: {k} must hold "
                              + ("integers" if index else "numbers"))
+        if not index and not np.all(np.isfinite(v)):  # 1e999 parses as inf
+            raise ValueError(f"{where}: {k} must hold finite numbers")
     n = a["feature"].size
     if n == 0 or any(a[k].shape != (n,) for k in _NODE_KEYS):
         raise ValueError(f"{where}: {', '.join(_NODE_KEYS)} must be "
@@ -158,62 +149,6 @@ def _check_indices(trees: list[dict], wheres: list[str], n_features: int,
                         "depth, but is not a leaf")
 
 
-def _distinct_strings(values) -> bool:
-    return (isinstance(values, list) and all(isinstance(v, str) for v in values)
-            and len(set(values)) == len(values))
-
-
-def _check_schema(schema, n_classes: int, n_features: int) -> None:
-    """Reject a schema that data.encode_rows could not follow: every column
-    needs a name, a kind and a position (a categorical one also its
-    levels), names and positions must be distinct, the label must list
-    n_classes classes, and the columns must encode n_features features."""
-    if schema is None:
-        return
-    _check_keys(schema, _SCHEMA_KEYS, "schema")
-    if not isinstance(schema["has_header"], bool):
-        raise ValueError("schema: has_header must be true or false")
-    label = schema["label"]
-    _check_keys(label, _LABEL_KEYS, "schema label")
-    if not _distinct_strings(label["classes"]) \
-            or len(label["classes"]) != n_classes:
-        raise ValueError(f"schema label: classes must be {n_classes} "
-                         "distinct strings, one per class")
-    columns = schema["columns"]
-    if not isinstance(columns, list) or not columns:
-        raise ValueError("schema: columns must be a nonempty list")
-    width = 0
-    for i, col in enumerate(columns):
-        where = f"schema column {i}"
-        kind = col.get("kind") if isinstance(col, dict) else None
-        _check_keys(col, _COLUMN_KEYS["categorical" if kind == "categorical"
-                                      else "numeric"], where)
-        if kind not in _COLUMN_KEYS:
-            raise ValueError(f"{where}: kind must be 'numeric' or "
-                             f"'categorical', got {kind!r}")
-        if kind == "categorical":
-            if not _distinct_strings(col["levels"]) or not col["levels"]:
-                raise ValueError(f"{where}: levels must be a nonempty list "
-                                 "of distinct strings")
-            width += len(col["levels"])
-        else:
-            width += 1
-    for where, col in [("schema label", label)] + [
-            (f"schema column {i}", c) for i, c in enumerate(columns)]:
-        if not isinstance(col["name"], str):
-            raise ValueError(f"{where}: name must be a string")
-        position = col["position"]
-        if type(position) is not int or position < 0:
-            raise ValueError(f"{where}: position must be an integer >= 0")
-    named = [label] + columns
-    for key in ("name", "position"):
-        if len({col[key] for col in named}) < len(named):
-            raise ValueError(f"schema: two columns share a {key}")
-    if width != n_features:
-        raise ValueError(f"schema: the columns encode {width} features, "
-                         f"but the trees read {n_features}")
-
-
 def _design(subsets, M: int) -> np.ndarray:
     """The stored design as an (M, m) array: one subset per member, each
     a strictly increasing list of m > 0 nonnegative row indices."""
@@ -241,16 +176,10 @@ def model_from_dict(doc: dict) -> ensemble.SbpmtModel:
         raise ValueError(
             f"unsupported model format version {version!r}; this release "
             f"reads version {FORMAT_VERSION} only, so refit the model")
-    _check_keys(doc, _DOC_KEYS, "model file")
-    _check_keys(doc["config"], {f.name for f in fields(ensemble.SbpmtConfig)},
-                "config")
-    _check_keys(doc["design"], {"subsets"}, "design")
-    for f in fields(ensemble.SbpmtConfig):
-        v = doc["config"][f.name]
-        if not (_is_number(v) if isinstance(f.default, float)
-                else type(v) is int):
-            raise ValueError(f"config: {f.name} must be a number of the "
-                             f"kind of its default {f.default!r}")
+    data.check_keys(doc, _DOC_KEYS, "model file")
+    data.check_keys(doc["config"],
+                    {f.name for f in fields(ensemble.SbpmtConfig)}, "config")
+    data.check_keys(doc["design"], {"subsets"}, "design")
     cfg = ensemble.SbpmtConfig(**doc["config"])
     n_classes = doc["n_classes"]
     if type(n_classes) is not int or n_classes < 2:
@@ -263,7 +192,7 @@ def model_from_dict(doc: dict) -> ensemble.SbpmtModel:
     design = _design(doc["design"]["subsets"], cfg.M)
     members, n_features, trees, wheres = [], None, [], []
     for k, mdoc in enumerate(doc["members"]):
-        _check_keys(mdoc, {"stages"}, f"member {k}")
+        data.check_keys(mdoc, {"stages"}, f"member {k}")
         if not (isinstance(mdoc["stages"], list)
                 and 1 <= len(mdoc["stages"]) <= cfg.T):
             raise ValueError(f"member {k}: stages must be a list of 1 to "
@@ -271,7 +200,7 @@ def model_from_dict(doc: dict) -> ensemble.SbpmtModel:
         stages = []
         for t, sd in enumerate(mdoc["stages"]):
             where = f"member {k} stage {t}"
-            _check_keys(sd, _STAGE_KEYS, where)
+            data.check_keys(sd, _STAGE_KEYS, where)
             raw_err = sd["raw_err"]
             if not (_is_number(raw_err) and 0 <= raw_err <= 1 + _ERR_SLACK):
                 raise ValueError(f"{where}: raw_err must be a number in "
@@ -285,7 +214,8 @@ def model_from_dict(doc: dict) -> ensemble.SbpmtModel:
                 raw_err=raw_err, model=pmt.PmtModel(depth=cfg.depth, **tree)))
         members.append(ensemble.BoostedPmt(stages=stages))
     _check_indices(trees, wheres, n_features, cfg.depth)
-    _check_schema(doc["schema"], n_classes, n_features)
+    if doc["schema"] is not None:
+        data.check_schema(doc["schema"], n_classes, n_features)
     return ensemble.SbpmtModel(members=members, design=design, config=cfg,
                                n_classes=n_classes, schema=doc["schema"])
 

@@ -152,10 +152,10 @@ class TestCriterion5BoundOracles:
             (64, 8, 16, "0.5", "0.45", "3.0", "0.0", "5.0"),
         ]
         for n, m, M, delta, p, s1, beta, gamma in t3_cases:
-            rep = bounds.theorem3_bound(bounds.BoundInputs(
+            rep = bounds.theorem3_bound(
                 n=n, m=m, M=M, delta=float(delta), p_sub=float(p),
                 sigma1_sq=float(s1), beta_kernel=float(beta),
-                gamma_kernel=float(gamma)))
+                gamma_kernel=float(gamma))
             mn, mm, mM = map(mpmath.mpf, (n, m, M))
             log3d = mpmath.log(3 / mpmath.mpf(delta))
             c = 1 + 4 * mpmath.sqrt(log3d)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from sbpmt import bounds, ensemble
-from sbpmt.bounds import BoundInputs
 from sbpmt.ensemble import SbpmtConfig
 
 mpmath.mp.dps = 40
@@ -96,10 +95,10 @@ class TestTheorem3:
         base = dict(n=100, m=70, M=21, delta=0.05, p_sub=0.2,
                     sigma1_sq=0.25, beta_kernel=1.0, gamma_kernel=1.0)
         base.update(kw)
-        return BoundInputs(**base)
+        return base
 
     def test_q_values_against_oracle(self):
-        rep = bounds.theorem3_bound(self.inputs())
+        rep = bounds.theorem3_bound(**self.inputs())
         QA, QB, QC, rhs = mp_theorem3(100, 70, 21, 0.05, 0.2, 0.25, 1.0, 1.0)
         assert rep.Q_A == pytest.approx(float(QA), rel=1e-12)
         assert rep.Q_B == pytest.approx(float(QB), rel=1e-12)
@@ -109,15 +108,15 @@ class TestTheorem3:
 
     def test_hypothesis_threshold(self):
         # ln^2(20000) ~ 98.08: M=98 fails the hypothesis, M=99 passes
-        lo = bounds.theorem3_bound(self.inputs(n=20000, m=700, M=98))
-        hi = bounds.theorem3_bound(self.inputs(n=20000, m=700, M=99))
+        lo = bounds.theorem3_bound(**self.inputs(n=20000, m=700, M=98))
+        hi = bounds.theorem3_bound(**self.inputs(n=20000, m=700, M=99))
         assert not lo.hypothesis_ok
         assert hi.hypothesis_ok
         assert math.log(20000) ** 2 == pytest.approx(98.08, abs=0.01)
 
     def test_even_odd_margin_term(self):
-        even = bounds.theorem3_bound(self.inputs(M=20, p_sub=0.0))
-        odd = bounds.theorem3_bound(self.inputs(M=21, p_sub=0.0))
+        even = bounds.theorem3_bound(**self.inputs(M=20, p_sub=0.0))
+        odd = bounds.theorem3_bound(**self.inputs(M=21, p_sub=0.0))
         # exponent margin is 1 for even M and 1 + 1/(2M) for odd M;
         # recover t from the degenerate boundary at p_sub = t0/2
         t_even = 0.0 / 20 + 1.0
@@ -131,17 +130,17 @@ class TestTheorem3:
         assert t_odd > t_even  # odd M gets the extra half-vote margin
 
     def test_monotone_increasing_in_p_sub(self):
-        vals = [bounds.theorem3_bound(self.inputs(p_sub=p)).rhs
+        vals = [bounds.theorem3_bound(**self.inputs(p_sub=p)).rhs
                 for p in np.linspace(0.0, 0.45, 10)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_weakly_decreasing_in_M(self):
-        vals = [bounds.theorem3_bound(self.inputs(M=M)).rhs
+        vals = [bounds.theorem3_bound(**self.inputs(M=M)).rhs
                 for M in (11, 21, 51, 101, 201)]
         assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
     def test_degenerate_when_p_sub_half(self):
-        rep = bounds.theorem3_bound(self.inputs(M=20, p_sub=0.5))
+        rep = bounds.theorem3_bound(**self.inputs(M=20, p_sub=0.5))
         assert rep.degenerate and rep.rhs == 1.0
         assert not rep.hypothesis_ok
 
@@ -150,7 +149,7 @@ class TestTheorem3:
         for _ in range(50):
             n = int(rng.integers(10, 10_000))
             m = int(rng.integers(1, n + 1))
-            rep = bounds.theorem3_bound(self.inputs(
+            rep = bounds.theorem3_bound(**self.inputs(
                 n=n, m=m, M=int(rng.integers(1, 300)),
                 delta=float(rng.uniform(0.01, 0.99)),
                 p_sub=float(rng.uniform(0, 0.49)),
@@ -162,11 +161,11 @@ class TestTheorem3:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match="delta"):
-            bounds.theorem3_bound(self.inputs(delta=0.0))
+            bounds.theorem3_bound(**self.inputs(delta=0.0))
         with pytest.raises(ValueError, match="exceed"):
-            bounds.theorem3_bound(self.inputs(m=101))
+            bounds.theorem3_bound(**self.inputs(m=101))
         with pytest.raises(ValueError, match="nonnegative"):
-            bounds.theorem3_bound(self.inputs(sigma1_sq=-1.0))
+            bounds.theorem3_bound(**self.inputs(sigma1_sq=-1.0))
 
     @pytest.mark.parametrize("field, value, message", [
         ("p_sub", math.nan, "p_sub"), ("p_sub", -3.0, "p_sub"),
@@ -177,7 +176,7 @@ class TestTheorem3:
         # NaN fails every comparison, so each range test must accept,
         # not reject
         with pytest.raises(ValueError, match=message):
-            bounds.theorem3_bound(self.inputs(**{field: value}))
+            bounds.theorem3_bound(**self.inputs(**{field: value}))
 
 
 class TestTheorem4:

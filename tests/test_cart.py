@@ -221,6 +221,17 @@ class TestBuildTree:
         with pytest.raises(ValueError, match="configuration"):
             cart.build_tree(X, y, 2, np.ones(2), 2, 0)
 
+    @pytest.mark.parametrize("X, y, w, message", [
+        ([[0.0], [1.0]], [0, 2], [1.0, 1.0], "label 2 outside 0..1"),
+        ([[0.0], [1.0]], [0, 1, 1], [1.0, 1.0], "one integer class index"),
+        ([[0.0], [1.0]], [0, 1], [1.0], "one sample weight per row"),
+        ([[0.0], [np.nan]], [0, 1], [1.0, 1.0], "non-finite value nan"),
+        ([[0.0], [1.0]], [0, 1], [1.0, -1.0], "nonnegative"),
+    ])
+    def test_bad_input_rejected(self, X, y, w, message):
+        with pytest.raises(ValueError, match=message):
+            cart.build_tree(np.array(X), np.array(y), 2, np.array(w), 2, 1)
+
 
 class TestBestSplit:
     @given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(2, 4),

@@ -1,10 +1,11 @@
 import json
+import os
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from sbpmt import cli, data, model_io
+from sbpmt import bounds, cli, data, model_io
 
 FAST = ["--M", "3", "--T", "2", "--B", "3", "--alpha", "0.7",
         "--depth", "2", "--min-leaf", "5"]
@@ -89,6 +90,48 @@ class TestTrain:
                       + FAST + ["--M", M])
         assert rc == 1
         assert f"M = {M}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_config_is_runtime_error_before_any_process(
+            self, tmp_path, capsys, monkeypatch):
+        def fork():
+            raise AssertionError("a process was started")
+        monkeypatch.setattr(os, "fork", fork)
+        csv_path = write_csv(tmp_path, n=30)
+        out = tmp_path / "m.json"
+        rc = cli.main(["train", "--data", str(csv_path), "--out", str(out)]
+                      + FAST + ["--depth", "-1"])
+        assert rc == 1
+        assert "config: need depth >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stage_that_misses_every_row(self, tmp_path):
+        # with seed 7, one subset lacks the only `a` row, so its one-leaf
+        # tree predicts `b` everywhere and misses every row: the weights
+        # sum past 1 by rounding, and the stage must record 1
+        path = tmp_path / "tiny.csv"
+        path.write_text("x,label\n" + "".join(
+            f"{i},{'a' if i == 0 else 'b'}\n" for i in range(10)),
+            encoding="utf-8")
+        out = tmp_path / "m.json"
+        rc = cli.main(["train", "--data", str(path), "--out", str(out),
+                       "--M", "3", "--T", "1", "--B", "0", "--depth", "0",
+                       "--alpha", "0.9", "--seed", "7"])
+        assert rc == 0
+        errors = [st.raw_err for m in model_io.load_model(out).members
+                  for st in m.stages]
+        assert max(errors) == 1.0
+
+    def test_failing_report_writes_no_model(self, tmp_path, capsys,
+                                            monkeypatch):
+        def fail(errors):
+            raise ValueError("stage errors must lie in [0, 1]")
+        monkeypatch.setattr(bounds, "theorem5_bound", fail)
+        out = tmp_path / "m.json"
+        rc = cli.main(["train", "--data", str(write_csv(tmp_path, n=30)),
+                       "--out", str(out)] + FAST)
+        assert rc == 1
+        assert "stage errors" in capsys.readouterr().err
         assert not out.exists()
 
     def test_label_only_file_is_runtime_error(self, tmp_path, capsys):

@@ -117,6 +117,24 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="header repeats column 'a'"):
             data.load_csv(query, schema=schema)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: s["columns"][0].pop("kind"),
+         r"schema column 0: missing keys \['kind'\]"),
+        (lambda s: s["columns"][1].pop("levels"),
+         r"schema column 1: missing keys \['levels'\]"),
+        (lambda s: s.pop("label"), r"schema: missing keys \['label'\]"),
+        (lambda s: s.pop("has_header"),
+         r"schema: missing keys \['has_header'\]"),
+        (lambda s: s["label"]["classes"].pop(),
+         "schema label: classes must be at least 2 distinct strings"),
+    ])
+    def test_bad_schema_rejected(self, tmp_path, edit, message):
+        p = write(tmp_path, MIXED)
+        schema = data.load_csv(p, "label").schema
+        edit(schema)
+        with pytest.raises(ValueError, match=message):
+            data.load_csv(p, schema=schema)
+
 
 class TestCheckInputs:
     def test_accepts_and_converts(self):

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -199,6 +201,32 @@ class TestDrawDesign:
             ensemble.draw_design(5, 0.1, 2, 0)
 
 
+class TestSbpmtConfig:
+    def test_range_ends_accepted(self):
+        SbpmtConfig(M=1, T=1, B=0, alpha=1, depth=0, min_leaf_size=1, seed=0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("M", 0, "config: need M >= 1, got M = 0"),
+        ("T", 0, "config: need T >= 1"),
+        ("B", -1, "config: need B >= 0"),
+        ("depth", -1, "config: need depth >= 0"),
+        ("min_leaf_size", 0, "config: need min_leaf_size >= 1"),
+        ("seed", -3, "config: need seed >= 0"),
+        ("alpha", 0.0, "config: need 0 < alpha <= 1, got alpha = 0.0"),
+        ("alpha", 1.5, "config: need 0 < alpha <= 1"),
+        ("alpha", math.nan, "config: alpha must be a number"),
+        ("alpha", "0.5", "config: alpha must be a number"),
+        ("M", 2.0, "config: M must be a number of the kind of its default"),
+        ("depth", True, "config: depth must be a number"),
+        ("seed", np.int64(1), "config: seed must be a number"),
+    ])
+    def test_bad_field_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SbpmtConfig(**{field: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(SbpmtConfig(), **{field: value})
+
+
 class TestFitSbpmt:
     def small_config(self, **kw):
         base = dict(M=5, T=2, B=3, alpha=0.7, depth=2, min_leaf_size=5,
@@ -384,9 +412,14 @@ class TestWorkerPool:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [None, 1])
-    def test_member_error_reaches_the_caller(self, workers, two_cpus):
+    def test_member_error_reaches_the_caller(self, workers, two_cpus,
+                                             monkeypatch):
+        def fail(*args):
+            raise ValueError("bad tree configuration")
+        # patched before the fork, so the workers inherit it
+        monkeypatch.setattr(ensemble, "fit_boosted", fail)
         X, y = xor_data(80, seed=30)
-        cfg = SbpmtConfig(M=3, T=2, B=2, depth=2, min_leaf_size=0)
+        cfg = SbpmtConfig(M=3, T=2, B=2, depth=2)
         with pytest.raises(ValueError, match="^bad tree configuration$"):
             ensemble.fit_sbpmt(X, y, 2, cfg, workers=workers)
         assert multiprocessing.active_children() == []

@@ -213,6 +213,23 @@ class TestUntrustedFile:
         (lambda d: d["config"].update(M=True), "config: M"),
         (lambda d: d["config"].update(T=2.0), "config: T"),
         (lambda d: d["config"].update(alpha=False), "config: alpha"),
+        # and each lies in its range
+        (lambda d: d["config"].update(alpha=5.0),
+         "config: need 0 < alpha <= 1, got alpha = 5.0"),
+        (lambda d: d["config"].update(B=-5), "config: need B >= 0"),
+        (lambda d: d["config"].update(min_leaf_size=0),
+         "config: need min_leaf_size >= 1"),
+        # json.dumps writes inf as Infinity; the test writes it as 1e999,
+        # which the parser reads as inf
+        (lambda d: d["members"][1]["stages"][0]["model"]["threshold"]
+         .__setitem__(0, math.inf),
+         "member 1 stage 0 tree: threshold must hold finite numbers"),
+        (lambda d: d["members"][1]["stages"][0]["model"]["intercept"][0]
+         .__setitem__(0, -math.inf),
+         "member 1 stage 0 tree: intercept must hold finite numbers"),
+        (lambda d: d["members"][0]["stages"][1]["model"]["coef"][0][0]
+         .__setitem__(2, math.inf),
+         "member 0 stage 1 tree: coef must hold finite numbers"),
         (lambda d: d.update(n_classes=3.0), "n_classes must be an integer"),
         (lambda d: d.update(n_classes=True), "n_classes must be an integer"),
         (lambda d: d.update(format_version=float(model_io.FORMAT_VERSION)),
@@ -280,8 +297,9 @@ class TestUntrustedFile:
     def test_bad_document_rejected(self, edit, message):
         doc = self.doc()
         edit(doc)
+        text = json.dumps(doc).replace("Infinity", "1e999")
         with pytest.raises(ValueError, match=message):
-            model_io.deserialize_model(json.dumps(doc))
+            model_io.deserialize_model(text)
 
     @pytest.mark.parametrize("risk", ['"abc"', "[1, 2]", "null", "1e999"])
     def test_binary_probit_risk_must_be_finite(self, risk):
@@ -293,13 +311,14 @@ class TestUntrustedFile:
             model_io.deserialize_model(text)
 
     def test_raw_err_rounded_past_one_round_trips(self):
-        # a stage that misses every row records the sum of its weights,
-        # which rounding can leave above 1: nine weights of 1/9 sum to
-        # 1.0000000000000002
+        # a stage that misses every row sums its weights, which rounding
+        # can leave above 1: nine weights of 1/9 sum to 1.0000000000000002.
+        # A fit stores 1, but files written before that still load.
         X, y = np.arange(9.0)[:, None], np.ones(9, dtype=int)
         cfg = SbpmtConfig(M=1, T=1, B=0, alpha=1.0, depth=0, seed=0)
         model = ensemble.fit_sbpmt(X, y, 2, cfg, workers=1)
-        assert model.members[0].stages[0].raw_err == 1.0000000000000002
+        assert model.members[0].stages[0].raw_err == 1.0
+        model.members[0].stages[0].raw_err = 1.0000000000000002
         text = model_io.serialize_model(model)
         restored = model_io.deserialize_model(text)
         assert restored.members[0].stages[0].raw_err == 1.0000000000000002
