@@ -75,6 +75,9 @@ def theorem3_bound(n: int, m: int, M: int, delta: float, p_sub: float,
     M > ln^2(n) requirement and p_sub < 1/2; a nonpositive t makes the
     bound vacuous (rhs = 1, degenerate).
     """
+    for name, v in (("n", n), ("m", m), ("M", M)):
+        if v < 1:
+            raise ValueError(f"{name} must be >= 1, got {v}")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
     if m > n:

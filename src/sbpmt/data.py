@@ -1,18 +1,20 @@
 """Dataset ingestion, encoding, CV splitting and the synthetic generator.
 
-CSV files are comma-delimited UTF-8 with '.' decimals.  Numeric columns
-are parsed as reals; any other column is one-hot expanded, one 0/1 column
-per observed level (levels sorted lexicographically).  The label column
-is mapped to class indices in first-appearance order, or through a fitted
-model's schema, which check_schema vets as the model loader does.  Rows
-with missing cells or of the wrong width are rejected at ingestion.
+CSV files are comma-delimited UTF-8 with '.' decimals; a leading
+byte-order mark is dropped.  Numeric columns are parsed as reals; any
+other column is one-hot expanded, one 0/1 column per observed level
+(levels sorted lexicographically).  The label column is mapped to class
+indices in first-appearance order, or through a fitted model's schema,
+which check_schema vets as the model loader does.  Rows with missing
+cells or of the wrong width are rejected at ingestion.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,7 +48,7 @@ def _is_numeric_column(values: list[str]) -> bool:
 
 
 def _read_rows(path, has_header: bool):
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row]
     header = rows.pop(0) if has_header and rows else None
     return header, rows
@@ -79,7 +81,7 @@ def check_inputs(X, y=None, n_classes: int | None = None,
 
     X must be a 2-D array of finite values with at least one column (with
     n_features columns when given); y, when given, one class index in
-    0..n_classes-1 per row.
+    0..n_classes-1 per row, with n_classes >= 2.
     Returns (X as floats, y); a fit (y given) also needs at least one row.
     """
     X = np.asarray(X, dtype=float)
@@ -96,6 +98,8 @@ def check_inputs(X, y=None, n_classes: int | None = None,
         raise ValueError(f"non-finite value {X[r, c]} in row {r + 1}, "
                          f"feature {c + 1}")
     if y is not None:
+        if n_classes < 2:
+            raise ValueError("need at least 2 classes")
         y = np.asarray(y)
         if X.shape[0] == 0:
             raise ValueError("empty data")
@@ -105,6 +109,22 @@ def check_inputs(X, y=None, n_classes: int | None = None,
         if np.any(out):
             raise ValueError(f"label {y[out][0]} outside 0..{n_classes - 1}")
     return X, y
+
+
+def check_config(config, **lows) -> None:
+    """Reject a config dataclass with a field of the wrong kind (an integer
+    field takes an int, not a bool or a float; a float field a finite int
+    or float) or with a field below its lower bound in lows."""
+    for f in fields(config):
+        v = getattr(config, f.name)
+        if not (type(v) in (int, float) and math.isfinite(v)
+                if isinstance(f.default, float) else type(v) is int):
+            raise ValueError(f"config: {f.name} must be a number of the "
+                             f"kind of its default {f.default!r}")
+    for name, low in lows.items():
+        if getattr(config, name) < low:
+            raise ValueError(f"config: need {name} >= {low}, got "
+                             f"{name} = {getattr(config, name)}")
 
 
 def check_weights(sample_weights, n: int) -> np.ndarray:
@@ -356,10 +376,11 @@ def stratified_kfold(y, k: int, seed: int):
     return splits
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Synthetic binary problem: X uniform on [0,1]^d, P(Y=1|x) jumps from
-    q to 1-q when the first E coordinates sum past E/2 (q = Bayes error)."""
+    q to 1-q when the first E coordinates sum past E/2 (q = Bayes error).
+    Frozen and checked when built, like ensemble.SbpmtConfig."""
 
     d: int = 10
     E: int = 5
@@ -367,6 +388,13 @@ class SimConfig:
     n_train: int = 2000
     n_test: int = 10000
     seed: int = 0
+
+    def __post_init__(self):
+        check_config(self, d=1, n_train=1, n_test=1, seed=0)
+        if not 1 <= self.E <= self.d:
+            raise ValueError("effective dimension must satisfy 1 <= E <= d")
+        if not 0.0 <= self.q < 0.5:
+            raise ValueError("Bayes error q must be in [0, 0.5)")
 
 
 def _sim_dataset(rng, n, cfg: SimConfig) -> Dataset:
@@ -382,10 +410,6 @@ def _sim_dataset(rng, n, cfg: SimConfig) -> Dataset:
 
 def simulate(cfg: SimConfig):
     """Generate (train, test) datasets, reproducible from cfg.seed."""
-    if not 1 <= cfg.E <= cfg.d:
-        raise ValueError("effective dimension must satisfy 1 <= E <= d")
-    if not 0.0 <= cfg.q < 0.5:
-        raise ValueError("Bayes error q must be in [0, 0.5)")
     rng = np.random.default_rng(cfg.seed)
     return _sim_dataset(rng, cfg.n_train, cfg), _sim_dataset(rng, cfg.n_test, cfg)
 

@@ -6,7 +6,8 @@ AdaBoost.  BoostStage derives the clamped error and vote weight from a
 stage's tree and raw error.  The subagging layer draws an (M, m) design
 of M index subsets of size floor(alpha * n) without replacement (with
 replacement at the subset level) and majority-votes the boosted members
-through a Committee.
+through a Committee.  fit_boosted and draw_design take a checked
+SbpmtConfig; data.check_inputs checks the class count with the data.
 
 The members are independent: each needs only its own subset, and the
 design is drawn before any is fitted.  fit_sbpmt therefore maps one
@@ -22,7 +23,7 @@ import functools
 import math
 import numbers
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,9 +59,10 @@ class BoostedPmt:
     stages: list[BoostStage]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SbpmtConfig:
-    """Hyperparameters of a fit; the defaults are the paper's."""
+    """Hyperparameters of a fit; the defaults are the paper's.  Frozen: a
+    checked config stays valid (dataclasses.replace checks it again)."""
 
     M: int = 21
     T: int = 5
@@ -71,20 +73,10 @@ class SbpmtConfig:
     seed: int = 0
 
     def __post_init__(self):
-        """Reject fields of the wrong kind (an integer field takes an int,
-        not a bool or a float; alpha a finite int or float) or out of
-        range."""
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not (type(v) in (int, float) and math.isfinite(v)
-                    if isinstance(f.default, float) else type(v) is int):
-                raise ValueError(f"config: {f.name} must be a number of the "
-                                 f"kind of its default {f.default!r}")
-        for name, low in (("M", 1), ("T", 1), ("B", 0), ("depth", 0),
-                          ("min_leaf_size", 1), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"config: need {name} >= {low}, got "
-                                 f"{name} = {getattr(self, name)}")
+        """Reject fields of the wrong kind (see data.check_config) or out
+        of range."""
+        data.check_config(self, M=1, T=1, B=0, depth=0, min_leaf_size=1,
+                          seed=0)
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"config: need 0 < alpha <= 1, got alpha = "
                              f"{self.alpha}")
@@ -146,22 +138,18 @@ class Committee:
         return counts.argmax(axis=1)
 
 
-def fit_boosted(X, y, n_classes: int, T: int, depth: int, min_leaf_size: int,
-                probit_iters: int) -> BoostedPmt:
-    """SAMME over PMT base learners: at most T stages, each a PMT fitted
-    to the current sample weights."""
-    if n_classes < 2:
-        raise ValueError("need at least 2 classes")
+def fit_boosted(X, y, n_classes: int, config: SbpmtConfig) -> BoostedPmt:
+    """SAMME over PMT base learners: at most config.T stages, each a PMT
+    (config.depth, config.min_leaf_size, config.B) fitted to the current
+    sample weights."""
     X, y = data.check_inputs(X, y, n_classes)
     m = X.shape[0]
-    if T < 1:
-        raise ValueError("need at least one boosting round")
     chance = 1.0 - 1.0 / n_classes - ERR_CLAMP
     w = np.full(m, 1.0 / m)
     stages: list[BoostStage] = []
-    for _ in range(T):
-        model = pmt.fit_pmt(X, y, n_classes, w, depth, min_leaf_size,
-                            probit_iters)
+    for _ in range(config.T):
+        model = pmt.fit_pmt(X, y, n_classes, w, config.depth,
+                            config.min_leaf_size, config.B)
         miss = pmt.predict_pmt_many(model, X) != y
         # a stage that misses every row can sum its weights past 1
         stage = BoostStage(model=model,
@@ -176,20 +164,16 @@ def fit_boosted(X, y, n_classes: int, T: int, depth: int, min_leaf_size: int,
     return BoostedPmt(stages=stages)
 
 
-def draw_design(n: int, alpha: float, M: int, seed: int) -> np.ndarray:
-    """M sorted subsets of size m = floor(alpha*n) as an (M, m) array, each
-    sampled without replacement, independently across subsets;
-    reproducible from seed."""
-    if M < 1:
-        raise ValueError(f"need at least one member, got M = {M}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("subagging ratio must be in (0, 1]")
-    m = int(math.floor(alpha * n))
+def draw_design(n: int, config: SbpmtConfig) -> np.ndarray:
+    """config.M sorted subsets of size m = floor(config.alpha * n) as an
+    (M, m) array, each sampled without replacement, independently across
+    subsets; reproducible from config.seed."""
+    m = int(math.floor(config.alpha * n))
     if m < 1:
         raise ValueError("subsample size floor(alpha*n) must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     return np.stack([np.sort(rng.choice(n, size=m, replace=False))
-                     for _ in range(M)])
+                     for _ in range(config.M)])
 
 
 def _usable_cpus() -> int:
@@ -212,8 +196,7 @@ def _worker_count(M: int, workers, cpus: int) -> int:
 
 def _fit_member(X, y, n_classes: int, config: SbpmtConfig,
                 idx: np.ndarray) -> BoostedPmt:
-    return fit_boosted(X[idx], y[idx], n_classes, config.T, config.depth,
-                       config.min_leaf_size, config.B)
+    return fit_boosted(X[idx], y[idx], n_classes, config)
 
 
 def _fit_members(X, y, n_classes: int, config: SbpmtConfig,
@@ -243,7 +226,7 @@ def fit_sbpmt(X, y, n_classes: int, config: SbpmtConfig,
     per usable CPU, 1 to fit them in this process; it is capped at M and
     at the usable CPUs.  The fitted model does not depend on it."""
     X, y = data.check_inputs(X, y, n_classes)
-    design = draw_design(X.shape[0], config.alpha, config.M, config.seed)
+    design = draw_design(X.shape[0], config)
     members = _fit_members(X, y, n_classes, config, design,
                            _worker_count(config.M, workers, _usable_cpus()))
     return SbpmtModel(members=members, design=design, config=config,

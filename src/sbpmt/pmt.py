@@ -49,8 +49,6 @@ def fit_pmt(X, y, n_classes: int, sample_weights, depth: int,
     used both for splitting and, renormalized within each leaf, for the
     leaf fits (a leaf whose weight mass is zero gets uniform weights).
     """
-    if n_classes < 2:
-        raise ValueError("need at least 2 classes")
     X, y = data.check_inputs(X, y, n_classes)
     w = data.check_weights(sample_weights, X.shape[0])
     w = w / float(np.sum(w))

@@ -96,8 +96,9 @@ class TestCriterion4Theorem5Live:
             X = rng.uniform(-1, 1, size=(n, int(rng.integers(1, 5))))
             y = (X[:, 0] + 0.5 * rng.normal(size=n) > 0).astype(int)
             T = int(rng.integers(1, 8))
-            model = ensemble.fit_boosted(X, y, 2, T, int(rng.integers(1, 4)),
-                                         2, int(rng.integers(0, 6)))
+            model = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
+                T=T, depth=int(rng.integers(1, 4)), min_leaf_size=2,
+                B=int(rng.integers(0, 6))))
             preds = ensemble.Committee.of([model]).predict(X)
             err = float(np.mean(preds != y))
             bound = bounds.theorem5_bound([s.raw_err for s in model.stages],
@@ -344,7 +345,8 @@ class TestCriterion8DegenerateIdentities:
         cfg = SbpmtConfig(M=1, T=4, B=5, alpha=1.0, depth=2,
                           min_leaf_size=5, seed=0)
         sub = ensemble.fit_sbpmt(X, y, 2, cfg)
-        single = ensemble.fit_boosted(X, y, 2, 4, 2, 5, 5)
+        single = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
+            T=4, depth=2, min_leaf_size=5, B=5))
         Xq = rng.uniform(-1, 1, size=(1000, 3))
         same = np.array_equal(ensemble.predict_sbpmt_many(sub, Xq),
                               ensemble.Committee.of([single]).predict(Xq))

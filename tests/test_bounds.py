@@ -50,12 +50,13 @@ class TestDesignStats:
         assert stats.B == pytest.approx(1.0)  # only within-subset pairs
 
     def test_coverage_sums_to_M_times_m(self):
-        d = ensemble.draw_design(40, 0.6, 7, seed=1)
+        d = ensemble.draw_design(40, SbpmtConfig(M=7, alpha=0.6, seed=1))
         stats = bounds.design_stats(d, 40)
         assert int(stats.R.sum()) == 7 * 24
 
     def test_memory_grows_with_the_design_not_n_squared(self):
-        design = ensemble.draw_design(6000, 0.7, 21, seed=3)
+        design = ensemble.draw_design(6000, SbpmtConfig(
+            M=21, alpha=0.7, seed=3))
         tracemalloc.start()
         try:
             stats = bounds.design_stats(design, 6000)
@@ -171,7 +172,12 @@ class TestTheorem3:
         ("p_sub", math.nan, "p_sub"), ("p_sub", -3.0, "p_sub"),
         ("p_sub", 1.5, "p_sub"), ("sigma1_sq", math.nan, "finite"),
         ("beta_kernel", math.inf, "finite"),
-        ("gamma_kernel", math.nan, "finite")])
+        ("gamma_kernel", math.nan, "finite"),
+        ("n", 0, "^n must be >= 1, got 0$"),
+        ("m", 0, "^m must be >= 1, got 0$"),
+        ("m", -5, "^m must be >= 1, got -5$"),
+        ("M", 0, "^M must be >= 1, got 0$"),
+        ("M", -3, "^M must be >= 1, got -3$")])
     def test_non_finite_or_out_of_range_inputs(self, field, value, message):
         # NaN fails every comparison, so each range test must accept,
         # not reject

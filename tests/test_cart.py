@@ -232,6 +232,12 @@ class TestBuildTree:
         with pytest.raises(ValueError, match=message):
             cart.build_tree(np.array(X), np.array(y), 2, np.array(w), 2, 1)
 
+    def test_one_class_rejected(self):
+        # beside the table above, whose rows all pass n_classes = 2
+        with pytest.raises(ValueError, match="need at least 2 classes"):
+            cart.build_tree(np.array([[0.0], [1.0]]), np.array([0, 0]), 1,
+                            np.ones(2), 2, 1)
+
 
 class TestBestSplit:
     @given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(2, 4),

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from sbpmt import bounds, cli, data, model_io
+from sbpmt import bounds, cli, data, ensemble, model_io
 
 FAST = ["--M", "3", "--T", "2", "--B", "3", "--alpha", "0.7",
         "--depth", "2", "--min-leaf", "5"]
@@ -330,6 +330,18 @@ class TestSimulate:
             cli._write_report(args, {"mean_test_error": float("nan")})
         assert not report.exists()
 
+    def test_bad_sim_config_rejected_before_any_fit(self, tmp_path, capsys,
+                                                    monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a member was fitted")
+        monkeypatch.setattr(ensemble, "fit_sbpmt", fail)
+        report = tmp_path / "sim.json"
+        rc = cli.main(["simulate", "--n-test", "0", "--report", str(report)]
+                      + FAST)
+        assert rc == 1
+        assert "config: need n_test >= 1" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_bad_sweep_spec(self, capsys):
         rc = cli.main(["simulate", "--sweep", "bogus=1,2"] + FAST)
         assert rc == 1
@@ -422,6 +434,9 @@ class TestBound:
           "--d-vc", "0"], "d_vc must be >= 1"),
         (["--theorem", "6", "--probit-risks", "0.1", "--T", "1",
           "--d-vc", "0"], "d_vc must be >= 1"),
+        (["--theorem", "3", "--m", "70", "--M", "0", "--p-sub", "0.1",
+          "--sigma1-sq", "1", "--beta", "1", "--gamma", "1"],
+         "M must be >= 1, got 0"),
     ])
     def test_zero_rounds_or_dimension_is_runtime_error(self, capsys, argv,
                                                        message):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +66,17 @@ class TestLoadCsv:
         assert ds.class_names == ["yes", "no"]
         assert ds.y.tolist() == [1, 0]
         np.testing.assert_array_equal(ds.X, [[1.0, 0, 1, 0], [2.0, 0, 0, 1]])
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # the mark must not become part of the first column's name
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + b"label,a\nyes,1.0\nno,2.0\n")
+        ds = data.load_csv(marked, "label")
+        assert ds.schema["label"]["name"] == "label"
+        plain = data.load_csv(write(tmp_path, "a,label\n3.0,no\n"),
+                              schema=ds.schema)
+        assert plain.y.tolist() == [1]
+        np.testing.assert_array_equal(plain.X, [[3.0]])
 
     def test_missing_value_rejected(self, tmp_path):
         p = write(tmp_path, "a,label\n1.0,yes\n,no\n")
@@ -319,6 +332,25 @@ class TestSimulate:
             data.simulate(SimConfig(d=3, E=5))
         with pytest.raises(ValueError, match="q must be"):
             data.simulate(SimConfig(q=0.5))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("d", 0, "config: need d >= 1, got d = 0"),
+        ("n_train", 0, "config: need n_train >= 1"),
+        ("n_test", 0, "config: need n_test >= 1"),
+        ("seed", -1, "config: need seed >= 0"),
+        ("E", 0, "1 <= E <= d"),
+        ("q", -0.1, "q must be"),
+        ("q", math.nan, "config: q must be a number"),
+        ("n_test", 10.0, "config: n_test must be a number"),
+    ])
+    def test_bad_field_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SimConfig(**{field: value})
+
+    def test_frozen(self):
+        cfg = SimConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.n_test = 0
 
 
 class TestAccuracyAndSummary:

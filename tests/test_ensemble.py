@@ -58,7 +58,8 @@ def noisy_stripes(n=300, seed=0):
 class TestFitAdaboost:
     def test_stage_count_and_monotone_weights(self):
         X, y = noisy_stripes(seed=1)
-        model = ensemble.fit_boosted(X, y, 2, 6, 1, 5, 3)
+        model = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
+            T=6, depth=1, min_leaf_size=5, B=3))
         assert 1 <= len(model.stages) <= 6
         for s in model.stages:
             assert s.raw_err < 0.5
@@ -69,15 +70,18 @@ class TestFitAdaboost:
         # the first stage sees uniform weights, so its raw error is its
         # training error rate
         X, y = noisy_stripes(seed=2)
-        model = ensemble.fit_boosted(X, y, 2, 4, 1, 5, 3)
+        model = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
+            T=4, depth=1, min_leaf_size=5, B=3))
         first = model.stages[0]
         assert first.raw_err == pytest.approx(
             np.mean(pmt.predict_pmt_many(first.model, X) != y), rel=1e-12)
 
     def test_boosting_improves_training_accuracy(self):
         X, y = noisy_stripes(n=500, seed=3)
-        one = ensemble.fit_boosted(X, y, 2, 1, 1, 5, 2)
-        many = ensemble.fit_boosted(X, y, 2, 12, 1, 5, 2)
+        one = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
+            T=1, depth=1, min_leaf_size=5, B=2))
+        many = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
+            T=12, depth=1, min_leaf_size=5, B=2))
         acc1 = np.mean(predict_member(one, X) == y)
         acc12 = np.mean(predict_member(many, X) == y)
         assert acc12 >= acc1
@@ -87,7 +91,8 @@ class TestFitAdaboost:
         # but finite, weights are unchanged, and the loop runs to T
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
-        model = ensemble.fit_boosted(X, y, 2, 10, 1, 1, 2)
+        model = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
+            T=10, depth=1, min_leaf_size=1, B=2))
         assert len(model.stages) == 10
         for s in model.stages:
             assert s.raw_err == 0.0
@@ -100,21 +105,18 @@ class TestFitAdaboost:
         # so err = P(y=1) = 0.5 exactly -> clamped stage 1 kept, then stop
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 1, 0, 1])
-        model = ensemble.fit_boosted(X, y, 2, 8, 0, 1, 0)
+        model = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
+            T=8, depth=0, min_leaf_size=1, B=0))
         assert len(model.stages) == 1
         assert model.stages[0].raw_err == pytest.approx(0.5)
         assert model.stages[0].err == pytest.approx(0.5 - ensemble.ERR_CLAMP)
-
-    def test_invalid_rounds(self):
-        X, y = xor_data(20)
-        with pytest.raises(ValueError, match="at least one"):
-            ensemble.fit_boosted(X, y, 2, 0, 1, 1, 1)
 
     def test_reweighting_focuses_on_mistakes(self):
         # stage 2 must differ from stage 1 whenever stage 1 errs: upweighted
         # mistakes move the stump
         X, y = noisy_stripes(n=400, seed=7)
-        model = ensemble.fit_boosted(X, y, 2, 2, 1, 5, 2)
+        model = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
+            T=2, depth=1, min_leaf_size=5, B=2))
         if len(model.stages) == 2:
             p1 = pmt.predict_pmt_many(model.stages[0].model, X)
             p2 = pmt.predict_pmt_many(model.stages[1].model, X)
@@ -125,7 +127,8 @@ class TestFitSamme:
     def test_matches_adaboost_for_two_classes(self):
         # ln(J - 1) = 0: the stage weights are AdaBoost's
         X, y = noisy_stripes(seed=9)
-        model = ensemble.fit_boosted(X, y, 2, 5, 1, 5, 2)
+        model = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
+            T=5, depth=1, min_leaf_size=5, B=2))
         for st in model.stages:
             assert st.alpha == 0.5 * math.log((1 - st.err) / st.err)
 
@@ -135,7 +138,8 @@ class TestFitSamme:
         y = np.floor(X[:, 0]).astype(int)
         flip = rng.uniform(size=300) < 0.1
         y[flip] = (y[flip] + 1) % 3
-        model = ensemble.fit_boosted(X, y, 3, 5, 1, 5, 2)
+        model = ensemble.fit_boosted(X, y, 3, SbpmtConfig(
+            T=5, depth=1, min_leaf_size=5, B=2))
         for s in model.stages:
             assert s.raw_err < 2 / 3
             expected = 0.5 * math.log((1 - s.err) / s.err) + math.log(2)
@@ -146,13 +150,15 @@ class TestFitSamme:
     def test_single_class_count_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             ensemble.fit_boosted(np.zeros((4, 1)), np.zeros(4, dtype=int), 1,
-                               3, 1, 1, 1)
+                                 SbpmtConfig(T=3, depth=1, min_leaf_size=1,
+                                             B=1))
 
 
 class TestPredictBoosted:
     def test_scalar_matches_vectorized(self):
         X, y = noisy_stripes(seed=11)
-        model = ensemble.fit_boosted(X, y, 2, 4, 1, 5, 2)
+        model = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
+            T=4, depth=1, min_leaf_size=5, B=2))
         Xq = np.random.default_rng(0).uniform(0, 4, size=(50, 1))
         many = predict_member(model, Xq)
         assert many.tolist() == [
@@ -160,7 +166,8 @@ class TestPredictBoosted:
 
     def test_single_stage_vote_is_the_stage(self):
         X, y = noisy_stripes(seed=12)
-        model = ensemble.fit_boosted(X, y, 2, 1, 1, 5, 2)
+        model = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
+            T=1, depth=1, min_leaf_size=5, B=2))
         np.testing.assert_array_equal(
             predict_member(model, X),
             pmt.predict_pmt_many(model.stages[0].model, X))
@@ -168,7 +175,7 @@ class TestPredictBoosted:
 
 class TestDrawDesign:
     def test_sizes_and_range(self):
-        d = ensemble.draw_design(100, 0.7, 21, seed=5)
+        d = ensemble.draw_design(100, SbpmtConfig(M=21, alpha=0.7, seed=5))
         assert d.shape == (21, 70)
         for s in d:
             assert s.size == 70
@@ -177,28 +184,24 @@ class TestDrawDesign:
             assert np.all(np.diff(s) > 0)  # stored sorted
 
     def test_reproducible_and_seed_sensitive(self):
-        d1 = ensemble.draw_design(50, 0.5, 5, seed=3)
-        d2 = ensemble.draw_design(50, 0.5, 5, seed=3)
-        d3 = ensemble.draw_design(50, 0.5, 5, seed=4)
+        d1 = ensemble.draw_design(50, SbpmtConfig(M=5, alpha=0.5, seed=3))
+        d2 = ensemble.draw_design(50, SbpmtConfig(M=5, alpha=0.5, seed=3))
+        d3 = ensemble.draw_design(50, SbpmtConfig(M=5, alpha=0.5, seed=4))
         np.testing.assert_array_equal(d1, d2)
         assert any(not np.array_equal(a, b) for a, b in zip(d1, d3))
 
     def test_alpha_one_uses_all_rows(self):
-        d = ensemble.draw_design(10, 1.0, 3, seed=0)
+        d = ensemble.draw_design(10, SbpmtConfig(M=3, alpha=1.0, seed=0))
         for s in d:
             np.testing.assert_array_equal(s, np.arange(10))
 
     def test_floor_of_alpha_n(self):
-        assert ensemble.draw_design(7, 0.5, 1, 0).shape == (1, 3)
-
-    def test_invalid_alpha(self):
-        for bad in (0.0, -0.1, 1.5):
-            with pytest.raises(ValueError, match="ratio"):
-                ensemble.draw_design(10, bad, 2, 0)
+        assert ensemble.draw_design(7, SbpmtConfig(
+            M=1, alpha=0.5, seed=0)).shape == (1, 3)
 
     def test_degenerate_subsample_size(self):
         with pytest.raises(ValueError, match=">= 1"):
-            ensemble.draw_design(5, 0.1, 2, 0)
+            ensemble.draw_design(5, SbpmtConfig(M=2, alpha=0.1, seed=0))
 
 
 class TestSbpmtConfig:
@@ -219,12 +222,18 @@ class TestSbpmtConfig:
         ("M", 2.0, "config: M must be a number of the kind of its default"),
         ("depth", True, "config: depth must be a number"),
         ("seed", np.int64(1), "config: seed must be a number"),
+        ("alpha", -0.1, "config: need 0 < alpha <= 1"),
     ])
     def test_bad_field_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             SbpmtConfig(**{field: value})
         with pytest.raises(ValueError, match=re.escape(message)):
             dataclasses.replace(SbpmtConfig(), **{field: value})
+
+    def test_frozen(self):
+        cfg = SbpmtConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.M = 0
 
 
 class TestFitSbpmt:
@@ -255,7 +264,8 @@ class TestFitSbpmt:
         X, y = xor_data(150, seed=15)
         cfg = self.small_config(M=1, alpha=1.0, T=3, B=5)
         sub = ensemble.fit_sbpmt(X, y, 2, cfg)
-        boosted = ensemble.fit_boosted(X, y, 2, 3, 2, 5, 5)
+        boosted = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
+            T=3, depth=2, min_leaf_size=5, B=5))
         Xq = np.random.default_rng(2).uniform(-1, 1, size=(60, 2))
         np.testing.assert_array_equal(
             ensemble.predict_sbpmt_many(sub, Xq),
@@ -367,12 +377,22 @@ class TestWorkerPool:
             raise AssertionError("a process was started")
         monkeypatch.setattr(os, "fork", fork)
 
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids that called os.fork (which still forks)."""
+        calls, real_fork = [], os.fork
+
+        def fork():
+            calls.append(os.getpid())
+            return real_fork()
+        monkeypatch.setattr(os, "fork", fork)
+        return calls
+
     @staticmethod
     def serial_reference(X, y, n_classes, cfg):
         """Loop reference: the members fitted one after another here."""
-        design = ensemble.draw_design(X.shape[0], cfg.alpha, cfg.M, cfg.seed)
-        members = [ensemble.fit_boosted(X[idx], y[idx], n_classes, cfg.T,
-                                        cfg.depth, cfg.min_leaf_size, cfg.B)
+        design = ensemble.draw_design(X.shape[0], cfg)
+        members = [ensemble.fit_boosted(X[idx], y[idx], n_classes, cfg)
                    for idx in design]
         return model_io.serialize_model(ensemble.SbpmtModel(
             members=members, design=design, config=cfg, n_classes=n_classes))
@@ -398,14 +418,7 @@ class TestWorkerPool:
             assert model_io.serialize_model(model) == expected
         assert multiprocessing.active_children() == []
 
-    def test_default_fit_starts_one_worker_per_cpu(self, two_cpus,
-                                                  monkeypatch):
-        forks, real_fork = [], os.fork
-
-        def fork():
-            forks.append(os.getpid())
-            return real_fork()
-        monkeypatch.setattr(os, "fork", fork)
+    def test_default_fit_starts_one_worker_per_cpu(self, two_cpus, forks):
         X, y, cfg = self.problem(3)
         ensemble.fit_sbpmt(X, y, 3, cfg)
         assert len(forks) == 2
@@ -463,3 +476,10 @@ class TestWorkerPool:
         with pytest.raises(ValueError, match="workers must be an integer"):
             ensemble.fit_sbpmt(X, y, 2, SbpmtConfig(M=4, T=1, B=1, depth=1),
                                workers=workers)
+
+    def test_one_class_rejected_before_any_process(self, two_cpus, forks):
+        X, _ = xor_data(60, seed=33)
+        with pytest.raises(ValueError, match="need at least 2 classes"):
+            ensemble.fit_sbpmt(X, np.zeros(60, dtype=int), 1,
+                               SbpmtConfig(M=4, T=1, B=1, depth=1))
+        assert forks == []
