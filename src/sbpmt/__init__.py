@@ -9,7 +9,7 @@ associated finite-sample generalization-error bounds.
 from .bounds import (BoundReport, DesignStats, design_stats, estimate_p_sub,
                      theorem3_bound, theorem4_bound, theorem5_bound,
                      theorem6_bound)
-from .cart import build_tree, route_many
+from .cart import build_tree, flatten, links, route_many
 from .data import (Dataset, SimConfig, accuracy, check_inputs, load_csv,
                    simulate, stratified_kfold, summarize_cv)
 from .ensemble import (BoostedPmt, SbpmtConfig, SbpmtModel, draw_design,
@@ -17,7 +17,7 @@ from .ensemble import (BoostedPmt, SbpmtConfig, SbpmtModel, draw_design,
                        predict_sbpmt_many)
 from .model_io import deserialize_model, load_model, save_model, serialize_model
 from .numerics import inv_mills, probit_loss, working_response_and_weight
-from .pmt import PmtModel, fit_pmt, predict_pmt_many
+from .pmt import PmtModel, fit_pmt, make_tree, predict_pmt_many
 from .probitboost import LinearScore, ProbitBoostTrace, fit_probitboost
 
 __version__ = "0.1.0"

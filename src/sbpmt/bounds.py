@@ -130,8 +130,8 @@ def theorem5_bound(errors, theta: float = 0.0) -> float:
     errors = np.asarray(errors, dtype=float)
     if not np.all((errors >= 0) & (errors <= 1)):
         raise ValueError("stage errors must lie in [0, 1]")
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
+    if not -1.0 <= theta <= 1.0:  # a normalized margin; keeps it finite
+        raise ValueError(f"theta must lie in [-1, 1], got {theta}")
     T = errors.size
     prod = float(np.prod(np.sqrt(errors ** (1.0 - theta)
                                  * (1.0 - errors) ** (1.0 + theta))))

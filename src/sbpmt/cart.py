@@ -4,7 +4,9 @@ Classification splitting with weighted Gini impurity; a node's split
 search scores every cut of every feature in one array pass.  Trees only
 provide the partition; leaf models are attached one level up.  Routing
 convention: x goes left iff x[feature] <= threshold.  Grown trees are
-Leaf/Internal nodes; fitted models keep only their flattened arrays.
+Leaf/Internal nodes; fitted models keep only their preorder split list
+(flatten), from which links derives the child arrays that routing
+follows.
 """
 
 from __future__ import annotations
@@ -103,38 +105,58 @@ def build_tree(X, y, n_classes: int, sample_weights, max_depth: int,
 
 
 def flatten(tree: TreeNode):
-    """Preorder arrays of a grown tree.
+    """Preorder split list of a grown tree.
 
-    Returns (feature, threshold, left, right, leaf, leaf_rows).  Internal
-    node i sends x to left[i] iff x[feature[i]] <= threshold[i].  Leaf
-    node i routes to itself (left[i] == right[i] == i) and leaf[i] numbers
-    the leaves in preorder, the index of its training rows in leaf_rows;
-    internal nodes have leaf -1.
+    Returns (feature, threshold, leaf_rows): node i splits on
+    feature[i] at threshold[i], a leaf has feature -1 and threshold 0.0,
+    and leaf_rows holds the training rows of each leaf in preorder.
     """
-    nodes: list[list] = []  # [feature, threshold, left, right, leaf]
-    leaf_rows: list[np.ndarray] = []
-
-    def visit(node) -> int:
-        i = len(nodes)
-        nodes.append([0, 0.0, i, i, -1])
+    nodes, leaf_rows, todo = [], [], [tree]
+    while todo:
+        node = todo.pop()
         if isinstance(node, Leaf):
-            nodes[i][4] = len(leaf_rows)
+            nodes.append((-1, 0.0))
             leaf_rows.append(node.rows)
         else:
-            nodes[i][:4] = (node.feature, node.threshold,
-                            visit(node.left), visit(node.right))
-        return i
+            nodes.append((node.feature, node.threshold))
+            todo += [node.right, node.left]  # the left subtree comes first
+    feature, threshold = map(np.array, zip(*nodes))
+    return feature, threshold, leaf_rows
 
-    visit(tree)
-    feature, threshold, left, right, leaf = map(np.array, zip(*nodes))
-    return feature, threshold, left, right, leaf, leaf_rows
+
+def links(feature):
+    """Child arrays and depth of a preorder split list.
+
+    Node i is a leaf iff feature[i] == -1.  Returns (left, right, depth):
+    internal node i sends x to left[i] iff x[feature[i]] <= threshold[i],
+    a leaf is its own child (left[i] == right[i] == i), and depth is the
+    longest root-to-leaf path.  Raises ValueError unless the list is
+    exactly one whole tree.
+    """
+    feature = np.asarray(feature).tolist()
+    child = [list(range(len(feature))), list(range(len(feature)))]
+    level = [0] * len(feature)
+    todo = [(0, 0)]  # (side, parent) of each node still to come, last first
+    for i, f in enumerate(feature):
+        if not todo:
+            raise ValueError(f"split list is not one tree: node {i} follows "
+                             "a complete tree")
+        side, parent = todo.pop()
+        if i:
+            child[side][parent] = i
+            level[i] = level[parent] + 1
+        if f != -1:
+            todo += [(1, i), (0, i)]
+    if todo:
+        raise ValueError("split list is not one tree: it ends inside a tree")
+    return np.array(child[0]), np.array(child[1]), max(level)
 
 
 def route_many(tree, roots, X) -> np.ndarray:
     """Node reached by every row of X in each of several trees.
 
-    tree holds the node arrays of flatten (feature, threshold, left, right)
-    for one or more trees laid side by side, and depth, a bound on their
+    tree holds the node arrays (feature, threshold, left, right; see links)
+    of one or more trees laid side by side, and depth, a bound on their
     depth; roots[t] is the root node of tree t.  Every row moves one level
     down in every tree per step, and a leaf routes to itself, so depth
     steps reach every leaf.  Returns node ids of shape (n, len(roots)).

@@ -118,8 +118,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    dataset = data.load_csv(args.data, args.label, not args.no_header)
     cfg = _build_config(args)
+    dataset = data.load_csv(args.data, args.label, not args.no_header)
     splits = data.stratified_kfold(dataset.y, args.k, args.seed)
     fold_accuracies = []
     for f, (train_idx, test_idx) in enumerate(splits):
@@ -159,9 +159,11 @@ def cmd_simulate(args) -> int:
     base = _build_config(args)
     sweep_name, sweep_values = (_parse_sweep(args.sweep) if args.sweep
                                 else (None, [None]))
+    # every point's config is checked before the first fit
+    points = [replace(base, **{sweep_name: v}) if sweep_name else base
+              for v in sweep_values]
     results = []
-    for value in sweep_values:
-        point = replace(base, **{sweep_name: value}) if sweep_name else base
+    for value, point in zip(sweep_values, points):
         errors = []
         for rep in range(args.repeats):
             seed = args.seed + rep

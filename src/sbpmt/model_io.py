@@ -2,19 +2,22 @@
 
 The format is a self-describing JSON document with explicit
 format_version; coefficients stay human-inspectable.  A stage is stored
-as its raw_err and its tree, the tree as the arrays of pmt.PmtModel,
-written as (nested) lists, with its probit risk.  Every fact is written
-once: ensemble.BoostStage derives a stage's err and alpha from raw_err,
-a tree's class count is read off its score block and its depth is
-config.depth.  Serialization is deterministic (sorted keys, fixed
-layout), so identical models produce byte-identical files, and
-deserialize(serialize(m)) predicts bit-identically.  Loading treats the
-document as outside input: NaN or Infinity tokens, missing or unknown
-keys, numbers of the wrong kind, a config that SbpmtConfig rejects,
-member and stage counts that break config.M and config.T, tree arrays
-that routing or scoring could not follow or that hold a number too large
-for a float (the error names the member and stage), a schema that
-data.check_schema rejects and a malformed design raise ValueError.
+as its raw_err and its tree, the tree as the arguments of pmt.make_tree
+written as (nested) lists: its preorder split list (feature -1 at a
+leaf), its score block and its probit risk.  Every fact is written once:
+ensemble.BoostStage derives a stage's err and alpha from raw_err, and
+make_tree a tree's child arrays, leaf numbers and depth; its class count
+is read off its score block.  Serialization is deterministic (sorted
+keys, fixed layout), so identical models produce byte-identical files,
+and deserialize(serialize(m)) predicts bit-identically.  Loading treats
+the document as outside input: NaN or Infinity tokens, missing or
+unknown keys, numbers of the wrong kind, a config that SbpmtConfig
+rejects, member and stage counts that break config.M and config.T, a
+tree with a feature outside -1..p-1, a split list that is not one tree,
+a score row count other than its leaf count, a depth above config.depth
+or a number too large for a float (the error names the member and
+stage), a schema that data.check_schema rejects and a malformed design
+raise ValueError.
 """
 
 from __future__ import annotations
@@ -27,10 +30,7 @@ import numpy as np
 
 from . import data, ensemble, pmt
 
-FORMAT_VERSION = 4
-
-# PmtModel fields that the document holds once for all trees.
-_SHARED = ("depth",)
+FORMAT_VERSION = 5
 
 # raw_err is the weight share of the rows a stage misses, in [0, 1] up to
 # rounding: the weights sum to 1 only as closely as a float sum can, so a
@@ -41,10 +41,9 @@ _ERR_SLACK = 1e-6
 _DOC_KEYS = {"format_version", "config", "n_classes", "schema", "design",
              "members"}
 _STAGE_KEYS = {"raw_err", "model"}
-_TREE_KEYS = {f.name for f in fields(pmt.PmtModel)} - set(_SHARED)
-_NODE_KEYS = ("feature", "threshold", "left", "right", "leaf")
-_INDEX_KEYS = ("feature", "left", "right", "leaf")
+_NODE_KEYS = ("feature", "threshold")
 _ARRAY_KEYS = _NODE_KEYS + ("intercept", "coef")
+_TREE_KEYS = set(_ARRAY_KEYS) | {"probit_risk"}
 
 
 def model_to_dict(model: ensemble.SbpmtModel) -> dict:
@@ -57,9 +56,8 @@ def model_to_dict(model: ensemble.SbpmtModel) -> dict:
         "members": [
             {"stages": [
                 {"raw_err": st.raw_err,
-                 "model": {f.name: np.asarray(getattr(st.model, f.name))
-                           .tolist() for f in fields(st.model)
-                           if f.name not in _SHARED}}
+                 "model": {k: np.asarray(getattr(st.model, k)).tolist()
+                           for k in _TREE_KEYS}}
                 for st in member.stages]}
             for member in model.members],
     }
@@ -70,10 +68,10 @@ def _is_number(v) -> bool:
 
 
 def _tree_fields(tree, n_classes: int, n_features, where: str) -> dict:
-    """The PmtModel fields of one stored tree but its depth: the arrays,
-    with their kinds and shapes checked, and the probit risk, a finite
-    number for 2 classes and None for more.  n_features None takes the
-    feature count from this tree's coef."""
+    """The make_tree arguments of one stored tree: the arrays, with their
+    kinds and shapes checked, and the probit risk, a finite number for 2
+    classes and None for more.  n_features None takes the feature count
+    from this tree's coef."""
     data.check_keys(tree, _TREE_KEYS, where)
     risk = tree["probit_risk"]
     if not (_is_number(risk) if n_classes == 2 else risk is None):
@@ -85,7 +83,7 @@ def _tree_fields(tree, n_classes: int, n_features, where: str) -> dict:
     except ValueError as exc:  # ragged lists
         raise ValueError(f"{where}: {exc}") from None
     for k, v in a.items():
-        index = k in _INDEX_KEYS
+        index = k == "feature"
         if v.dtype.kind not in ("iu" if index else "iuf"):
             raise ValueError(f"{where}: {k} must hold "
                              + ("integers" if index else "numbers"))
@@ -96,57 +94,21 @@ def _tree_fields(tree, n_classes: int, n_features, where: str) -> dict:
         raise ValueError(f"{where}: {', '.join(_NODE_KEYS)} must be "
                          "nonempty lists of one length")
     K = 1 if n_classes == 2 else n_classes
-    L = len(a["intercept"]) if a["intercept"].ndim else 0
+    L = int(np.sum(a["feature"] == -1))  # a leaf per -1, a score row each
     if n_features is None and a["coef"].ndim == 3:
         n_features = a["coef"].shape[2]
     if (L == 0 or a["intercept"].shape != (L, K)
             or a["coef"].shape != (L, K, n_features)):
         raise ValueError(
             f"{where}: intercept {a['intercept'].shape} and coef "
-            f"{a['coef'].shape} must be (L, {K}) and (L, {K}, {n_features})")
+            f"{a['coef'].shape} must be (L, {K}) and (L, {K}, {n_features}) "
+            f"for its L = {L} leaves")
+    bad = (a["feature"] < -1) | (a["feature"] >= n_features)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{where}: node {i} has feature index "
+                         f"{a['feature'][i]}, outside -1..{n_features - 1}")
     return {**a, "probit_risk": risk}
-
-
-def _check_indices(trees: list[dict], wheres: list[str], n_features: int,
-                   depth: int) -> None:
-    """Reject trees that routing or scoring could not follow, in one
-    whole-array pass over all trees: feature indices below n_features,
-    children within their tree, a row of the tree's score block at every
-    leaf node (a node that is its own child), and every path from the root
-    reaching a leaf within depth steps."""
-    sizes = np.array([t["feature"].size for t in trees])
-    tree_of = np.repeat(np.arange(sizes.size), sizes)
-    base = (np.cumsum(sizes) - sizes)[tree_of]  # each node's tree offset
-    node = np.arange(tree_of.size) - base
-    n_leaves = np.array([len(t["intercept"]) for t in trees])[tree_of]
-    cat = {k: np.concatenate([t[k] for t in trees]) for k in _INDEX_KEYS}
-    is_leaf = (cat["left"] == node) & (cat["right"] == node)
-
-    def reject(i, what):
-        raise ValueError(f"{wheres[tree_of[i]]} tree: node {node[i]} {what}")
-
-    for k, lo, hi in (("feature", 0, n_features), ("left", 0, sizes[tree_of]),
-                      ("right", 0, sizes[tree_of]),
-                      ("leaf", np.where(is_leaf, 0, -1), n_leaves)):
-        bad = (cat[k] < lo) | (cat[k] >= hi)
-        if bad.any():
-            i = int(np.argmax(bad))
-            reject(i, f"has {k} index {cat[k][i]}, outside "
-                      f"{np.broadcast_to(lo, bad.shape)[i]}.."
-                      f"{np.broadcast_to(hi, bad.shape)[i] - 1}")
-    # nodes reached after depth steps; a leaf is its own child, so once
-    # reached it stays
-    left, right = cat["left"] + base, cat["right"] + base
-    reached = np.flatnonzero(node == 0)
-    for _ in range(depth):
-        hit = np.zeros(node.size, dtype=bool)
-        hit[left[reached]] = True
-        hit[right[reached]] = True
-        reached = np.flatnonzero(hit)
-    deep = reached[~is_leaf[reached]]
-    if deep.size:
-        reject(deep[0], f"is {depth} steps below the root, the model's "
-                        "depth, but is not a leaf")
 
 
 def _design(subsets, M: int) -> np.ndarray:
@@ -190,7 +152,7 @@ def model_from_dict(doc: dict) -> ensemble.SbpmtModel:
         raise ValueError(f"model file: {len(doc['members'])} members, but "
                          f"config.M is {cfg.M}")
     design = _design(doc["design"]["subsets"], cfg.M)
-    members, n_features, trees, wheres = [], None, [], []
+    members, n_features = [], None
     for k, mdoc in enumerate(doc["members"]):
         data.check_keys(mdoc, {"stages"}, f"member {k}")
         if not (isinstance(mdoc["stages"], list)
@@ -208,12 +170,15 @@ def model_from_dict(doc: dict) -> ensemble.SbpmtModel:
             tree = _tree_fields(sd["model"], n_classes, n_features,
                                 where + " tree")
             n_features = tree["coef"].shape[2]
-            trees.append(tree)
-            wheres.append(where)
-            stages.append(ensemble.BoostStage(
-                raw_err=raw_err, model=pmt.PmtModel(depth=cfg.depth, **tree)))
+            try:
+                model = pmt.make_tree(**tree)
+            except ValueError as exc:
+                raise ValueError(f"{where} tree: {exc}") from None
+            if model.depth > cfg.depth:
+                raise ValueError(f"{where} tree: depth {model.depth}, deeper "
+                                 f"than config.depth = {cfg.depth}")
+            stages.append(ensemble.BoostStage(raw_err=raw_err, model=model))
         members.append(ensemble.BoostedPmt(stages=stages))
-    _check_indices(trees, wheres, n_features, cfg.depth)
     if doc["schema"] is not None:
         data.check_schema(doc["schema"], n_classes, n_features)
     return ensemble.SbpmtModel(members=members, design=design, config=cfg,

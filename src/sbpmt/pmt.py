@@ -1,11 +1,12 @@
 """Probit Model Tree: CART partition + per-leaf ProbitBoost models.
 
-A fitted tree is a set of arrays: the node arrays of cart.flatten and one
-score block with a row per leaf, margin_k(x) = intercept[l, k] +
-coef[l, k] . x.  Binary trees have K = 1 margin (positive predicts class
-1, so ties go to class 0, the sign(0) = -1 convention); multi-class trees
-have K = n_classes one-versus-all margins, decided by argmax (ties go to
-the smallest class index).
+A fitted tree is its preorder split list (cart.flatten) and one score
+block with a row per leaf, margin_k(x) = intercept[l, k] + coef[l, k] . x;
+make_tree, which builds every PmtModel from a fit or a model file,
+derives the child arrays, leaf numbers and depth.  Binary trees have K =
+1 margin (positive predicts class 1, so ties go to class 0, the sign(0) =
+-1 convention); multi-class trees have K = n_classes one-versus-all
+margins, decided by argmax (ties go to the smallest class index).
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ from . import cart, data, probitboost
 class PmtModel:
     """One Probit Model Tree, or several laid side by side (see stack)."""
 
-    feature: np.ndarray    # (N,) split feature per node
+    feature: np.ndarray    # (N,) split feature per node; -1 at a leaf
     threshold: np.ndarray  # (N,) split threshold per node
     left: np.ndarray       # (N,) left child; a leaf node is its own child
     right: np.ndarray      # (N,) right child
-    leaf: np.ndarray       # (N,) row of the score block; read at leaves only
+    leaf: np.ndarray       # (N,) row of the score block; -1 at a split
     intercept: np.ndarray  # (L, K)
     coef: np.ndarray       # (L, K, p)
-    depth: int
+    depth: int             # longest root-to-leaf path
     # Weighted probit risk of the whole tree (binary only; None for J > 2).
     # Feeds the Theorem-6-style bound on boosted training error.
     probit_risk: float | None = None
@@ -36,6 +37,19 @@ class PmtModel:
     @property
     def n_classes(self) -> int:  # K = 1 margin means 2 classes
         return max(2, self.intercept.shape[1])
+
+
+def make_tree(feature, threshold, intercept, coef,
+              probit_risk: float | None = None) -> PmtModel:
+    """The PmtModel of a preorder split list (see cart.flatten) and its
+    score block, a row per leaf in preorder.  cart.links derives the child
+    arrays and the depth, and rejects a list that is not one tree."""
+    feature = np.asarray(feature)
+    is_leaf = feature == -1
+    left, right, depth = cart.links(feature)
+    return PmtModel(feature, threshold, left, right,
+                    np.where(is_leaf, np.cumsum(is_leaf) - 1, -1),
+                    intercept, coef, depth, probit_risk)
 
 
 def fit_pmt(X, y, n_classes: int, sample_weights, depth: int,
@@ -54,7 +68,7 @@ def fit_pmt(X, y, n_classes: int, sample_weights, depth: int,
     w = w / float(np.sum(w))
 
     tree = cart.build_tree(X, y, n_classes, w, depth, min_leaf_size)
-    feature, threshold, left, right, leaf, leaf_rows = cart.flatten(tree)
+    feature, threshold, leaf_rows = cart.flatten(tree)
     order = np.concatenate(leaf_rows)
     sizes = np.array([rows.size for rows in leaf_rows])
     starts = np.cumsum(sizes) - sizes
@@ -63,12 +77,10 @@ def fit_pmt(X, y, n_classes: int, sample_weights, depth: int,
     fits = [probitboost.fit_probitboost(Xs, np.where(ys == c, 1.0, -1.0), ws,
                                         probit_iters, starts)
             for c in positive]
-    return PmtModel(feature=feature, threshold=threshold, left=left,
-                    right=right, leaf=leaf, depth=depth,
-                    intercept=np.stack([s.intercept for s, _ in fits], axis=1),
-                    coef=np.stack([s.coefficients for s, _ in fits], axis=1),
-                    probit_risk=(fits[0][1].risks[-1] if n_classes == 2
-                                 else None))
+    return make_tree(feature, threshold,
+                     np.stack([s.intercept for s, _ in fits], axis=1),
+                     np.stack([s.coefficients for s, _ in fits], axis=1),
+                     fits[0][1].risks[-1] if n_classes == 2 else None)
 
 
 def stack(models: list[PmtModel]):

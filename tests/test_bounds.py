@@ -263,6 +263,23 @@ class TestTheorem5:
         with pytest.raises(ValueError, match="theta"):
             bounds.theorem5_bound([0.2], math.nan)
 
+    @pytest.mark.parametrize("theta", [2.0, -3.0, 1.0 + 1e-12, -1.5,
+                                       math.inf, -math.inf])
+    def test_rejects_theta_outside_margin_range(self, theta):
+        # a normalized margin lies in [-1, 1]; beyond it an error of 0 or 1
+        # gives an infinite factor (theta 2) or a meaningless one (theta -3)
+        with pytest.raises(ValueError, match=r"theta must lie in \[-1, 1\]"):
+            bounds.theorem5_bound([0.0, 0.1], theta)
+
+    @pytest.mark.parametrize("theta", [-1.0, 1.0])
+    def test_theta_range_ends_stay_finite(self, theta):
+        errs = [0.0, 0.1, 1.0]
+        got = bounds.theorem5_bound(errs, theta)
+        assert math.isfinite(got)
+        assert got == pytest.approx(8 * np.prod(
+            [math.sqrt(e ** (1 - theta) * (1 - e) ** (1 + theta))
+             for e in errs]))
+
 
 class TestTheorem6:
     def test_zero_risks(self):

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,11 +49,12 @@ def reference_best_split(X, y, w, rows, n_classes, min_leaf_size):
     return best
 
 
-def flat(tree, depth):
-    """The node arrays of a grown tree, routable by cart.route_many."""
-    feature, threshold, left, right, leaf, rows = cart.flatten(tree)
-    return SimpleNamespace(feature=feature, threshold=threshold, left=left,
-                           right=right, leaf=leaf, rows=rows, depth=depth)
+def flat(tree):
+    """The PmtModel of a grown tree with an all-zero score block, routable
+    by cart.route_many, and the training rows of its leaves."""
+    feature, threshold, rows = cart.flatten(tree)
+    zeros = np.zeros((len(rows), 1))
+    return pmt.make_tree(feature, threshold, zeros, zeros[:, :, None]), rows
 
 
 def leaf_labels(tree, y):
@@ -84,8 +83,14 @@ def walk(tree, x):
     return leaf_number(tree, node)
 
 
-def route_leaves(tree, depth, X):
-    t = flat(tree, depth)
+def max_depth(node):
+    if isinstance(node, Leaf):
+        return 0
+    return 1 + max(max_depth(node.left), max_depth(node.right))
+
+
+def route_leaves(tree, X):
+    t, _ = flat(tree)
     return t.leaf[cart.route_many(t, [0], np.asarray(X, dtype=float))[:, 0]]
 
 
@@ -95,7 +100,7 @@ class TestBuildTree:
         y = np.array([0, 1])
         tree = cart.build_tree(X, y, 2, np.ones(2), 0, 1)
         assert isinstance(tree, Leaf)
-        assert flat(tree, 0).leaf.tolist() == [0]
+        assert flat(tree)[0].leaf.tolist() == [0]
         np.testing.assert_array_equal(np.sort(tree.rows), [0, 1])
 
     def test_pure_node_not_split(self):
@@ -171,12 +176,6 @@ class TestBuildTree:
         y = (rng.uniform(size=200) > 0.5).astype(int)
         for d in (0, 1, 2, 4):
             tree = cart.build_tree(X, y, 2, np.ones(200), d, 1)
-
-            def max_depth(node):
-                if isinstance(node, Leaf):
-                    return 0
-                return 1 + max(max_depth(node.left), max_depth(node.right))
-
             assert max_depth(tree) <= d
 
     def test_multiclass_three_bands(self):
@@ -192,18 +191,19 @@ class TestBuildTree:
         X = rng.normal(size=(100, 4))
         y = (X[:, 0] + 0.3 * rng.normal(size=100) > 0).astype(int)
         tree = cart.build_tree(X, y, 2, np.ones(100), 4, 5)
-        t = flat(tree, 4)
+        t, rows = flat(tree)
         is_leaf = t.left == np.arange(t.left.size)
+        np.testing.assert_array_equal(is_leaf, t.feature == -1)
         np.testing.assert_array_equal(t.right[is_leaf],
                                       np.flatnonzero(is_leaf))
-        np.testing.assert_array_equal(t.leaf[is_leaf],
-                                      np.arange(len(t.rows)))
+        np.testing.assert_array_equal(t.leaf[is_leaf], np.arange(len(rows)))
         assert np.all(t.leaf[~is_leaf] == -1)
-        all_rows = np.concatenate(t.rows)
+        assert np.all(t.threshold[is_leaf] == 0.0)
+        all_rows = np.concatenate(rows)
         np.testing.assert_array_equal(np.sort(all_rows), np.arange(100))
         leaves = preorder_leaves(tree)
-        assert len(leaves) == len(t.rows)
-        assert all(r is lf.rows for r, lf in zip(t.rows, leaves))
+        assert len(leaves) == len(rows)
+        assert all(r is lf.rows for r, lf in zip(rows, leaves))
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -276,8 +276,8 @@ class TestRouting:
 
     def test_training_rows_route_to_their_leaf(self):
         tree, X = self.tree()
-        leaves = route_leaves(tree, 2, X)
-        for leaf_id, rows in enumerate(flat(tree, 2).rows):
+        leaves = route_leaves(tree, X)
+        for leaf_id, rows in enumerate(flat(tree)[1]):
             assert np.all(leaves[rows] == leaf_id)
 
     def test_boundary_goes_left(self):
@@ -286,8 +286,8 @@ class TestRouting:
         tree = cart.build_tree(X, y, 2, np.ones(2), 1, 1)
         assert tree.threshold == pytest.approx(1.0)
         left_id = leaf_number(tree, tree.left)
-        assert route_leaves(tree, 1, [[1.0]])[0] == left_id  # x == threshold
-        assert route_leaves(tree, 1, [[np.nextafter(1.0, 2.0)]])[0] != left_id
+        assert route_leaves(tree, [[1.0]])[0] == left_id  # x == threshold
+        assert route_leaves(tree, [[np.nextafter(1.0, 2.0)]])[0] != left_id
 
     def test_route_many_matches_scalar(self):
         # batch routing equals the reference walk over the grown nodes,
@@ -297,9 +297,9 @@ class TestRouting:
         y = (X[:, 1] > 0).astype(int)
         tree = cart.build_tree(X, y, 2, np.ones(300), 5, 2)
         Xq = rng.normal(size=(500, 3))
-        many = route_leaves(tree, 5, Xq)
+        many = route_leaves(tree, Xq)
         assert many.tolist() == [walk(tree, x) for x in Xq]
-        assert many.tolist() == [route_leaves(tree, 5, x[None, :])[0]
+        assert many.tolist() == [route_leaves(tree, x[None, :])[0]
                                  for x in Xq]
 
     def test_trees_side_by_side_route_independently(self):
@@ -308,23 +308,54 @@ class TestRouting:
         trees = [cart.build_tree(X, (X[:, j] > 0).astype(int), 2,
                                  np.ones(200), d, 5)
                  for j, d in ((0, 1), (1, 4), (2, 0))]
-        flats = [flat(t, d) for t, d in zip(trees, (1, 4, 0))]
-        roots = np.cumsum([0] + [f.feature.size for f in flats[:-1]])
-        both = SimpleNamespace(
-            feature=np.concatenate([f.feature for f in flats]),
-            threshold=np.concatenate([f.threshold for f in flats]),
-            left=np.concatenate([f.left + r for f, r in zip(flats, roots)]),
-            right=np.concatenate([f.right + r for f, r in zip(flats, roots)]),
-            depth=4)
+        flats = [flat(t)[0] for t in trees]
+        both, roots = pmt.stack(flats)
+        assert both.depth == max(max_depth(t) for t in trees)
         Xq = rng.normal(size=(100, 3))
         nodes = cart.route_many(both, roots, Xq)
         for t, (tree, f, r) in enumerate(zip(trees, flats, roots)):
             assert f.leaf[nodes[:, t] - r].tolist() == [walk(tree, x)
                                                         for x in Xq]
 
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+    def test_links_route_like_walk(self, depth):
+        # make_tree's child arrays, through route_many, reach the leaf
+        # that the reference walk over the grown nodes reaches, within
+        # the tree's own depth
+        rng = np.random.default_rng(depth)
+        X = rng.normal(size=(300, 3))
+        y = (X[:, 0] + X[:, 1] * X[:, 2] > 0).astype(int)
+        tree = cart.build_tree(X, y, 2, np.ones(300), depth, 5)
+        t, _ = flat(tree)
+        assert t.depth == max_depth(tree) <= depth
+        Xq = rng.normal(size=(200, 3))
+        assert route_leaves(tree, Xq).tolist() == [walk(tree, x) for x in Xq]
+
+    def test_links_of_a_small_list(self):
+        # 0 splits into leaf 1 and split 2, which splits into leaves 3, 4
+        left, right, depth = cart.links([0, -1, 1, -1, -1])
+        assert left.tolist() == [1, 1, 3, 3, 4]
+        assert right.tolist() == [2, 1, 4, 3, 4]
+        assert depth == 2
+        assert [a.tolist() for a in cart.links([-1])[:2]] == [[0], [0]]
+
+    @pytest.mark.parametrize("feature, message", [
+        ([], "ends inside a tree"),
+        ([0], "ends inside a tree"),
+        ([0, -1], "ends inside a tree"),
+        ([-1, -1], "node 1 follows a complete tree"),
+        ([0, -1, -1, -1], "node 3 follows a complete tree"),
+    ])
+    def test_links_rejects_what_is_not_one_tree(self, feature, message):
+        with pytest.raises(ValueError, match="not one tree: .*" + message):
+            cart.links(feature)
+        with pytest.raises(ValueError, match=message):
+            pmt.make_tree(feature, np.zeros(len(feature)), np.zeros((1, 1)),
+                          np.zeros((1, 1, 1)))
+
     def test_route_many_empty(self):
         tree, _ = self.tree()
-        assert cart.route_many(flat(tree, 2), [0],
+        assert cart.route_many(flat(tree)[0], [0],
                                np.zeros((0, 2))).shape == (0, 1)
 
     def test_dimension_mismatch(self):

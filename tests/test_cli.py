@@ -280,6 +280,17 @@ class TestCv:
         assert doc["mean_accuracy_pct"] == pytest.approx(
             np.mean(doc["fold_accuracies_pct"]))
 
+    def test_bad_config_rejected_before_reading_data(self, tmp_path, capsys,
+                                                     monkeypatch):
+        fits = []
+        monkeypatch.setattr(ensemble, "fit_sbpmt",
+                            lambda *a, **k: fits.append(a))
+        rc = cli.main(["cv", "--data", str(tmp_path / "missing.csv"),
+                       "--depth", "-1"])
+        assert rc == 1
+        assert "config: need depth >= 0" in capsys.readouterr().err
+        assert fits == []
+
 
 class TestSimulate:
     def test_single_point(self, tmp_path, capsys):
@@ -341,6 +352,25 @@ class TestSimulate:
         assert rc == 1
         assert "config: need n_test >= 1" in capsys.readouterr().err
         assert not report.exists()
+
+    @pytest.mark.parametrize("sweep, message", [
+        ("M=2,0", "config: need M >= 1, got M = 0"),
+        ("alpha=0.5,1.5", "config: need 0 < alpha <= 1, got alpha = 1.5"),
+    ])
+    def test_bad_sweep_value_rejected_before_any_fit(self, tmp_path, capsys,
+                                                     monkeypatch, sweep,
+                                                     message):
+        fits = []
+        monkeypatch.setattr(ensemble, "fit_sbpmt",
+                            lambda *a, **k: fits.append(a))
+        report = tmp_path / "sim.json"
+        rc = cli.main(["simulate", "--n-train", "100", "--n-test", "50",
+                       "--M", "2", "--T", "1", "--B", "1", "--depth", "1",
+                       "--sweep", sweep, "--repeats", "2",
+                       "--report", str(report)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert fits == [] and not report.exists()
 
     def test_bad_sweep_spec(self, capsys):
         rc = cli.main(["simulate", "--sweep", "bogus=1,2"] + FAST)
@@ -456,6 +486,11 @@ class TestBound:
         (["--theorem", "5", "--errors", "nan,0.2"], "[0, 1]"),
         (["--theorem", "6", "--probit-risks", "nan", "--T", "1",
           "--d-vc", "20"], "finite"),
+        # a normalized margin lies in [-1, 1]; theta 2 gave inf, -3 a number
+        (["--theorem", "5", "--errors", "0,0.1", "--theta", "2"],
+         "theta must lie in [-1, 1]"),
+        (["--theorem", "5", "--errors", "0,0.1", "--theta", "-3"],
+         "theta must lie in [-1, 1]"),
     ])
     def test_non_finite_input_is_runtime_error(self, capsys, argv, message):
         # no bound is printed for input outside its range

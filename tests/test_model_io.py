@@ -90,7 +90,7 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="format version"):
             model_io.model_from_dict(doc)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_version_1_rejected_with_refit_message(self, version):
         model, _ = fit_small()
         doc = model_io.model_to_dict(model)
@@ -102,15 +102,19 @@ class TestFileFormat:
         model, _ = fit_small(n_classes=3)
         doc = json.loads(model_io.serialize_model(model))
         tree = doc["members"][0]["stages"][0]["model"]
+        # the tree is the arguments of pmt.make_tree: its preorder split
+        # list (feature -1 at a leaf) and a score row per leaf
+        assert set(tree) == {"feature", "threshold", "intercept", "coef",
+                             "probit_risk"}
         n_nodes, n_leaves = len(tree["feature"]), len(tree["intercept"])
-        assert n_nodes == 2 * n_leaves - 1
-        for key in ("threshold", "left", "right", "leaf"):
-            assert len(tree[key]) == n_nodes
+        assert n_nodes == 2 * n_leaves - 1 == len(tree["threshold"])
+        assert tree["feature"].count(-1) == n_leaves
         assert np.shape(tree["coef"]) == (n_leaves, 3, 3)
         assert "rows" not in json.dumps(doc["members"])
-        # each fact once: the probit risk in the tree, n_classes and depth
-        # in the document and its config, the design seed in the config;
-        # a stage's err and alpha follow from its raw_err
+        # each fact once: the probit risk in the tree, n_classes in the
+        # document, the design seed in the config; a stage's err and alpha
+        # follow from its raw_err, a tree's child arrays, leaf numbers and
+        # depth from its split list
         stage = doc["members"][0]["stages"][0]
         assert set(stage) == {"raw_err", "model"}
         assert "probit_risk" in tree
@@ -154,18 +158,28 @@ class TestUntrustedFile:
             model_io.deserialize_model(json.dumps(doc))
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda t: t.pop("leaf"), r"missing keys \['leaf'\]"),
+        (lambda t: t.pop("threshold"), r"missing keys \['threshold'\]"),
         (lambda t: t.update(rows=[]), r"unknown keys \['rows'\]"),
-        (lambda t: t.update(left=[10**6] + t["left"][1:]),
-         "node 0 has left index 1000000"),
-        (lambda t: t.update(right=[-1] + t["right"][1:]),
-         "node 0 has right index -1"),
+        # the child arrays and leaf numbers follow from the split list
+        (lambda t: t.update(left=list(range(len(t["feature"])))),
+         r"unknown keys \['left'\]"),
         (lambda t: t.update(feature=[99] + t["feature"][1:]),
-         "node 0 has feature index 99, outside 0..2"),
-        (lambda t: t.update(leaf=[len(t["intercept"])] * len(t["leaf"])),
-         "leaf index"),
-        (lambda t: t.update(leaf=[-1] * len(t["leaf"])),
-         "leaf index -1, outside 0"),
+         "node 0 has feature index 99, outside -1..2"),
+        (lambda t: t.update(feature=[-2] + t["feature"][1:]),
+         "node 0 has feature index -2, outside -1..2"),
+        # a split list that ends inside a tree: its last leaf dropped
+        (lambda t: [t.update({k: t[k][:-1]}) for k in
+                    ("feature", "threshold", "intercept", "coef")],
+         "split list is not one tree: it ends inside a tree"),
+        # and one with a leaf after the whole tree
+        (lambda t: [t[k].append(t[k][-1]) for k in
+                    ("feature", "threshold", "intercept", "coef")],
+         r"split list is not one tree: node \d+ follows a complete tree"),
+        # a score row per leaf: one short, or one over
+        (lambda t: [t.update({k: t[k][1:]}) for k in ("intercept", "coef")],
+         r"must be \(L, 3\) and \(L, 3, 3\) for its L = \d+ leaves"),
+        (lambda t: [t[k].append(t[k][0]) for k in ("intercept", "coef")],
+         r"\(\d+, 3\) and coef \(\d+, 3, 3\) must be .* for its L"),
         (lambda t: t.update(feature=[0.5] * len(t["feature"])),
          "feature must hold integers"),
         (lambda t: t.update(threshold=t["threshold"][1:]),
@@ -233,7 +247,7 @@ class TestUntrustedFile:
         (lambda d: d.update(n_classes=3.0), "n_classes must be an integer"),
         (lambda d: d.update(n_classes=True), "n_classes must be an integer"),
         (lambda d: d.update(format_version=float(model_io.FORMAT_VERSION)),
-         "unsupported model format version 4.0"),
+         "unsupported model format version 5.0"),
         # the member count is config.M; no member has more than config.T
         # stages
         (lambda d: d["config"].update(M=50),
@@ -244,12 +258,11 @@ class TestUntrustedFile:
         (lambda d: d.update(members=[]), "members must be a nonempty list"),
         (lambda d: d["members"][2].update(stages=[]), "member 2: stages"),
         (lambda d: d.update(n_classes=1), "n_classes"),
-        # routing runs config.depth steps, so every path from the root
-        # must reach a leaf within them
+        # no tree is deeper than config.depth
         (lambda d: d["config"].update(depth=0),
-         "member 0 stage 0 tree: node 0 is 0 steps below the root"),
-        (lambda d: d["members"][0]["stages"][0]["model"]["left"].__setitem__(
-            1, 0), "member 0 stage 0 tree: node 0 is 2 steps below"),
+         "member 0 stage 0 tree: depth 2, deeper than config.depth = 0"),
+        (lambda d: d["config"].update(depth=1),
+         "member 0 stage 0 tree: depth 2, deeper than config.depth = 1"),
         # the schema that data.encode_rows follows
         (lambda d: d["schema"]["columns"][0].pop("kind"),
          r"schema column 0: missing keys \['kind'\]"),
