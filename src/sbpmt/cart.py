@@ -1,16 +1,21 @@
 """Weighted axis-parallel CART partition builder.
 
-Classification splitting with weighted Gini impurity; a node's split
-search scores every cut of every feature in one array pass.  Trees only
-provide the partition; leaf models are attached one level up.  Routing
-convention: x goes left iff x[feature] <= threshold.  Grown trees are
-Leaf/Internal nodes; fitted models keep only their preorder split list
-(flatten), from which links derives the child arrays that routing
-follows.
+Classification splitting with weighted Gini impurity.  Each feature is
+sorted once per tree (as in SLIQ, Mehta, Agrawal & Rissanen, 1996): a
+node holds its rows' sorted order per feature, and a split hands each
+child the parent's order filtered through the split, which keeps every
+row's relative order and so equals a stable sort of the child's own rows.
+A node's split search scores every cut of every feature in one array pass
+over class-major cumulative class masses.  Trees only provide the
+partition; leaf models are attached one level up.  Routing convention: x
+goes left iff x[feature] <= threshold.  Grown trees are Leaf/Internal
+nodes; fitted models keep only their preorder split list (flatten), from
+which links derives the child arrays that routing follows.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,40 +42,45 @@ TreeNode = Internal | Leaf
 
 
 def _gini(cw: np.ndarray) -> np.ndarray:
-    # W * gini = W - sum_c w_c^2 / W over the class (last) axis, 0 where
-    # W = 0; additive over children.
-    total = cw.sum(axis=-1)
+    # W * gini = W - sum_c w_c^2 / W over the class (first) axis, 0 where
+    # W = 0; additive over children.  The classes are added in order
+    # 0..J-1, one whole array at a time.
+    total = functools.reduce(np.add, cw)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return total - np.where(total > 0, np.square(cw).sum(axis=-1) / total,
-                                0.0)
+        return total - np.where(
+            total > 0, functools.reduce(np.add, np.square(cw)) / total, 0.0)
 
 
-def _best_split(X, y, w, rows, n_classes, min_leaf_size):
+def _best_split(X, mass, rows, order, min_leaf_size):
     """Best (gain, feature, threshold) over the midpoint cuts of every
     feature at once, or None when no cut gains more than tolerance.
 
-    A cut lies between consecutive distinct values of a feature and leaves
-    min_leaf_size raw rows on both sides.  Ties break to the lowest feature
-    index, then the lowest threshold (the first maximum in feature-major
-    order).
+    mass (J, N) holds each row's weight in its class's row and 0 in the
+    others.  rows lists the node's rows in ascending order, and order
+    (p, n) holds them sorted stably by each feature (ties by row index);
+    nothing here sorts.  A cut lies between consecutive distinct values
+    of a feature and leaves min_leaf_size raw rows on both sides.  Ties
+    break to the lowest feature index, then the lowest threshold (the
+    first maximum in feature-major order).
     """
-    n = rows.size
-    Xn = X[rows]
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y[rows]] = w[rows]
-    order = np.argsort(Xn, axis=0, kind="stable")
-    vs = np.take_along_axis(Xn, order, axis=0)
-    cw = np.cumsum(onehot[order], axis=0)  # (n, p, J) class mass up to a row
-    cut = np.arange(1, n)[:, None]
-    ok = ((vs[1:] > vs[:-1]) & (cut >= min_leaf_size)
-          & (n - cut >= min_leaf_size))
-    gains = (_gini(onehot.sum(axis=0)) - _gini(cw[:-1])
-             - _gini(cw[-1] - cw[:-1]))
-    gains[~ok] = -np.inf
-    j, k = np.unravel_index(np.argmax(gains.T), gains.T.shape)
-    if not gains[k, j] > _GAIN_TOL:
+    vs = np.take_along_axis(X.T, order, axis=1)
+    # (J, p, n): class mass up to each position of each feature's order
+    cw = np.cumsum(np.take(mass, order, axis=1), axis=2)
+    n_classes, n = mass.shape[0], rows.size
+    lo, hi = min_leaf_size - 1, max(n - min_leaf_size, 0)
+    ok = np.zeros(vs.shape, dtype=bool)  # ok[j, k]: cut after position k
+    ok[:, lo:hi] = vs[:, lo + 1:hi + 1] > vs[:, lo:hi]
+    at = np.flatnonzero(ok)  # the valid cuts, in feature-major order
+    left = np.take(cw.reshape(n_classes, -1), at, axis=1)
+    totals = np.repeat(cw[:, :, -1], np.count_nonzero(ok, axis=1), axis=1)
+    right = totals - left
+    parent = np.cumsum(mass[:, rows], axis=1)[:, -1]  # summed in row order
+    gains = _gini(parent) - _gini(left) - _gini(right)
+    if not gains.size or not gains.max() > _GAIN_TOL:
         return None
-    return float(gains[k, j]), int(j), float(0.5 * (vs[k, j] + vs[k + 1, j]))
+    best = np.argmax(gains)
+    j, k = divmod(int(at[best]), n)
+    return float(gains[best]), j, float(0.5 * (vs[j, k] + vs[j, k + 1]))
 
 
 def build_tree(X, y, n_classes: int, sample_weights, max_depth: int,
@@ -81,6 +91,14 @@ def build_tree(X, y, n_classes: int, sample_weights, max_depth: int,
     raw rows on both sides, or when the best impurity decrease is below
     tolerance.  X, y and the weights go through data.check_inputs and
     data.check_weights.
+
+    X is argsorted once, stably, per feature.  A split sends each child
+    its parent's sorted order filtered through the split mask, which is a
+    stable partition: the child's order equals a stable argsort of its own
+    rows, ties included.  Only the orders of the nodes on the current
+    recursion path and of their waiting right siblings are alive,
+    O(depth * n * p) in all.  _best_split scores each node from its order
+    with class-major (J, p, n) cumulative class masses.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.size == 0:
@@ -89,19 +107,28 @@ def build_tree(X, y, n_classes: int, sample_weights, max_depth: int,
         raise ValueError("bad tree configuration")
     X, y = data.check_inputs(X, y, n_classes)
     w = data.check_weights(sample_weights, X.shape[0])
+    mass = np.where(y == np.arange(n_classes)[:, None], w, 0.0)
+    goes_left = np.zeros(X.shape[0], dtype=bool)  # read only at node rows
 
-    def grow(rows: np.ndarray, depth: int) -> TreeNode:
-        if depth < max_depth and np.unique(y[rows]).size > 1:
-            found = _best_split(X, y, w, rows, n_classes, min_leaf_size)
+    def grow(rows: np.ndarray, order: np.ndarray, depth: int) -> TreeNode:
+        if depth < max_depth and np.any(y[rows] != y[rows[0]]):
+            found = _best_split(X, mass, rows, order, min_leaf_size)
             if found is not None:
                 _, j, thr = found
-                mask = X[rows, j] <= thr
-                left = grow(rows[mask], depth + 1)
-                right = grow(rows[~mask], depth + 1)
+                side = X[rows, j] <= thr
+                goes_left[rows] = side
+                # each feature's order keeps the same number of rows
+                mask, p = goes_left[order].ravel(), order.shape[0]
+                left = grow(rows[side],
+                            np.compress(mask, order).reshape(p, -1), depth + 1)
+                right = grow(rows[~side],
+                             np.compress(~mask, order).reshape(p, -1),
+                             depth + 1)
                 return Internal(feature=j, threshold=thr, left=left, right=right)
         return Leaf(rows=rows)
 
-    return grow(np.arange(X.shape[0]), 0)
+    return grow(np.arange(X.shape[0]),
+                np.argsort(X.T, axis=1, kind="stable"), 0)
 
 
 def flatten(tree: TreeNode):

@@ -119,6 +119,9 @@ def cmd_predict(args) -> int:
 
 def cmd_cv(args) -> int:
     cfg = _build_config(args)
+    # k <= n needs the rows, and stratified_kfold checks it
+    if args.k < 2:
+        raise ValueError(f"--k must be >= 2, got {args.k}")
     dataset = data.load_csv(args.data, args.label, not args.no_header)
     splits = data.stratified_kfold(dataset.y, args.k, args.seed)
     fold_accuracies = []
@@ -149,7 +152,14 @@ def _parse_sweep(spec: str):
     if name not in {"M", "T", "B", "alpha"} or not values:
         raise ValueError("--sweep expects one of M|T|B|alpha=v1,v2,...")
     cast = float if name == "alpha" else int
-    return name, [cast(v) for v in values.split(",")]
+    points = []
+    for v in values.split(","):
+        try:
+            points.append(cast(v))
+        except ValueError:
+            raise ValueError(f"--sweep {name} expects {cast.__name__} values, "
+                             f"got {v!r}") from None
+    return name, points
 
 
 def cmd_simulate(args) -> int:

@@ -49,6 +49,36 @@ def reference_best_split(X, y, w, rows, n_classes, min_leaf_size):
     return best
 
 
+def reference_build_tree(X, y, n_classes, w, max_depth, min_leaf_size):
+    """Recursive reference for cart.build_tree: every node argsorts its
+    own rows again and is scored by reference_best_split."""
+
+    def grow(rows, depth):
+        if depth < max_depth and np.unique(y[rows]).size > 1:
+            found = reference_best_split(X, y, w, rows, n_classes,
+                                         min_leaf_size)
+            if found is not None:
+                _, j, thr = found
+                mask = X[rows, j] <= thr
+                return Internal(feature=j, threshold=thr,
+                                left=grow(rows[mask], depth + 1),
+                                right=grow(rows[~mask], depth + 1))
+        return Leaf(rows=rows)
+
+    return grow(np.arange(X.shape[0]), 0)
+
+
+def node_order(X, rows):
+    """A node's presorted order as build_tree makes it: the stable argsort
+    of all of X, each feature's row filtered down to the node's rows."""
+    full = np.argsort(X.T, axis=1, kind="stable")
+    return full[np.isin(full, rows)].reshape(X.shape[1], -1)
+
+
+def class_mass(y, w, n_classes):
+    return np.where(y == np.arange(n_classes)[:, None], w, 0.0)
+
+
 def flat(tree):
     """The PmtModel of a grown tree with an all-zero score block, routable
     by cart.route_many, and the training rows of its leaves."""
@@ -256,7 +286,12 @@ class TestBestSplit:
         w = (np.ones(n + 5) if equal_weights else
              rng.uniform(size=n + 5) * (rng.uniform(size=n + 5) > 0.1))
         rows = np.sort(rng.choice(n + 5, size=n, replace=False))
-        got = cart._best_split(X, y, w, rows, n_classes, min_leaf_size)
+        order = node_order(X, rows)
+        # the filtered presort is the stable argsort of the node's own rows
+        np.testing.assert_array_equal(
+            order, rows[np.argsort(X[rows].T, axis=1, kind="stable")])
+        got = cart._best_split(X, class_mass(y, w, n_classes), rows, order,
+                               min_leaf_size)
         assert got == reference_best_split(X, y, w, rows, n_classes,
                                            min_leaf_size)
 
@@ -264,8 +299,96 @@ class TestBestSplit:
         X = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
         y = np.array([0, 1, 2])
         rows = np.arange(3)
-        assert cart._best_split(X, y, np.ones(3), rows, 3, 1) is None
+        mass = class_mass(y, np.ones(3), 3)
+        assert cart._best_split(X, mass, rows, node_order(X, rows), 1) is None
         assert reference_best_split(X, y, np.ones(3), rows, 3, 1) is None
+
+
+class TestPresortedBuilder:
+    """build_tree, which sorts once per tree, grows the partition that the
+    per-node-argsort reference grows: same features, thresholds and leaf
+    rows, bit for bit."""
+
+    @staticmethod
+    def assert_same_partition(X, y, n_classes, w, depth, min_leaf_size):
+        got = cart.flatten(cart.build_tree(X, y, n_classes, w, depth,
+                                           min_leaf_size))
+        want = cart.flatten(reference_build_tree(X, y, n_classes, w, depth,
+                                                 min_leaf_size))
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tolist() == want[1].tolist()
+        assert [r.tolist() for r in got[2]] == [r.tolist() for r in want[2]]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("decimals", [0, 1, None])
+    def test_sim_fit_shape(self, seed, decimals):
+        # two classes, ten continuous features, depth 6; rounding to 0 or 1
+        # decimals makes many ties, and some weights are zero
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(700, 10)) * 4
+        if decimals is not None:
+            X = np.round(X, decimals)
+        y = (X[:, 0] + X[:, 1] * X[:, 2] + rng.normal(size=700) > 4
+             ).astype(int)
+        w = rng.uniform(size=700) * (rng.uniform(size=700) > 0.1)
+        self.assert_same_partition(X, y, 2, w, 6, 20)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("decimals", [0, 1, None])
+    def test_csv_multiclass_shape(self, seed, decimals):
+        # four classes; five numeric columns and two one-hot blocks of 8
+        # levels, 21 features in all, depth 5
+        rng = np.random.default_rng(seed)
+        n = 900
+        numeric = rng.uniform(size=(n, 5))
+        if decimals is not None:
+            numeric = np.round(numeric, decimals)
+        a, b = rng.integers(8, size=n), rng.integers(8, size=n)
+        X = np.hstack([numeric[:, :4], np.eye(8)[a], numeric[:, 4:],
+                       np.eye(8)[b]])
+        y = (2 * (numeric[:, 0] + numeric[:, 1] > 1)
+             + (numeric[:, 2] + (a % 3) / 4 > 0.5)).astype(int)
+        noisy = rng.uniform(size=n) < 0.15
+        y[noisy] = rng.integers(4, size=noisy.sum())
+        w = rng.uniform(size=n) * (rng.uniform(size=n) > 0.1)
+        self.assert_same_partition(X, y, 4, w, 5, 20)
+
+    def test_every_node_order_is_a_stable_argsort(self, monkeypatch):
+        # the order each node is scored on equals a stable argsort of that
+        # node's own rows, ties (values rounded to 0 decimals) included
+        rng = np.random.default_rng(3)
+        X = np.round(rng.normal(size=(600, 4)), 0)
+        y = (X[:, 0] + rng.normal(size=600) > 0).astype(int)
+        seen = []
+
+        def spy(X, mass, rows, order, min_leaf_size):
+            seen.append((rows, order))
+            return best_split(X, mass, rows, order, min_leaf_size)
+
+        best_split = cart._best_split
+        monkeypatch.setattr(cart, "_best_split", spy)
+        cart.build_tree(X, y, 2, np.ones(600), 4, 5)
+        assert len(seen) > 3
+        for rows, order in seen:
+            np.testing.assert_array_equal(
+                order, rows[np.argsort(X[rows].T, axis=1, kind="stable")])
+
+    @given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(2, 7),
+           min_leaf_size=st.integers(1, 8), decimals=st.sampled_from([0, 1]),
+           n=st.integers(2, 120), p=st.integers(1, 6),
+           depth=st.integers(0, 6))
+    @settings(max_examples=100, deadline=None)
+    # up to 7 classes: a NumPy last-axis sum of 8 or more terms, as in the
+    # reference, adds them pairwise, not in class order as cart._gini does
+    def test_matches_reference_on_random_data(self, seed, n_classes,
+                                               min_leaf_size, decimals, n, p,
+                                               depth):
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(n, p)), decimals)
+        y = rng.integers(0, n_classes, size=n)
+        w = rng.uniform(size=n) * (rng.uniform(size=n) > 0.2)
+        w[0] = 1.0  # the weights need a positive sum
+        self.assert_same_partition(X, y, n_classes, w, depth, min_leaf_size)
 
 
 class TestRouting:

@@ -291,6 +291,16 @@ class TestCv:
         assert "config: need depth >= 0" in capsys.readouterr().err
         assert fits == []
 
+    def test_k_below_two_rejected_before_reading_data(self, tmp_path, capsys,
+                                                      monkeypatch):
+        reads = []
+        monkeypatch.setattr(data, "load_csv", lambda *a, **k: reads.append(a))
+        rc = cli.main(["cv", "--data", str(tmp_path / "missing.csv"),
+                       "--k", "1"])
+        assert rc == 1
+        assert "--k must be >= 2, got 1" in capsys.readouterr().err
+        assert reads == []
+
 
 class TestSimulate:
     def test_single_point(self, tmp_path, capsys):
@@ -356,6 +366,7 @@ class TestSimulate:
     @pytest.mark.parametrize("sweep, message", [
         ("M=2,0", "config: need M >= 1, got M = 0"),
         ("alpha=0.5,1.5", "config: need 0 < alpha <= 1, got alpha = 1.5"),
+        ("M=2,2.5", "--sweep M expects int values, got '2.5'"),
     ])
     def test_bad_sweep_value_rejected_before_any_fit(self, tmp_path, capsys,
                                                      monkeypatch, sweep,
