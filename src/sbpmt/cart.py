@@ -10,7 +10,10 @@ over class-major cumulative class masses.  Trees only provide the
 partition; leaf models are attached one level up.  Routing convention: x
 goes left iff x[feature] <= threshold.  Grown trees are Leaf/Internal
 nodes; fitted models keep only their preorder split list (flatten), from
-which links derives the child arrays that routing follows.
+which links derives the child table that routing follows: row i of it is
+indexed by the comparison x[feature[i]] <= threshold[i] itself, so
+route_many moves every row down one level with one gather from X and one
+from the table.
 """
 
 from __future__ import annotations
@@ -152,18 +155,19 @@ def flatten(tree: TreeNode):
 
 
 def links(feature):
-    """Child arrays and depth of a preorder split list.
+    """Child table and depth of a preorder split list.
 
-    Node i is a leaf iff feature[i] == -1.  Returns (left, right, depth):
-    internal node i sends x to left[i] iff x[feature[i]] <= threshold[i],
-    a leaf is its own child (left[i] == right[i] == i), and depth is the
-    longest root-to-leaf path.  Raises ValueError unless the list is
-    exactly one whole tree.
+    Node i is a leaf iff feature[i] == -1.  Returns (child, depth): child
+    is (N, 2), and internal node i sends x to child[i, s] with s = 1 iff
+    x[feature[i]] <= threshold[i] (left) and s = 0 otherwise (right); a
+    leaf is its own child (child[i] == [i, i]), and depth is the longest
+    root-to-leaf path.  Raises ValueError unless the list is exactly one
+    whole tree.
     """
     feature = np.asarray(feature).tolist()
     child = [list(range(len(feature))), list(range(len(feature)))]
     level = [0] * len(feature)
-    todo = [(0, 0)]  # (side, parent) of each node still to come, last first
+    todo = [(1, 0)]  # (side, parent) of each node still to come, last first
     for i, f in enumerate(feature):
         if not todo:
             raise ValueError(f"split list is not one tree: node {i} follows "
@@ -173,24 +177,30 @@ def links(feature):
             child[side][parent] = i
             level[i] = level[parent] + 1
         if f != -1:
-            todo += [(1, i), (0, i)]
+            todo += [(0, i), (1, i)]  # the left subtree comes first
     if todo:
         raise ValueError("split list is not one tree: it ends inside a tree")
-    return np.array(child[0]), np.array(child[1]), max(level)
+    # (N, 2) in C order: route_many reads row i at flat 2i and 2i + 1
+    return np.array(child).T.copy(), max(level)
 
 
 def route_many(tree, roots, X) -> np.ndarray:
     """Node reached by every row of X in each of several trees.
 
-    tree holds the node arrays (feature, threshold, left, right; see links)
-    of one or more trees laid side by side, and depth, a bound on their
-    depth; roots[t] is the root node of tree t.  Every row moves one level
-    down in every tree per step, and a leaf routes to itself, so depth
-    steps reach every leaf.  Returns node ids of shape (n, len(roots)).
+    tree holds the node arrays (feature, threshold and the (N, 2) child
+    table; see links) of one or more trees laid side by side, and depth, a
+    bound on their depth; roots[t] is the root node of tree t.  Every row
+    moves one level down in every tree per step: one gather reads each
+    row's split value from the C-order ravel of X (row * p + feature), and
+    one picks the child at 2 * node + (x <= threshold), so a NaN goes
+    right.  A leaf routes to itself, so depth steps reach every leaf.
+    Returns node ids of shape (n, len(roots)).
     """
-    node = np.tile(np.asarray(roots), (X.shape[0], 1))
+    n, p = X.shape
+    flat = X.ravel()
+    row = np.arange(n)[:, None] * p
+    node = np.tile(np.asarray(roots), (n, 1))
     for _ in range(tree.depth):
-        x = np.take_along_axis(X, tree.feature[node], axis=1)
-        node = np.where(x <= tree.threshold[node], tree.left[node],
-                        tree.right[node])
+        x = flat.take(row + tree.feature.take(node))
+        node = tree.child.take(2 * node + (x <= tree.threshold.take(node)))
     return node

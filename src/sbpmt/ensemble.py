@@ -116,26 +116,30 @@ class Committee:
         """Each member's stage-weighted vote for every row of X, shape
         (n, M); argmax ties go to the smallest class index (for two
         classes, the sign(0) = -1 convention).  Runs block by block over
-        the rows, so only the result grows with their number."""
+        the rows, so only the result grows with their number.  A vote is
+        one bincount over the bins (row, member, class): each bin adds its
+        trees' alphas in tree order, starting from 0.0."""
         trees, J, M = self.trees, self.trees.n_classes, self.member[-1] + 1
         X, _ = data.check_inputs(X, n_features=trees.coef.shape[-1])
         block = max(1, BLOCK_FLOATS // (self.alpha.size * trees.coef[0].size))
         out = np.empty((X.shape[0], M), dtype=int)
         for start in range(0, X.shape[0], block):
             cls = pmt.tree_classes(trees, self.roots, X[start:start + block])
-            votes = np.zeros((cls.shape[0], M, J))
-            np.add.at(votes, (np.arange(cls.shape[0])[:, None], self.member,
-                              cls), self.alpha)
-            out[start:start + cls.shape[0]] = votes.argmax(axis=2)
+            n = cls.shape[0]
+            bins = (np.arange(n)[:, None] * M + self.member) * J + cls
+            votes = np.bincount(bins.ravel(), weights=np.tile(self.alpha, n),
+                                minlength=n * M * J)
+            out[start:start + n] = votes.reshape(n, M, J).argmax(axis=2)
         return out
 
     def predict(self, X) -> np.ndarray:
         """Majority vote of the members' classes; ties go to the smallest
         class index."""
         classes = self.member_classes(X)
-        counts = np.zeros((classes.shape[0], self.trees.n_classes))
-        np.add.at(counts, (np.arange(classes.shape[0])[:, None], classes), 1)
-        return counts.argmax(axis=1)
+        n, J = classes.shape[0], self.trees.n_classes
+        counts = np.bincount((np.arange(n)[:, None] * J + classes).ravel(),
+                             minlength=n * J)
+        return counts.reshape(n, J).argmax(axis=1)
 
 
 def fit_boosted(X, y, n_classes: int, config: SbpmtConfig) -> BoostedPmt:
@@ -238,4 +242,9 @@ def predict_sbpmt_many(model: SbpmtModel, X) -> np.ndarray:
 
 
 def predict_sbpmt(model: SbpmtModel, x) -> int:
-    return int(predict_sbpmt_many(model, np.asarray(x, dtype=float)[None, :])[0])
+    """The class of one row x, a 1-D array of the model's features."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"x must be one row, a 1-D array, got shape "
+                         f"{x.shape}")
+    return int(predict_sbpmt_many(model, x[None, :])[0])

@@ -1,23 +1,24 @@
 """Versioned JSON model persistence.
 
 The format is a self-describing JSON document with explicit
-format_version; coefficients stay human-inspectable.  A stage is stored
-as its raw_err and its tree, the tree as the arguments of pmt.make_tree
-written as (nested) lists: its preorder split list (feature -1 at a
-leaf), its score block and its probit risk.  Every fact is written once:
-ensemble.BoostStage derives a stage's err and alpha from raw_err, and
-make_tree a tree's child arrays, leaf numbers and depth; its class count
-is read off its score block.  Serialization is deterministic (sorted
-keys, fixed layout), so identical models produce byte-identical files,
-and deserialize(serialize(m)) predicts bit-identically.  Loading treats
-the document as outside input: NaN or Infinity tokens, missing or
-unknown keys, numbers of the wrong kind, a config that SbpmtConfig
-rejects, member and stage counts that break config.M and config.T, a
-tree with a feature outside -1..p-1, a split list that is not one tree,
-a score row count other than its leaf count, a depth above config.depth
-or a number too large for a float (the error names the member and
-stage), a schema that data.check_schema rejects and a malformed design
-raise ValueError.
+format_version, written as one compact line (no indentation, so the json
+module's C encoder writes it; python -m json.tool lays it out for
+reading).  A stage is stored as its raw_err and its tree, the tree as the
+arguments of pmt.make_tree written as (nested) lists: its preorder split
+list (feature -1 at a leaf), its score block and its probit risk.  Every
+fact is written once: ensemble.BoostStage derives a stage's err and alpha
+from raw_err, and make_tree a tree's child table, leaf numbers and depth;
+its class count is read off its score block.  Serialization is
+deterministic (sorted keys, compact layout), so identical models produce
+byte-identical files, and deserialize(serialize(m)) predicts
+bit-identically.  Loading treats the document as outside input: NaN or
+Infinity tokens, missing or unknown keys, numbers of the wrong kind, a
+config that SbpmtConfig rejects, member and stage counts that break
+config.M and config.T, a tree with a feature outside -1..p-1, a split
+list that is not one tree, a score row count other than its leaf count,
+a depth above config.depth or a number too large for a float (the error
+names the member and stage), a schema that data.check_schema rejects and
+a malformed design raise ValueError.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ def model_from_dict(doc: dict) -> ensemble.SbpmtModel:
 
 
 def serialize_model(model: ensemble.SbpmtModel) -> str:
-    return json.dumps(model_to_dict(model), sort_keys=True, indent=1,
+    return json.dumps(model_to_dict(model), sort_keys=True,
                       allow_nan=False) + "\n"
 
 

@@ -3,7 +3,7 @@
 A fitted tree is its preorder split list (cart.flatten) and one score
 block with a row per leaf, margin_k(x) = intercept[l, k] + coef[l, k] . x;
 make_tree, which builds every PmtModel from a fit or a model file,
-derives the child arrays, leaf numbers and depth.  Binary trees have K =
+derives the child table, leaf numbers and depth.  Binary trees have K =
 1 margin (positive predicts class 1, so ties go to class 0, the sign(0) =
 -1 convention); multi-class trees have K = n_classes one-versus-all
 margins, decided by argmax (ties go to the smallest class index).
@@ -24,8 +24,7 @@ class PmtModel:
 
     feature: np.ndarray    # (N,) split feature per node; -1 at a leaf
     threshold: np.ndarray  # (N,) split threshold per node
-    left: np.ndarray       # (N,) left child; a leaf node is its own child
-    right: np.ndarray      # (N,) right child
+    child: np.ndarray      # (N, 2) [right, left] child; a leaf is its own
     leaf: np.ndarray       # (N,) row of the score block; -1 at a split
     intercept: np.ndarray  # (L, K)
     coef: np.ndarray       # (L, K, p)
@@ -43,11 +42,11 @@ def make_tree(feature, threshold, intercept, coef,
               probit_risk: float | None = None) -> PmtModel:
     """The PmtModel of a preorder split list (see cart.flatten) and its
     score block, a row per leaf in preorder.  cart.links derives the child
-    arrays and the depth, and rejects a list that is not one tree."""
+    table and the depth, and rejects a list that is not one tree."""
     feature = np.asarray(feature)
     is_leaf = feature == -1
-    left, right, depth = cart.links(feature)
-    return PmtModel(feature, threshold, left, right,
+    child, depth = cart.links(feature)
+    return PmtModel(feature, np.asarray(threshold), child,
                     np.where(is_leaf, np.cumsum(is_leaf) - 1, -1),
                     intercept, coef, depth, probit_risk)
 
@@ -94,9 +93,9 @@ def stack(models: list[PmtModel]):
                                for m, o in zip(models, offsets)])
 
     return PmtModel(feature=cat("feature"), threshold=cat("threshold"),
-                    left=cat("left", roots), right=cat("right", roots),
-                    leaf=cat("leaf", leaf_off), intercept=cat("intercept"),
-                    coef=cat("coef"), depth=max(m.depth for m in models)), roots
+                    child=cat("child", roots), leaf=cat("leaf", leaf_off),
+                    intercept=cat("intercept"), coef=cat("coef"),
+                    depth=max(m.depth for m in models)), roots
 
 
 def margins(trees: PmtModel, roots, X) -> np.ndarray:

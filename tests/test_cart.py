@@ -222,9 +222,9 @@ class TestBuildTree:
         y = (X[:, 0] + 0.3 * rng.normal(size=100) > 0).astype(int)
         tree = cart.build_tree(X, y, 2, np.ones(100), 4, 5)
         t, rows = flat(tree)
-        is_leaf = t.left == np.arange(t.left.size)
+        is_leaf = t.child[:, 1] == np.arange(t.feature.size)
         np.testing.assert_array_equal(is_leaf, t.feature == -1)
-        np.testing.assert_array_equal(t.right[is_leaf],
+        np.testing.assert_array_equal(t.child[is_leaf, 0],
                                       np.flatnonzero(is_leaf))
         np.testing.assert_array_equal(t.leaf[is_leaf], np.arange(len(rows)))
         assert np.all(t.leaf[~is_leaf] == -1)
@@ -426,23 +426,39 @@ class TestRouting:
                                  for x in Xq]
 
     def test_trees_side_by_side_route_independently(self):
+        # a stack of trees of depths 1, 4, 0 (one leaf) and 2 routes a
+        # block, and each of its rows alone, as the per-tree walk does
         rng = np.random.default_rng(5)
         X = rng.normal(size=(200, 3))
-        trees = [cart.build_tree(X, (X[:, j] > 0).astype(int), 2,
-                                 np.ones(200), d, 5)
-                 for j, d in ((0, 1), (1, 4), (2, 0))]
+        y = (X[:, 0] + X[:, 1] * X[:, 2] > 0).astype(int)
+        trees = [cart.build_tree(X, y, 2, np.ones(200), d, 5)
+                 for d in (1, 4, 0, 2)]
+        assert [max_depth(t) for t in trees] == [1, 4, 0, 2]
         flats = [flat(t)[0] for t in trees]
         both, roots = pmt.stack(flats)
-        assert both.depth == max(max_depth(t) for t in trees)
+        assert both.depth == 4
         Xq = rng.normal(size=(100, 3))
         nodes = cart.route_many(both, roots, Xq)
         for t, (tree, f, r) in enumerate(zip(trees, flats, roots)):
             assert f.leaf[nodes[:, t] - r].tolist() == [walk(tree, x)
                                                         for x in Xq]
+        for i, x in enumerate(Xq):
+            np.testing.assert_array_equal(
+                cart.route_many(both, roots, x[None, :])[0], nodes[i])
+
+    def test_threshold_goes_left_and_nan_goes_right(self):
+        # x <= threshold picks the left child; a NaN compares false, so
+        # route_many sends it right
+        feature, threshold = [1, -1, 0, -1, -1], [0.5, 0.0, -2.0, 0.0, 0.0]
+        zeros = np.zeros((3, 1))
+        t = pmt.make_tree(feature, threshold, zeros, zeros[:, :, None])
+        X = np.array([[9.0, 0.5], [9.0, np.nextafter(0.5, 1.0)],
+                      [-2.0, 0.6], [np.nan, 0.7], [0.0, np.nan]])
+        assert cart.route_many(t, [0], X)[:, 0].tolist() == [1, 4, 3, 4, 4]
 
     @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
     def test_links_route_like_walk(self, depth):
-        # make_tree's child arrays, through route_many, reach the leaf
+        # make_tree's child table, through route_many, reaches the leaf
         # that the reference walk over the grown nodes reaches, within
         # the tree's own depth
         rng = np.random.default_rng(depth)
@@ -455,12 +471,13 @@ class TestRouting:
         assert route_leaves(tree, Xq).tolist() == [walk(tree, x) for x in Xq]
 
     def test_links_of_a_small_list(self):
-        # 0 splits into leaf 1 and split 2, which splits into leaves 3, 4
-        left, right, depth = cart.links([0, -1, 1, -1, -1])
-        assert left.tolist() == [1, 1, 3, 3, 4]
-        assert right.tolist() == [2, 1, 4, 3, 4]
+        # 0 splits into leaf 1 and split 2, which splits into leaves 3, 4;
+        # a row is [right, left], indexed by x <= threshold
+        child, depth = cart.links([0, -1, 1, -1, -1])
+        assert child.tolist() == [[2, 1], [1, 1], [4, 3], [3, 3], [4, 4]]
         assert depth == 2
-        assert [a.tolist() for a in cart.links([-1])[:2]] == [[0], [0]]
+        child, depth = cart.links([-1])
+        assert child.tolist() == [[0, 0]] and depth == 0
 
     @pytest.mark.parametrize("feature, message", [
         ([], "ends inside a tree"),

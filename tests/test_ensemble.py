@@ -40,6 +40,45 @@ def reference_vote(model, X):
     return np.argmax(counts, axis=1)
 
 
+def add_at_vote(committee, X):
+    """np.add.at reference for Committee.member_classes and predict: the
+    (n, M) member classes and the (n,) majority."""
+    cls = pmt.tree_classes(committee.trees, committee.roots, X)
+    n, M, J = cls.shape[0], committee.member[-1] + 1, committee.trees.n_classes
+    votes = np.zeros((n, M, J))
+    np.add.at(votes, (np.arange(n)[:, None], committee.member, cls),
+              committee.alpha)
+    members = votes.argmax(axis=2)
+    counts = np.zeros((n, J))
+    np.add.at(counts, (np.arange(n)[:, None], members), 1)
+    return members, counts.argmax(axis=1), votes, counts
+
+
+def random_committee(n_classes, M, T, seed):
+    """M members of T trees each: one-leaf trees and stumps on two
+    features, with integer leaf margins (so every class is voted) and
+    alphas from a few values whose sums tie exactly (0.25 + 0.5 == 0.75)
+    or depend on the order of addition (0.1 + 0.2 != 0.3)."""
+    rng = np.random.default_rng(seed)
+    K = 1 if n_classes == 2 else n_classes
+    trees = []
+    for _ in range(M * T):
+        if rng.integers(2):
+            feature = [int(rng.integers(2)), -1, -1]
+            threshold = np.array([rng.normal(), 0.0, 0.0])
+        else:
+            feature, threshold = [-1], np.zeros(1)
+        L = feature.count(-1)
+        trees.append(pmt.make_tree(
+            feature, threshold, rng.integers(-2, 3, size=(L, K)) + 0.0,
+            np.zeros((L, K, 2))))
+    stacked, roots = pmt.stack(trees)
+    return ensemble.Committee(stacked, roots,
+                              rng.choice([0.1, 0.2, 0.3, 0.25, 0.5, 0.75],
+                                         size=M * T),
+                              np.repeat(np.arange(M), T))
+
+
 def predict_member(member, X):
     return ensemble.Committee.of([member]).predict(X)
 
@@ -323,6 +362,31 @@ class TestFitSbpmt:
             np.testing.assert_array_equal(
                 ensemble.predict_sbpmt_many(model, Xq), expected)
 
+    @pytest.mark.parametrize("n_classes", [2, 4])
+    def test_vote_matches_add_at_reference_with_ties(self, n_classes,
+                                                     monkeypatch):
+        committee = random_committee(n_classes, M=6, T=4, seed=3)
+        Xq = np.random.default_rng(23).normal(size=(400, 2))
+        members, majority, votes, counts = add_at_vote(committee, Xq)
+        # exact ties, among a member's stage votes and among the members,
+        # are broken to the smallest class
+        top = votes.max(axis=2, keepdims=True)
+        assert np.any(np.sum(votes == top, axis=2) > 1)
+        assert np.any(np.sum(counts == counts.max(axis=1)[:, None],
+                             axis=1) > 1)
+        for block_floats in (ensemble.BLOCK_FLOATS, 1):
+            monkeypatch.setattr(ensemble, "BLOCK_FLOATS", block_floats)
+            np.testing.assert_array_equal(committee.member_classes(Xq),
+                                          members)
+            np.testing.assert_array_equal(committee.predict(Xq), majority)
+
+    def test_no_rows_predict_nothing(self):
+        X, y = xor_data(60, seed=24)
+        model = ensemble.fit_sbpmt(X, y, 2, self.small_config(M=3))
+        none = np.zeros((0, 2))
+        assert model.committee.member_classes(none).shape == (0, 3)
+        assert ensemble.predict_sbpmt_many(model, none).shape == (0,)
+
     def test_bad_input_rejected_at_the_boundary(self):
         X, y = xor_data(60, seed=20)
         cfg = self.small_config(M=2)
@@ -338,6 +402,10 @@ class TestFitSbpmt:
             ensemble.predict_sbpmt(model, [0.1, 0.2, 0.3])
         with pytest.raises(ValueError, match="2-D"):
             ensemble.predict_sbpmt_many(model, [0.1, 0.2])
+        with pytest.raises(ValueError, match=r"one row.*shape \(\)"):
+            ensemble.predict_sbpmt(model, 5.0)
+        with pytest.raises(ValueError, match=r"one row.*shape \(1, 2\)"):
+            ensemble.predict_sbpmt(model, np.zeros((1, 2)))
 
     @pytest.mark.parametrize("M", [0, -1])
     def test_no_members_rejected(self, M):

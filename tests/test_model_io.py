@@ -113,7 +113,7 @@ class TestFileFormat:
         assert "rows" not in json.dumps(doc["members"])
         # each fact once: the probit risk in the tree, n_classes in the
         # document, the design seed in the config; a stage's err and alpha
-        # follow from its raw_err, a tree's child arrays, leaf numbers and
+        # follow from its raw_err, a tree's child table, leaf numbers and
         # depth from its split list
         stage = doc["members"][0]["stages"][0]
         assert set(stage) == {"raw_err", "model"}
@@ -138,6 +138,34 @@ class TestFileFormat:
         top = list(json.loads(text))
         assert top == sorted(top)
 
+    def test_file_is_one_compact_line(self, tmp_path):
+        model, _ = fit_small(n_classes=3)
+        path = tmp_path / "model.json"
+        model_io.save_model(model, path)
+        text = path.read_text(encoding="utf-8")
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        assert model_io.serialize_model(model_io.load_model(path)) == text
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_indented_file_still_loads(self, n_classes, tmp_path):
+        # files written with one key or number per indented line load and
+        # predict as the compact file does
+        model, X = fit_small(n_classes)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_io.model_to_dict(model),
+                                   sort_keys=True, indent=1,
+                                   allow_nan=False) + "\n", encoding="utf-8")
+        restored = model_io.load_model(path)
+        assert (model_io.serialize_model(restored)
+                == model_io.serialize_model(model))
+        Xq = np.vstack([X, np.random.default_rng(7).uniform(-1, 1, (200, 3))])
+        np.testing.assert_array_equal(
+            ensemble.predict_sbpmt_many(restored, Xq),
+            ensemble.predict_sbpmt_many(model, Xq))
+        assert ([ensemble.predict_sbpmt(restored, x) for x in Xq[:50]]
+                == ensemble.predict_sbpmt_many(model, Xq[:50]).tolist())
+
 
 class TestUntrustedFile:
     """A model file is outside input: what prediction could not follow is
@@ -160,7 +188,7 @@ class TestUntrustedFile:
     @pytest.mark.parametrize("edit, message", [
         (lambda t: t.pop("threshold"), r"missing keys \['threshold'\]"),
         (lambda t: t.update(rows=[]), r"unknown keys \['rows'\]"),
-        # the child arrays and leaf numbers follow from the split list
+        # the child table and leaf numbers follow from the split list
         (lambda t: t.update(left=list(range(len(t["feature"])))),
          r"unknown keys \['left'\]"),
         (lambda t: t.update(feature=[99] + t["feature"][1:]),

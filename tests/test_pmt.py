@@ -10,20 +10,17 @@ def one_leaf(intercept, coef):
     """A single-leaf PMT with the given (K,) intercepts and (K, p) slopes."""
     coef = np.asarray(coef, dtype=float)
     K = coef.shape[0]
-    return pmt.PmtModel(
-        feature=np.zeros(1, dtype=int), threshold=np.zeros(1),
-        left=np.zeros(1, dtype=int), right=np.zeros(1, dtype=int),
-        leaf=np.zeros(1, dtype=int),
-        intercept=np.asarray(intercept, dtype=float).reshape(1, K),
-        coef=coef[None], depth=0)
+    return pmt.make_tree([-1], [0.0],
+                         np.asarray(intercept, dtype=float).reshape(1, K),
+                         coef[None])
 
 
 def reference_predict(model, x):
-    """Scalar reference: walk the node arrays, then decide on the margins."""
+    """Scalar reference: walk the split list, then decide on the margins."""
     node = 0
-    while model.left[node] != node:
+    while model.feature[node] != -1:
         f, t = model.feature[node], model.threshold[node]
-        node = model.left[node] if x[f] <= t else model.right[node]
+        node = model.child[node, int(x[f] <= t)]
     lf = model.leaf[node]
     margins = [model.intercept[lf, k] + float(np.dot(model.coef[lf, k], x))
                for k in range(model.coef.shape[1])]
@@ -57,7 +54,8 @@ class TestFitPmt:
         # zero margin, sign(0) -> class 0
         X, y = xor_data(50)
         model = pmt.fit_pmt(X, y, 2, np.ones(50), 0, 1, 0)
-        assert model.feature.size == 1 and model.left[0] == 0
+        assert model.feature.tolist() == [-1]
+        assert model.child.tolist() == [[0, 0]]
         assert np.all(pmt.predict_pmt_many(model, X) == 0)
         assert model.probit_risk == pytest.approx(math.log(2))
 
@@ -76,8 +74,8 @@ class TestFitPmt:
         X, y = xor_data(300, seed=3)
         model = pmt.fit_pmt(X, y, 2, np.ones(300), 3, 10, 5)
         nodes = np.arange(model.feature.size)
-        is_leaf = model.left == nodes
-        assert np.all(model.right[is_leaf] == nodes[is_leaf])
+        is_leaf = model.feature == -1
+        assert np.all(model.child[is_leaf] == nodes[is_leaf, None])
         L = int(is_leaf.sum())
         assert sorted(model.leaf[is_leaf]) == list(range(L))
         assert model.intercept.shape == (L, 1)

@@ -82,11 +82,8 @@ def score_margin(score: LinearScore, x) -> float:
     """Margin of one row under a one-segment score, as a batch of one
     through a single-leaf PMT."""
     p = score.coefficients.shape[1]
-    model = pmt.PmtModel(
-        feature=np.zeros(1, dtype=int), threshold=np.zeros(1),
-        left=np.zeros(1, dtype=int), right=np.zeros(1, dtype=int),
-        leaf=np.zeros(1, dtype=int), intercept=score.intercept.reshape(1, 1),
-        coef=score.coefficients.reshape(1, 1, p), depth=0)
+    model = pmt.make_tree([-1], [0.0], score.intercept.reshape(1, 1),
+                          score.coefficients.reshape(1, 1, p))
     X, _ = data.check_inputs(np.asarray(x, dtype=float)[None, :],
                              n_features=p)
     return float(pmt.margins(model, [0], X)[0, 0, 0])
