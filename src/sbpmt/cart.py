@@ -103,9 +103,6 @@ def build_tree(X, y, n_classes: int, sample_weights, max_depth: int,
     O(depth * n * p) in all.  _best_split scores each node from its order
     with class-major (J, p, n) cumulative class masses.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.size == 0:
-        raise ValueError("empty data")
     if max_depth < 0 or min_leaf_size < 1:
         raise ValueError("bad tree configuration")
     X, y = data.check_inputs(X, y, n_classes)

@@ -91,9 +91,9 @@ def cmd_train(args) -> int:
         "members": _member_rows(model),
         "model_file": args.out,
     }
-    # written once the report is built, so a failing report leaves no file
-    model_io.save_model(model, args.out)
+    # the report goes first, so a failing report leaves no model file
     _write_report(args, report)
+    model_io.save_model(model, args.out)
     print(f"trained SBPMT on {args.data}: n={report['n']} "
           f"p={report['n_features']} J={dataset.n_classes}")
     print(f"config: {asdict(cfg)}")
@@ -245,11 +245,8 @@ def cmd_bound(args, parser: argparse.ArgumentParser) -> int:
         print(f"Q_A = {rep.Q_A:.6f}  Q_B = {rep.Q_B:.6f}  Q_C = {rep.Q_C:.6f}")
         print(f"generalization error bound (prob >= {1 - args.delta:g}): "
               f"{rep.rhs:.6g}{' [degenerate]' if rep.degenerate else ''}")
-        report.update({"inputs": inputs, "Q_A": rep.Q_A, "Q_B": rep.Q_B,
-                       "Q_C": rep.Q_C, "rhs": rep.rhs,
-                       "hypothesis_ok": rep.hypothesis_ok,
-                       "hypothesis_threshold": threshold,
-                       "degenerate": rep.degenerate})
+        report.update(asdict(rep), inputs=inputs,
+                      hypothesis_threshold=threshold)
     elif args.theorem == 4:
         _require(parser, args, "theorem 4 needs {}", "n", "T", "d_vc",
                  "empirical_error")

@@ -49,7 +49,12 @@ def _is_numeric_column(values: list[str]) -> bool:
 
 def _read_rows(path, has_header: bool):
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        try:
+            rows = [row for row in reader if row]
+        except csv.Error as exc:
+            raise ValueError(
+                f"{path}, line {reader.line_num}: {exc}") from None
     header = rows.pop(0) if has_header and rows else None
     return header, rows
 
@@ -92,9 +97,8 @@ def check_inputs(X, y=None, n_classes: int | None = None,
     if n_features is not None and X.shape[1] != n_features:
         raise ValueError(f"feature dimension mismatch: got {X.shape[1]}, "
                          f"expected {n_features}")
-    bad = np.argwhere(~np.isfinite(X))
-    if bad.size:
-        r, c = bad[0]
+    if not np.isfinite(X).all():
+        r, c = np.argwhere(~np.isfinite(X))[0]
         raise ValueError(f"non-finite value {X[r, c]} in row {r + 1}, "
                          f"feature {c + 1}")
     if y is not None:
@@ -241,9 +245,8 @@ def load_csv(path, label_column=-1, has_header: bool = True,
 
 
 def _infer_schema(header, rows, label_column) -> dict:
-    # encode_rows checks every cell; here only the widths are needed, and
-    # a row of another width is reported as _check_rows would.
-    _check_unique(header)
+    # encode_rows checks the header and every cell; only the widths are
+    # needed here, and a row of another width is reported as _check_rows would.
     width = len(header) if header is not None else len(rows[0])
     if any(len(row) != width for row in rows):
         _check_rows(rows, header)

@@ -18,7 +18,8 @@ config.M and config.T, a tree with a feature outside -1..p-1, a split
 list that is not one tree, a score row count other than its leaf count,
 a depth above config.depth or a number too large for a float (the error
 names the member and stage), a schema that data.check_schema rejects and
-a malformed design raise ValueError.
+a malformed design raise ValueError, and so does a raw_err outside
+[0, 1].
 """
 
 from __future__ import annotations
@@ -32,11 +33,6 @@ import numpy as np
 from . import data, ensemble, pmt
 
 FORMAT_VERSION = 5
-
-# raw_err is the weight share of the rows a stage misses, in [0, 1] up to
-# rounding: the weights sum to 1 only as closely as a float sum can, so a
-# stage that misses every row can record 1.0000000000000002.
-_ERR_SLACK = 1e-6
 
 # The keys of each object in a document.
 _DOC_KEYS = {"format_version", "config", "n_classes", "schema", "design",
@@ -165,7 +161,7 @@ def model_from_dict(doc: dict) -> ensemble.SbpmtModel:
             where = f"member {k} stage {t}"
             data.check_keys(sd, _STAGE_KEYS, where)
             raw_err = sd["raw_err"]
-            if not (_is_number(raw_err) and 0 <= raw_err <= 1 + _ERR_SLACK):
+            if not (_is_number(raw_err) and 0 <= raw_err <= 1):
                 raise ValueError(f"{where}: raw_err must be a number in "
                                  "[0, 1]")
             tree = _tree_fields(sd["model"], n_classes, n_features,

@@ -239,8 +239,13 @@ class TestBuildTree:
         with pytest.raises(ValueError, match="empty"):
             cart.build_tree(np.zeros((0, 2)), np.zeros(0, dtype=int), 2,
                             np.zeros(0), 2, 1)
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="X has no feature columns"):
             cart.build_tree(np.zeros((3, 0)), np.array([0, 1, 0]), 2,
+                            np.ones(3), 2, 1)
+
+    def test_shape_checked_by_check_inputs(self):
+        with pytest.raises(ValueError, match="X must be 2-D, got 1-D"):
+            cart.build_tree(np.zeros(3), np.array([0, 1, 0]), 2,
                             np.ones(3), 2, 1)
 
     def test_bad_configuration_rejected(self):

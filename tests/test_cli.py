@@ -134,6 +134,26 @@ class TestTrain:
         assert "stage errors" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unwritable_report_writes_no_model(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        rc = cli.main(["train", "--data", str(write_csv(tmp_path, n=30)),
+                       "--out", str(out),
+                       "--report", str(tmp_path / "nodir" / "r.json")] + FAST)
+        assert rc == 1
+        assert "error: [Errno 2]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_field_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text('a,label\n1,x\n"' + "z" * 200_000 + '",y\n',
+                        encoding="utf-8")
+        rc = cli.main(["train", "--data", str(path),
+                       "--out", str(tmp_path / "m.json")] + FAST)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}, line 3: field larger than")
+        assert not (tmp_path / "m.json").exists()
+
     def test_label_only_file_is_runtime_error(self, tmp_path, capsys):
         path = tmp_path / "labels.csv"
         path.write_text("label\na\nb\na\n", encoding="utf-8")
@@ -410,6 +430,9 @@ class TestBound:
         doc = json.loads(report.read_text())
         assert doc["hypothesis_ok"] is True
         assert 0.0 < doc["rhs"] <= 1.0
+        assert set(doc) == {"Q_A", "Q_B", "Q_C", "rhs", "hypothesis_ok",
+                            "degenerate", "inputs", "hypothesis_threshold",
+                            "command", "theorem"}
 
     def test_theorem3_from_model(self, tmp_path, capsys):
         csv_path = write_csv(tmp_path)

@@ -120,6 +120,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="no data rows"):
             data.load_csv(write(tmp_path, "a,label\n"), "label")
 
+    def test_oversized_field_rejected(self, tmp_path):
+        # past the csv module's field size limit of 131,072 characters
+        p = write(tmp_path, 'a,label\n1,x\n"' + "z" * 200_000 + '",y\n')
+        with pytest.raises(ValueError, match=re.escape(
+                f"{p}, line 3: field larger than field limit")):
+            data.load_csv(p, "label")
+
     def test_repeated_header_name_rejected(self, tmp_path):
         # by-name lookup could only see one of the two columns
         p = write(tmp_path, "a,a,label\n1.0,2.0,yes\n3.0,4.0,no\n")

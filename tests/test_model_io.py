@@ -351,19 +351,22 @@ class TestUntrustedFile:
                            "probit_risk must be a finite number"):
             model_io.deserialize_model(text)
 
-    def test_raw_err_rounded_past_one_round_trips(self):
+    def test_raw_err_past_one_rejected(self):
         # a stage that misses every row sums its weights, which rounding
         # can leave above 1: nine weights of 1/9 sum to 1.0000000000000002.
-        # A fit stores 1, but files written before that still load.
+        # A fit caps it at 1, so a file's raw_err lies in [0, 1] exactly.
         X, y = np.arange(9.0)[:, None], np.ones(9, dtype=int)
         cfg = SbpmtConfig(M=1, T=1, B=0, alpha=1.0, depth=0, seed=0)
         model = ensemble.fit_sbpmt(X, y, 2, cfg, workers=1)
         assert model.members[0].stages[0].raw_err == 1.0
-        model.members[0].stages[0].raw_err = 1.0000000000000002
         text = model_io.serialize_model(model)
         restored = model_io.deserialize_model(text)
-        assert restored.members[0].stages[0].raw_err == 1.0000000000000002
+        assert restored.members[0].stages[0].raw_err == 1.0
         assert model_io.serialize_model(restored) == text
+        model.members[0].stages[0].raw_err = 1.0000000000000002
+        with pytest.raises(ValueError, match=r"member 0 stage 0: raw_err "
+                           r"must be a number in \[0, 1\]"):
+            model_io.deserialize_model(model_io.serialize_model(model))
 
     def test_cli_predict_reports_the_tree(self, tmp_path, capsys):
         from sbpmt import cli
