@@ -3,9 +3,9 @@
 Covers the incomplete-U-statistic voting bound (with its Q_A/Q_B/Q_C
 design quantiles), exact design statistics A/B/C, the VC complexity bound
 for boosted classifiers, the weighted-training-error product bound, and
-its probit-risk variant.  The kernel quantities sigma1_sq, beta_kernel and
-gamma_kernel are not estimable from a single dataset and must be supplied
-by the caller.
+its probit-risk variant, which counts its rounds from the risks it is
+given.  The kernel quantities sigma1_sq, beta_kernel and gamma_kernel are
+not estimable from a single dataset and must be supplied by the caller.
 """
 
 from __future__ import annotations
@@ -36,10 +36,19 @@ class DesignStats:
 
 
 def design_stats(subsets, n: int) -> DesignStats:
-    """Statistics of M subsets of rows 0..n-1; their sizes may differ."""
+    """Statistics of M >= 1 subsets of rows 0..n-1; their sizes may differ.
+    An index outside 0..n-1 raises ValueError naming its subset."""
     M = len(subsets)
+    if M < 1 or n < 1:
+        raise ValueError(f"need at least one subset and n >= 1, got {M} "
+                         f"subsets and n = {n}")
     incidence = np.zeros((M, n), dtype=np.int64)
     for i, subset in enumerate(subsets):
+        rows = np.asarray(subset)
+        bad = rows[(rows < 0) | (rows >= n)]
+        if bad.size:
+            raise ValueError(f"subset {i} holds row index {bad[0]}, "
+                             f"outside 0..{n - 1}")
         incidence[i, subset] = 1
     R = incidence.sum(axis=0)
     # sum_{k,l} R_kl^2 = ||I^T I||_F^2 = ||I I^T||_F^2, and I I^T is only
@@ -146,16 +155,16 @@ class Theorem6Report:
     hypothesis_ok: bool
 
 
-def theorem6_bound(probit_risks, n: int, T: int, d_vc: int,
+def theorem6_bound(probit_risks, n: int, d_vc: int,
                    delta: float) -> Theorem6Report:
-    """Generalization bound driven by per-round PMT probit risks.
-
-    gamma_t = 1/2 - eps_t / ln 2; requires 0 <= eps_t/ln2 < 1/2 for every
-    round, otherwise the training term is reported as 1 and flagged.
+    """Generalization bound driven by one PMT probit risk per boosting
+    round, so T = len(probit_risks).  gamma_t = 1/2 - eps_t / ln 2;
+    requires 0 <= eps_t/ln2 < 1/2 for every round, otherwise the training
+    term is reported as 1 and flagged.
     """
     risks = np.asarray(probit_risks, dtype=float)
-    if risks.size != T:
-        raise ValueError("need one probit risk per boosting round")
+    if risks.size == 0:
+        raise ValueError("need one probit risk per boosting round, got none")
     if not np.all(np.isfinite(risks)):
         raise ValueError("probit risks must be finite")
     scaled = risks / numerics.LN2
@@ -165,7 +174,7 @@ def theorem6_bound(probit_risks, n: int, T: int, d_vc: int,
         training = math.exp(-2.0 * float(np.sum(np.square(gammas))))
     else:
         training = 1.0
-    complexity = theorem4_bound(n, T, d_vc, delta, 0.0)
+    complexity = theorem4_bound(n, risks.size, d_vc, delta, 0.0)
     return Theorem6Report(training_term=training, complexity_term=complexity,
                           total=training + complexity, hypothesis_ok=ok)
 

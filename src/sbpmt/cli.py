@@ -147,19 +147,23 @@ def cmd_cv(args) -> int:
     return 0
 
 
+def _parse_list(flag: str, cast, text: str) -> list:
+    values = []
+    for v in text.split(","):
+        try:
+            values.append(cast(v))
+        except ValueError:
+            raise ValueError(f"{flag} expects {cast.__name__} values, "
+                             f"got {v!r}") from None
+    return values
+
+
 def _parse_sweep(spec: str):
     name, _, values = spec.partition("=")
     if name not in {"M", "T", "B", "alpha"} or not values:
         raise ValueError("--sweep expects one of M|T|B|alpha=v1,v2,...")
     cast = float if name == "alpha" else int
-    points = []
-    for v in values.split(","):
-        try:
-            points.append(cast(v))
-        except ValueError:
-            raise ValueError(f"--sweep {name} expects {cast.__name__} values, "
-                             f"got {v!r}") from None
-    return name, points
+    return name, _parse_list(f"--sweep {name}", cast, values)
 
 
 def cmd_simulate(args) -> int:
@@ -200,28 +204,30 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
-
-
-def _require(parser, args, message: str, *dests) -> None:
-    """Usage error when a flag of dests was not given; the missing flags
-    fill the {} of message."""
-    missing = ["--" + d.replace("_", "-") for d in dests
-               if getattr(args, d) is None]
-    if missing:
-        parser.error(message.format(", ".join(missing)))
+def _require(parser, args, message: str, *dests, given=True) -> None:
+    """Usage error unless every flag of dests was given (given=False: none
+    was); the flags that break the rule fill the {} of message."""
+    wrong = ["--" + d.replace("_", "-") for d in dests
+             if (getattr(args, d) is None) == given]
+    if wrong:
+        parser.error(message.format(", ".join(wrong)))
 
 
 def cmd_bound(args, parser: argparse.ArgumentParser) -> int:
     report: dict = {"command": "bound", "theorem": args.theorem}
+    if args.theorem != 3:
+        _require(parser, args, "only theorem 3 takes {}", "from_model",
+                 "data", given=False)
     if args.theorem == 3:
         _require(parser, args, "theorem 3 needs the kernel moments {}; they "
                  "are not estimable from one dataset and will not be "
                  "defaulted silently", "sigma1_sq", "beta", "gamma")
         if args.from_model:
-            if not args.data:
-                parser.error("--from-model requires --data for p_sub")
+            _require(parser, args, "--from-model requires {} for p_sub",
+                     "data")
+            _require(parser, args, "--from-model takes n, m, M and p_sub "
+                     "from the model and --data; drop {}", "n", "m", "M",
+                     "p_sub", given=False)
             model = _load_with_schema(args.from_model)
             dataset = data.load_csv(args.data, schema=model.schema)
             if dataset.y is None:
@@ -230,6 +236,8 @@ def cmd_bound(args, parser: argparse.ArgumentParser) -> int:
             M, m = model.design.shape
             p_sub = bounds.estimate_p_sub(model, dataset.X, dataset.y)
         else:
+            _require(parser, args, "{} needs --from-model", "data",
+                     given=False)
             _require(parser, args, "theorem 3 needs {}", "n", "m", "M",
                      "p_sub")
             n, m, M, p_sub = args.n, args.m, args.M, args.p_sub
@@ -250,38 +258,37 @@ def cmd_bound(args, parser: argparse.ArgumentParser) -> int:
     elif args.theorem == 4:
         _require(parser, args, "theorem 4 needs {}", "n", "T", "d_vc",
                  "empirical_error")
-        value = bounds.theorem4_bound(args.n, args.T, args.d_vc, args.delta,
-                                      args.empirical_error)
+        inputs = dict(n=args.n, T=args.T, d_vc=args.d_vc, delta=args.delta,
+                      empirical_error=args.empirical_error)
+        value = bounds.theorem4_bound(**inputs)
         print(f"theorem 4 bound: {value:.6f}")
-        report.update({"n": args.n, "T": args.T, "d_vc": args.d_vc,
-                       "delta": args.delta,
-                       "empirical_error": args.empirical_error,
-                       "bound": value})
+        report.update(inputs, bound=value)
     elif args.theorem == 5:
         if not args.errors:
             parser.error("theorem 5 needs --errors e1,e2,...")
-        errors = _parse_float_list(args.errors)
-        value = bounds.theorem5_bound(errors, args.theta)
+        inputs = dict(errors=_parse_list("--errors", float, args.errors),
+                      theta=args.theta)
+        value = bounds.theorem5_bound(**inputs)
         print(f"theorem 5 bound (theta={args.theta:g}): {value:.6f}")
-        report.update({"errors": errors, "theta": args.theta, "bound": value})
+        report.update(inputs, bound=value)
     else:  # theorem 6
+        _require(parser, args, "theorem 6 counts its rounds from "
+                 "--probit-risks; drop {}", "T", given=False)
         _require(parser, args, "theorem 6 needs {}", "probit_risks", "n",
-                 "T", "d_vc")
-        risks = _parse_float_list(args.probit_risks)
-        rep6 = bounds.theorem6_bound(risks, args.n, args.T, args.d_vc,
-                                     args.delta)
+                 "d_vc")
+        inputs = dict(probit_risks=_parse_list("--probit-risks", float,
+                                               args.probit_risks),
+                      n=args.n, d_vc=args.d_vc, delta=args.delta)
+        rep6 = bounds.theorem6_bound(**inputs)
         if not rep6.hypothesis_ok:
             print("hypothesis 0 <= eps_t/ln2 < 1/2 VIOLATED; "
                   "training term reported as 1")
         print(f"training term: {rep6.training_term:.6g}")
         print(f"complexity term: {rep6.complexity_term:.6f}")
         print(f"theorem 6 bound: {rep6.total:.6f}")
-        report.update({"probit_risks": risks, "n": args.n, "T": args.T,
-                       "d_vc": args.d_vc, "delta": args.delta,
-                       "training_term": rep6.training_term,
-                       "complexity_term": rep6.complexity_term,
-                       "bound": rep6.total,
-                       "hypothesis_ok": rep6.hypothesis_ok})
+        report.update(inputs, training_term=rep6.training_term,
+                      complexity_term=rep6.complexity_term,
+                      bound=rep6.total, hypothesis_ok=rep6.hypothesis_ok)
     _write_report(args, report)
     return 0
 

@@ -355,28 +355,22 @@ def encode_rows(rows, header, schema):
 
 
 def stratified_kfold(y, k: int, seed: int):
-    """k (train_indices, test_indices) pairs with per-class round-robin
-    assignment after a seeded shuffle.  Folds partition the rows and class
-    proportions stay within one instance of the global ones."""
+    """k (train_indices, test_indices) pairs.  Each class's rows are
+    shuffled with one seeded generator, the classes are concatenated in
+    sorted order, and the concatenation is dealt to the folds round-robin.
+    Folds partition the rows and class proportions stay within one
+    instance of the global ones."""
     y = np.asarray(y)
     n = y.size
     if not 2 <= k <= n:
         raise ValueError("k must be between 2 and n")
     rng = np.random.default_rng(seed)
+    order = np.concatenate([rng.permutation(np.flatnonzero(y == cls))
+                            for cls in np.unique(y)])
     fold_of = np.empty(n, dtype=int)
-    next_fold = 0
-    for cls in np.unique(y):
-        idx = np.flatnonzero(y == cls)
-        idx = idx[rng.permutation(idx.size)]
-        for i, row in enumerate(idx):
-            fold_of[row] = (next_fold + i) % k
-        next_fold = (next_fold + idx.size) % k
-    splits = []
-    for f in range(k):
-        test = np.flatnonzero(fold_of == f)
-        train = np.flatnonzero(fold_of != f)
-        splits.append((train, test))
-    return splits
+    fold_of[order] = np.arange(n) % k
+    return [(np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f))
+            for f in range(k)]
 
 
 @dataclass(frozen=True)

@@ -208,7 +208,7 @@ class TestCriterion5BoundOracles:
                     (["0.01", "0.3"], 10**5, 40, "0.01")]
         for risks, n, d, delta in t6_cases:
             T = len(risks)
-            rep = bounds.theorem6_bound([float(r) for r in risks], n, T, d,
+            rep = bounds.theorem6_bound([float(r) for r in risks], n, d,
                                         float(delta))
             gsum = sum((mpmath.mpf("0.5")
                         - mpmath.mpf(r) / mpmath.log(2)) ** 2 for r in risks)

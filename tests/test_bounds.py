@@ -68,7 +68,7 @@ class TestDesignStats:
 
     def test_exhaustive_small_designs_match_brute_force(self):
         n = 4
-        pool = [frozenset(c) for m in (1, 2)
+        pool = [frozenset(c) for m in (0, 1, 2)
                 for c in itertools.combinations(range(n), m)]
         for M in (1, 2):
             for combo in itertools.combinations_with_replacement(pool, M):
@@ -76,6 +76,17 @@ class TestDesignStats:
                 R, A, B, C = brute_force_stats([set(s) for s in combo], n)
                 assert stats.R.tolist() == R
                 assert stats.A == A and stats.B == B and stats.C == C
+
+    @pytest.mark.parametrize("subsets, n, message", [
+        ([[0, 3]], 3, r"subset 0 holds row index 3, outside 0\.\.2"),
+        ([[0, 1], [0, -1]], 3, r"subset 1 holds row index -1, outside 0\.\.2"),
+        ([], 3, "need at least one subset and n >= 1, got 0 subsets"),
+        ([[]], 0, "need at least one subset and n >= 1, got 1 subsets and "
+                  "n = 0"),
+    ])
+    def test_subsets_outside_the_rows_rejected(self, subsets, n, message):
+        with pytest.raises(ValueError, match=message):
+            bounds.design_stats(subsets, n)
 
 
 def mp_theorem3(n, m, M, delta, p_sub, s1, beta, gamma):
@@ -283,7 +294,7 @@ class TestTheorem5:
 
 class TestTheorem6:
     def test_zero_risks(self):
-        rep = bounds.theorem6_bound([0.0] * 4, 1000, 4, 20, 0.05)
+        rep = bounds.theorem6_bound([0.0] * 4, 1000, 20, 0.05)
         assert rep.hypothesis_ok
         assert rep.training_term == pytest.approx(math.exp(-2.0), rel=1e-12)
         assert rep.total == pytest.approx(
@@ -291,35 +302,41 @@ class TestTheorem6:
 
     def test_quarter_ln2_risks(self):
         T = 8
-        rep = bounds.theorem6_bound([math.log(2) / 4] * T, 1000, T, 20, 0.05)
+        rep = bounds.theorem6_bound([math.log(2) / 4] * T, 1000, 20, 0.05)
         assert rep.training_term == pytest.approx(math.exp(-T / 8), rel=1e-12)
 
     def test_hypothesis_violation_flags_and_caps(self):
-        rep = bounds.theorem6_bound([0.5, 0.8], 1000, 2, 20, 0.05)
+        rep = bounds.theorem6_bound([0.5, 0.8], 1000, 20, 0.05)
         assert not rep.hypothesis_ok
         assert rep.training_term == 1.0
-
-    def test_risk_count_must_match_T(self):
-        with pytest.raises(ValueError, match="per boosting round"):
-            bounds.theorem6_bound([0.1, 0.1], 1000, 3, 20, 0.05)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_risk_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            bounds.theorem6_bound([0.1, bad], 1000, 2, 20, 0.05)
+            bounds.theorem6_bound([0.1, bad], 1000, 20, 0.05)
 
     def test_zero_rounds_or_dimension_rejected(self):
-        with pytest.raises(ValueError, match="T must be >= 1"):
-            bounds.theorem6_bound([], 100, 0, 3, 0.05)
+        with pytest.raises(ValueError, match="need one probit risk per "
+                                             "boosting round, got none"):
+            bounds.theorem6_bound([], 100, 3, 0.05)
         with pytest.raises(ValueError, match="d_vc must be >= 1"):
-            bounds.theorem6_bound([0.1], 100, 1, 0, 0.05)
+            bounds.theorem6_bound([0.1], 100, 0, 0.05)
+
+    def test_round_count_is_the_number_of_risks(self):
+        # the complexity term is theorem 4's at T = len(probit_risks)
+        for T in (1, 3, 7):
+            rep = bounds.theorem6_bound([0.1] * T, 1000, 20, 0.05)
+            assert rep.complexity_term == bounds.theorem4_bound(
+                1000, T, 20, 0.05, 0.0)
+        with pytest.raises(ValueError, match=r"requires n >= max\(d_vc, T\)"):
+            bounds.theorem6_bound([0.1] * 6, 5, 2, 0.05)
 
     def test_oracle_value(self):
         risks = [0.05, 0.12, 0.30]
         gammas = [mpmath.mpf("0.5") - mpmath.mpf(r) / mpmath.log(2)
                   for r in risks]
         oracle = mpmath.exp(-2 * sum(g * g for g in gammas))
-        rep = bounds.theorem6_bound(risks, 500, 3, 10, 0.1)
+        rep = bounds.theorem6_bound(risks, 500, 10, 0.1)
         assert rep.training_term == pytest.approx(float(oracle), rel=1e-12)
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -9,6 +11,8 @@ from sbpmt import bounds, cli, data, ensemble, model_io
 
 FAST = ["--M", "3", "--T", "2", "--B", "3", "--alpha", "0.7",
         "--depth", "2", "--min-leaf", "5"]
+KERNEL = ["--theorem", "3", "--sigma1-sq", "0.25", "--beta", "1", "--gamma",
+          "1"]
 
 
 def write_csv(tmp_path, name="train.csv", n=120, seed=0, header=True):
@@ -275,6 +279,24 @@ class TestPredict:
         assert f"error: {message}" in capsys.readouterr().err
         assert not preds_path.exists()
 
+    def test_model_without_schema_is_runtime_error(self, tmp_path, capsys):
+        # a library fit without a schema cannot encode a CSV file
+        csv_path = write_csv(tmp_path)
+        dataset = data.load_csv(csv_path, "label")
+        config = ensemble.SbpmtConfig(M=2, T=1, B=2, depth=1, seed=3)
+        model = ensemble.fit_sbpmt(dataset.X, dataset.y, 2, config,
+                                   workers=1)
+        model_path = tmp_path / "bare.json"
+        model_io.save_model(model, model_path)
+        for argv in (["predict", "--model", str(model_path), "--data",
+                      str(csv_path), "--out", str(tmp_path / "p.csv")],
+                     ["bound"] + KERNEL + ["--from-model", str(model_path),
+                                           "--data", str(csv_path)]):
+            assert cli.main(argv) == 1
+            assert ("error: model file carries no encoding schema"
+                    in capsys.readouterr().err)
+        assert not (tmp_path / "p.csv").exists()
+
     def test_bad_model_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format_version": 42}', encoding="utf-8")
@@ -480,8 +502,12 @@ class TestBound:
             lines[:-1] + ["-0.5,0.5,maybe"]) + "\n")
         short = tmp_path / "short.csv"
         short.write_text("f1,f2,label\n" + "\n".join(lines[10:]) + "\n")
+        unlabelled = tmp_path / "unlabelled.csv"
+        unlabelled.write_text("f1,f2\n" + "\n".join(
+            line.rpartition(",")[0] for line in lines) + "\n")
         for path, message in [(unseen, "label 'maybe' is not one of"),
-                              (short, "110 rows cannot be")]:
+                              (short, "110 rows cannot be"),
+                              (unlabelled, "has no label column")]:
             assert cli.main(flags + ["--data", str(path)]) == 1
             assert message in capsys.readouterr().err
 
@@ -496,8 +522,8 @@ class TestBound:
           "--d-vc", "3"], "T must be >= 1"),
         (["--theorem", "4", "--empirical-error", "0.1", "--T", "5",
           "--d-vc", "0"], "d_vc must be >= 1"),
-        (["--theorem", "6", "--probit-risks", "0.1", "--T", "1",
-          "--d-vc", "0"], "d_vc must be >= 1"),
+        (["--theorem", "6", "--probit-risks", "0.1", "--d-vc", "0"],
+         "d_vc must be >= 1"),
         (["--theorem", "3", "--m", "70", "--M", "0", "--p-sub", "0.1",
           "--sigma1-sq", "1", "--beta", "1", "--gamma", "1"],
          "M must be >= 1, got 0"),
@@ -518,8 +544,8 @@ class TestBound:
         (["--theorem", "4", "--T", "5", "--d-vc", "20",
           "--empirical-error", "nan"], "empirical error"),
         (["--theorem", "5", "--errors", "nan,0.2"], "[0, 1]"),
-        (["--theorem", "6", "--probit-risks", "nan", "--T", "1",
-          "--d-vc", "20"], "finite"),
+        (["--theorem", "6", "--probit-risks", "nan", "--d-vc", "20"],
+         "finite"),
         # a normalized margin lies in [-1, 1]; theta 2 gave inf, -3 a number
         (["--theorem", "5", "--errors", "0,0.1", "--theta", "2"],
          "theta must lie in [-1, 1]"),
@@ -534,6 +560,45 @@ class TestBound:
         out = capsys.readouterr()
         assert message in out.err and "bound" not in out.out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--theorem", "5", "--errors", "0.1,x"],
+         "error: --errors expects float values, got 'x'"),
+        (["--theorem", "6", "--probit-risks", ",", "--n", "1000",
+          "--d-vc", "20"], "error: --probit-risks expects float values, "
+                           "got ''"),
+    ])
+    def test_bad_list_value_names_its_flag(self, capsys, argv, message):
+        assert cli.main(["bound"] + argv) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--theorem", "5", "--errors", "0.2", "--from-model", "m.json"],
+         "only theorem 3 takes --from-model"),
+        (["--theorem", "4", "--n", "1000", "--T", "5", "--d-vc", "20",
+          "--empirical-error", "0.1", "--data", "d.csv"],
+         "only theorem 3 takes --data"),
+        (KERNEL + ["--n", "100", "--m", "70", "--M", "21", "--p-sub", "0.2",
+                   "--data", "d.csv"], "--data needs --from-model"),
+        (KERNEL + ["--from-model", "m.json"],
+         "--from-model requires --data for p_sub"),
+        (KERNEL + ["--from-model", "m.json", "--data", "d.csv", "--n",
+                   "99999", "--m", "5", "--M", "7", "--p-sub", "0.4"],
+         "drop --n, --m, --M, --p-sub"),
+        (KERNEL + ["--from-model", "m.json", "--data", "d.csv", "--M", "7"],
+         "drop --M"),
+        (["--theorem", "5"], "theorem 5 needs --errors"),
+        (["--theorem", "6", "--probit-risks", "0.1", "--n", "1000", "--T",
+          "1", "--d-vc", "20"],
+         "theorem 6 counts its rounds from --probit-risks; drop --T"),
+    ])
+    def test_bad_flag_combination_is_usage_error(self, tmp_path, monkeypatch,
+                                                 capsys, argv, message):
+        monkeypatch.chdir(tmp_path)  # none of the named files exists
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bound"] + argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_theorem5_pipe_through(self, capsys):
         from sbpmt import bounds
         rc = cli.main(["bound", "--theorem", "5",
@@ -543,18 +608,26 @@ class TestBound:
         expected = bounds.theorem5_bound([0.2, 0.3, 0.4], 0.0)
         assert f"{expected:.6f}" in text
 
-    def test_theorem6(self, capsys):
+    def test_theorem6(self, tmp_path, capsys):
+        report = tmp_path / "b6.json"
         rc = cli.main(["bound", "--theorem", "6",
                        "--probit-risks", "0.1,0.1,0.1", "--n", "1000",
-                       "--T", "3", "--d-vc", "20"])
+                       "--d-vc", "20", "--report", str(report)])
         assert rc == 0
         text = capsys.readouterr().out
         assert "training term:" in text and "theorem 6 bound:" in text
+        # the round count is len(probit_risks), so the report has no T
+        doc = json.loads(report.read_text())
+        assert set(doc) == {"command", "theorem", "probit_risks", "n",
+                            "d_vc", "delta", "training_term",
+                            "complexity_term", "bound", "hypothesis_ok"}
+        assert doc["complexity_term"] == bounds.theorem4_bound(
+            1000, 3, 20, 0.05, 0.0)
 
     def test_theorem6_hypothesis_violation(self, capsys):
         rc = cli.main(["bound", "--theorem", "6",
                        "--probit-risks", "0.9", "--n", "1000",
-                       "--T", "1", "--d-vc", "20"])
+                       "--d-vc", "20"])
         assert rc == 0
         assert "VIOLATED" in capsys.readouterr().out
 
@@ -568,6 +641,26 @@ class TestEntryPoint:
         out = subprocess.run([exe, "--help"], capture_output=True, text=True)
         assert out.returncode == 0
         assert "train" in out.stdout and "bound" in out.stdout
+
+    def test_module_entry_point(self):
+        # python -m sbpmt.cli from a checkout, exit codes included
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "sbpmt.cli", *argv],
+                                  capture_output=True, text=True, env=env)
+
+        out = run("--help")
+        assert out.returncode == 0
+        assert "train" in out.stdout and "bound" in out.stdout
+        out = run("bound", "--theorem", "5", "--errors", "0.2,0.3")
+        assert out.returncode == 0
+        want = bounds.theorem5_bound([0.2, 0.3])
+        assert out.stdout == f"theorem 5 bound (theta=0): {want:.6f}\n"
+        out = run("bound", "--theorem", "5", "--errors", "1.5")
+        assert out.returncode == 1
+        assert out.stderr == "error: stage errors must lie in [0, 1]\n"
 
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -112,6 +112,16 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="not found"):
             data.load_csv(write(tmp_path, MIXED), "nope")
 
+    @pytest.mark.parametrize("label, has_header, message", [
+        ("label", False, "label column by name requires a header"),
+        (99, True, "label column index out of range"),
+        (-4, True, "label column index out of range"),
+    ])
+    def test_bad_label_column_rejected(self, tmp_path, label, has_header,
+                                       message):
+        with pytest.raises(ValueError, match=message):
+            data.load_csv(write(tmp_path, MIXED), label, has_header)
+
     def test_label_only_file_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no feature columns"):
             data.load_csv(write(tmp_path, "label\nyes\nno\n"), "label")
@@ -147,6 +157,10 @@ class TestLoadCsv:
          r"schema: missing keys \['has_header'\]"),
         (lambda s: s["label"]["classes"].pop(),
          "schema label: classes must be at least 2 distinct strings"),
+        (lambda s: s["columns"].__setitem__(0, "a"),
+         "schema column 0 is not a JSON object"),
+        (lambda s: s["columns"].clear(),
+         "schema: columns must be a nonempty list"),
     ])
     def test_bad_schema_rejected(self, tmp_path, edit, message):
         p = write(tmp_path, MIXED)
@@ -268,7 +282,41 @@ class TestEncodeRows:
             data.encode_rows([["oops", "red"]], ["a", "color"], schema)
 
 
+def reference_stratified_kfold(y, k, seed):
+    """Per-row reference for data.stratified_kfold: each class in sorted
+    order is shuffled and dealt on from the fold where the last class
+    stopped."""
+    rng = np.random.default_rng(seed)
+    fold_of = np.empty(y.size, dtype=int)
+    next_fold = 0
+    for cls in np.unique(y):
+        idx = np.flatnonzero(y == cls)
+        idx = idx[rng.permutation(idx.size)]
+        for i, row in enumerate(idx):
+            fold_of[row] = (next_fold + i) % k
+        next_fold = (next_fold + idx.size) % k
+    return [(np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f))
+            for f in range(k)]
+
+
 class TestStratifiedKfold:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_row_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            n = int(rng.integers(2, 80))
+            y = rng.integers(int(rng.integers(1, 7)), size=n)
+            if rng.uniform() < 0.3:
+                y = np.array([f"c{v}" for v in y])
+            k = int(rng.integers(2, n + 1))
+            fold_seed = int(rng.integers(2**31))
+            got = data.stratified_kfold(y, k, fold_seed)
+            want = reference_stratified_kfold(y, k, fold_seed)
+            assert len(got) == k
+            for (gt, gs), (wt, ws) in zip(got, want):
+                np.testing.assert_array_equal(gt, wt)
+                np.testing.assert_array_equal(gs, ws)
+
     def test_partition_and_stratification(self):
         y = np.array([0] * 40 + [1] * 20)
         splits = data.stratified_kfold(y, 5, seed=0)

@@ -332,6 +332,8 @@ class TestUntrustedFile:
          "in strictly increasing order"),
         (lambda d: d["design"]["subsets"][1].pop(),
          "design: subsets must be nonempty lists of one size"),
+        (lambda d: d["design"].update(subsets=[[], [], []]),
+         "design: subsets must be nonempty lists of one size"),
         (lambda d: d["design"]["subsets"].pop(),
          "design: subsets must be a list of 3 index lists, one per member"),
     ])

@@ -209,6 +209,8 @@ class TestWlsFit:
     def test_empty_input(self):
         with pytest.raises(ValueError, match="empty regression"):
             wls_fit([], [], [])
+        with pytest.raises(ValueError, match="empty regression"):
+            numerics.wls_fit_columns(np.zeros((0, 2)), [], [], (0,))
 
     def test_matches_lstsq_oracle(self):
         rng = np.random.default_rng(7)

@@ -284,6 +284,11 @@ class TestBoundaryChecks:
         with pytest.raises(ValueError, match=message):
             pmt.fit_pmt(X, (y > 0).astype(int), 2, w, 1, 1, 3)
 
+    def test_negative_iteration_count_rejected(self):
+        X, y = separable_1d()
+        with pytest.raises(ValueError, match="iteration count must be >= 0"):
+            probitboost.fit_probitboost(X, y, np.ones(4), -1)
+
     def test_weight_count_must_match_rows(self):
         X, y = separable_1d()
         with pytest.raises(ValueError, match="one sample weight per row"):
