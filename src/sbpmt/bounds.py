@@ -6,6 +6,9 @@ for boosted classifiers, the weighted-training-error product bound, and
 its probit-risk variant, which counts its rounds from the risks it is
 given.  The kernel quantities sigma1_sq, beta_kernel and gamma_kernel are
 not estimable from a single dataset and must be supplied by the caller.
+Theorems 3, 4 and 6 take the confidence level as a keyword-only delta
+with default DELTA = 0.05, so an old positional call raises TypeError;
+theorem 5 takes its margin as theta=0.0.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import numpy as np
 
 from . import data, numerics
 from .ensemble import SbpmtModel
+
+DELTA = 0.05
 
 
 @dataclass
@@ -37,7 +42,8 @@ class DesignStats:
 
 def design_stats(subsets, n: int) -> DesignStats:
     """Statistics of M >= 1 subsets of rows 0..n-1; their sizes may differ.
-    An index outside 0..n-1 raises ValueError naming its subset."""
+    A subset holding an index that is not an integer in 0..n-1, or one
+    index twice, raises ValueError naming the subset."""
     M = len(subsets)
     if M < 1 or n < 1:
         raise ValueError(f"need at least one subset and n >= 1, got {M} "
@@ -45,10 +51,17 @@ def design_stats(subsets, n: int) -> DesignStats:
     incidence = np.zeros((M, n), dtype=np.int64)
     for i, subset in enumerate(subsets):
         rows = np.asarray(subset)
+        if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+            raise ValueError(f"subset {i} must be a list of integer row "
+                             f"indices, got {subset!r}")
         bad = rows[(rows < 0) | (rows >= n)]
         if bad.size:
             raise ValueError(f"subset {i} holds row index {bad[0]}, "
                              f"outside 0..{n - 1}")
+        values, counts = np.unique(rows, return_counts=True)
+        if values.size < rows.size:
+            raise ValueError(f"subset {i} holds row index "
+                             f"{values[counts > 1][0]} more than once")
         incidence[i, subset] = 1
     R = incidence.sum(axis=0)
     # sum_{k,l} R_kl^2 = ||I^T I||_F^2 = ||I I^T||_F^2, and I I^T is only
@@ -70,12 +83,13 @@ class BoundReport:
     Q_C: float
     rhs: float
     hypothesis_ok: bool
+    hypothesis_threshold: float  # M must exceed ln^2(n)
     degenerate: bool = False  # set when the exponent margin t is <= 0
 
 
-def theorem3_bound(n: int, m: int, M: int, delta: float, p_sub: float,
-                   sigma1_sq: float, beta_kernel: float,
-                   gamma_kernel: float) -> BoundReport:
+def theorem3_bound(n: int, m: int, M: int, p_sub: float, sigma1_sq: float,
+                   beta_kernel: float, gamma_kernel: float, *,
+                   delta: float = DELTA) -> BoundReport:
     """Voting-classifier generalization bound for a random subagging design.
 
     rhs = exp(-t^2 / (2 Q_A^2 sigma1^2 + Q_B^2 beta/2
@@ -103,19 +117,20 @@ def theorem3_bound(n: int, m: int, M: int, delta: float, p_sub: float,
     Q_B = m**2 / n + c * m / math.sqrt(M)
     Q_C = m / n + (math.sqrt(2.0 * m) + 3.0) / math.sqrt(M) * log3d
     t = (math.ceil(M / 2) - M / 2) / M + 1.0 - 2.0 * p_sub
-    hypothesis_ok = M > math.log(n) ** 2 and p_sub < 0.5
+    threshold = math.log(n) ** 2
+    hypotheses = dict(hypothesis_ok=M > threshold and p_sub < 0.5,
+                      hypothesis_threshold=threshold)
     if t <= 0.0:
         return BoundReport(Q_A=Q_A, Q_B=Q_B, Q_C=Q_C, rhs=1.0,
-                           hypothesis_ok=hypothesis_ok, degenerate=True)
+                           degenerate=True, **hypotheses)
     denom = (2.0 * Q_A**2 * sigma1_sq + Q_B**2 * beta_kernel / 2.0
              + (math.sqrt(Q_B * gamma_kernel) + 4.0 * Q_C**2 / 3.0) * t)
     rhs = math.exp(-t * t / denom) if denom > 0.0 else 0.0
-    return BoundReport(Q_A=Q_A, Q_B=Q_B, Q_C=Q_C, rhs=rhs,
-                       hypothesis_ok=hypothesis_ok)
+    return BoundReport(Q_A=Q_A, Q_B=Q_B, Q_C=Q_C, rhs=rhs, **hypotheses)
 
 
-def theorem4_bound(n: int, T: int, d_vc: int, delta: float,
-                   empirical_error: float) -> float:
+def theorem4_bound(n: int, T: int, d_vc: int, empirical_error: float, *,
+                   delta: float = DELTA) -> float:
     """VC complexity bound for a T-round boosted classifier on n samples."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -137,6 +152,11 @@ def theorem4_bound(n: int, T: int, d_vc: int, delta: float,
 def theorem5_bound(errors, theta: float = 0.0) -> float:
     """Margin bound 2^T prod_t sqrt(err_t^(1-theta) (1-err_t)^(1+theta))."""
     errors = np.asarray(errors, dtype=float)
+    if errors.ndim != 1:
+        raise ValueError(f"stage errors must be a 1-D list, got shape "
+                         f"{errors.shape}")
+    if errors.size == 0:
+        raise ValueError("need one stage error per boosting round, got none")
     if not np.all((errors >= 0) & (errors <= 1)):
         raise ValueError("stage errors must lie in [0, 1]")
     if not -1.0 <= theta <= 1.0:  # a normalized margin; keeps it finite
@@ -155,14 +175,17 @@ class Theorem6Report:
     hypothesis_ok: bool
 
 
-def theorem6_bound(probit_risks, n: int, d_vc: int,
-                   delta: float) -> Theorem6Report:
+def theorem6_bound(probit_risks, n: int, d_vc: int, *,
+                   delta: float = DELTA) -> Theorem6Report:
     """Generalization bound driven by one PMT probit risk per boosting
     round, so T = len(probit_risks).  gamma_t = 1/2 - eps_t / ln 2;
     requires 0 <= eps_t/ln2 < 1/2 for every round, otherwise the training
     term is reported as 1 and flagged.
     """
     risks = np.asarray(probit_risks, dtype=float)
+    if risks.ndim != 1:
+        raise ValueError(f"probit risks must be a 1-D list, got shape "
+                         f"{risks.shape}")
     if risks.size == 0:
         raise ValueError("need one probit risk per boosting round, got none")
     if not np.all(np.isfinite(risks)):
@@ -174,7 +197,7 @@ def theorem6_bound(probit_risks, n: int, d_vc: int,
         training = math.exp(-2.0 * float(np.sum(np.square(gammas))))
     else:
         training = 1.0
-    complexity = theorem4_bound(n, risks.size, d_vc, delta, 0.0)
+    complexity = theorem4_bound(n, risks.size, d_vc, 0.0, delta=delta)
     return Theorem6Report(training_term=training, complexity_term=complexity,
                           total=training + complexity, hypothesis_ok=ok)
 

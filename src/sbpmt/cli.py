@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
-import math
 import sys
 from dataclasses import asdict, fields, replace
 
@@ -204,91 +204,96 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _require(parser, args, message: str, *dests, given=True) -> None:
-    """Usage error unless every flag of dests was given (given=False: none
-    was); the flags that break the rule fill the {} of message."""
-    wrong = ["--" + d.replace("_", "-") for d in dests
-             if (getattr(args, d) is None) == given]
-    if wrong:
-        parser.error(message.format(", ".join(wrong)))
+# theorem -> calculator; each calculator's signature states what its
+# theorem takes, which inputs it needs and their defaults
+_THEOREMS = {3: bounds.theorem3_bound, 4: bounds.theorem4_bound,
+             5: bounds.theorem5_bound, 6: bounds.theorem6_bound}
+# calculator parameter -> its flag and type (list: comma-separated floats)
+_BOUND_FLAGS = {
+    "n": ("--n", int), "m": ("--m", int), "M": ("--M", int),
+    "T": ("--T", int), "d_vc": ("--d-vc", int),
+    "delta": ("--delta", float), "p_sub": ("--p-sub", float),
+    "sigma1_sq": ("--sigma1-sq", float), "beta_kernel": ("--beta", float),
+    "gamma_kernel": ("--gamma", float), "theta": ("--theta", float),
+    "empirical_error": ("--empirical-error", float),
+    "errors": ("--errors", list), "probit_risks": ("--probit-risks", list),
+}
+# the inputs --from-model fixes from the model and --data
+_FROM_MODEL = ("n", "m", "M", "p_sub")
 
 
 def cmd_bound(args, parser: argparse.ArgumentParser) -> int:
+    calculator = _THEOREMS[args.theorem]
+    params = inspect.signature(calculator).parameters
+    given = {name: getattr(args, name) for name in _BOUND_FLAGS
+             if getattr(args, name) is not None}
+    foreign = [_BOUND_FLAGS[name][0] for name in given if name not in params]
+    if not set(_FROM_MODEL) <= params.keys():
+        foreign += [flag for flag, value in (("--from-model", args.from_model),
+                                             ("--data", args.data))
+                    if value is not None]
+    if foreign:
+        parser.error(f"theorem {args.theorem} does not take "
+                     f"{', '.join(foreign)}")
+    fixed = _FROM_MODEL if args.from_model else ()
+    if args.from_model and args.data is None:
+        parser.error("--from-model requires --data for p_sub")
+    if args.data is not None and not args.from_model:
+        parser.error("--data needs --from-model")
+    clash = [_BOUND_FLAGS[name][0] for name in fixed if name in given]
+    if clash:
+        parser.error("--from-model takes n, m, M and p_sub from the model "
+                     f"and --data; drop {', '.join(clash)}")
+    missing = [_BOUND_FLAGS[name][0] for name, param in params.items()
+               if param.default is param.empty
+               and name not in given and name not in fixed]
+    if missing:
+        parser.error(f"theorem {args.theorem} needs {', '.join(missing)}")
+
+    for name, text in given.items():
+        flag, kind = _BOUND_FLAGS[name]
+        if kind is list:
+            given[name] = _parse_list(flag, float, text)
+    if args.from_model:
+        model = _load_with_schema(args.from_model)
+        dataset = data.load_csv(args.data, schema=model.schema)
+        if dataset.y is None:
+            raise ValueError(f"{args.data} has no label column")
+        given["n"] = dataset.X.shape[0]
+        given["M"], given["m"] = model.design.shape
+        given["p_sub"] = bounds.estimate_p_sub(model, dataset.X, dataset.y)
+    # the call's arguments, defaults applied, in the signature's order
+    inputs = {name: given.get(name, param.default)
+              for name, param in params.items()}
+    out = calculator(**inputs)
+
     report: dict = {"command": "bound", "theorem": args.theorem}
-    if args.theorem != 3:
-        _require(parser, args, "only theorem 3 takes {}", "from_model",
-                 "data", given=False)
     if args.theorem == 3:
-        _require(parser, args, "theorem 3 needs the kernel moments {}; they "
-                 "are not estimable from one dataset and will not be "
-                 "defaulted silently", "sigma1_sq", "beta", "gamma")
-        if args.from_model:
-            _require(parser, args, "--from-model requires {} for p_sub",
-                     "data")
-            _require(parser, args, "--from-model takes n, m, M and p_sub "
-                     "from the model and --data; drop {}", "n", "m", "M",
-                     "p_sub", given=False)
-            model = _load_with_schema(args.from_model)
-            dataset = data.load_csv(args.data, schema=model.schema)
-            if dataset.y is None:
-                raise ValueError(f"{args.data} has no label column")
-            n = dataset.X.shape[0]
-            M, m = model.design.shape
-            p_sub = bounds.estimate_p_sub(model, dataset.X, dataset.y)
-        else:
-            _require(parser, args, "{} needs --from-model", "data",
-                     given=False)
-            _require(parser, args, "theorem 3 needs {}", "n", "m", "M",
-                     "p_sub")
-            n, m, M, p_sub = args.n, args.m, args.M, args.p_sub
-        inputs = dict(n=n, m=m, M=M, delta=args.delta, p_sub=p_sub,
-                      sigma1_sq=args.sigma1_sq, beta_kernel=args.beta,
-                      gamma_kernel=args.gamma)
-        rep = bounds.theorem3_bound(**inputs)
-        threshold = math.log(n) ** 2
+        M, p_sub = inputs["M"], inputs["p_sub"]
+        threshold = out.hypothesis_threshold
         print(f"hypothesis: M > ln^2(n) = {threshold:.2f} -> "
               f"{'ok' if M > threshold else 'VIOLATED'} (M = {M})")
         print(f"p_sub = {p_sub:.6f} "
               f"({'ok' if p_sub < 0.5 else 'VIOLATED: bound vacuous'})")
-        print(f"Q_A = {rep.Q_A:.6f}  Q_B = {rep.Q_B:.6f}  Q_C = {rep.Q_C:.6f}")
-        print(f"generalization error bound (prob >= {1 - args.delta:g}): "
-              f"{rep.rhs:.6g}{' [degenerate]' if rep.degenerate else ''}")
-        report.update(asdict(rep), inputs=inputs,
-                      hypothesis_threshold=threshold)
-    elif args.theorem == 4:
-        _require(parser, args, "theorem 4 needs {}", "n", "T", "d_vc",
-                 "empirical_error")
-        inputs = dict(n=args.n, T=args.T, d_vc=args.d_vc, delta=args.delta,
-                      empirical_error=args.empirical_error)
-        value = bounds.theorem4_bound(**inputs)
-        print(f"theorem 4 bound: {value:.6f}")
-        report.update(inputs, bound=value)
-    elif args.theorem == 5:
-        if not args.errors:
-            parser.error("theorem 5 needs --errors e1,e2,...")
-        inputs = dict(errors=_parse_list("--errors", float, args.errors),
-                      theta=args.theta)
-        value = bounds.theorem5_bound(**inputs)
-        print(f"theorem 5 bound (theta={args.theta:g}): {value:.6f}")
-        report.update(inputs, bound=value)
-    else:  # theorem 6
-        _require(parser, args, "theorem 6 counts its rounds from "
-                 "--probit-risks; drop {}", "T", given=False)
-        _require(parser, args, "theorem 6 needs {}", "probit_risks", "n",
-                 "d_vc")
-        inputs = dict(probit_risks=_parse_list("--probit-risks", float,
-                                               args.probit_risks),
-                      n=args.n, d_vc=args.d_vc, delta=args.delta)
-        rep6 = bounds.theorem6_bound(**inputs)
-        if not rep6.hypothesis_ok:
+        print(f"Q_A = {out.Q_A:.6f}  Q_B = {out.Q_B:.6f}  Q_C = {out.Q_C:.6f}")
+        print(f"generalization error bound (prob >= "
+              f"{1 - inputs['delta']:g}): {out.rhs:.6g}"
+              f"{' [degenerate]' if out.degenerate else ''}")
+        report.update(asdict(out), inputs=inputs)
+    elif args.theorem == 6:
+        if not out.hypothesis_ok:
             print("hypothesis 0 <= eps_t/ln2 < 1/2 VIOLATED; "
                   "training term reported as 1")
-        print(f"training term: {rep6.training_term:.6g}")
-        print(f"complexity term: {rep6.complexity_term:.6f}")
-        print(f"theorem 6 bound: {rep6.total:.6f}")
-        report.update(inputs, training_term=rep6.training_term,
-                      complexity_term=rep6.complexity_term,
-                      bound=rep6.total, hypothesis_ok=rep6.hypothesis_ok)
+        print(f"training term: {out.training_term:.6g}")
+        print(f"complexity term: {out.complexity_term:.6f}")
+        print(f"theorem 6 bound: {out.total:.6f}")
+        report.update(inputs, training_term=out.training_term,
+                      complexity_term=out.complexity_term,
+                      bound=out.total, hypothesis_ok=out.hypothesis_ok)
+    else:
+        theta = f" (theta={inputs['theta']:g})" if args.theorem == 5 else ""
+        print(f"theorem {args.theorem} bound{theta}: {out:.6f}")
+        report.update(inputs, bound=out)
     _write_report(args, report)
     return 0
 
@@ -338,25 +343,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hyper_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_bound = sub.add_parser("bound", help="generalization bound calculators")
+    p_bound = sub.add_parser(
+        "bound", help="generalization bound calculators",
+        description="Each theorem takes the flags of its calculator's "
+        "parameters and needs those without a default. Theorem 3's kernel "
+        "moments --sigma1-sq, --beta and --gamma are not estimable from "
+        "one dataset, so they have none.")
     p_bound.add_argument("--theorem", type=int, choices=(3, 4, 5, 6),
                          required=True)
-    p_bound.add_argument("--n", type=int)
-    p_bound.add_argument("--m", type=int)
-    p_bound.add_argument("--M", type=int)
-    p_bound.add_argument("--T", type=int)
-    p_bound.add_argument("--d-vc", type=int, dest="d_vc")
-    p_bound.add_argument("--delta", type=float, default=0.05)
-    p_bound.add_argument("--p-sub", type=float, dest="p_sub")
-    p_bound.add_argument("--sigma1-sq", type=float, dest="sigma1_sq")
-    p_bound.add_argument("--beta", type=float)
-    p_bound.add_argument("--gamma", type=float)
-    p_bound.add_argument("--theta", type=float, default=0.0)
-    p_bound.add_argument("--errors", help="stage errors e1,e2,...")
-    p_bound.add_argument("--probit-risks", dest="probit_risks",
-                         help="per-round PMT probit risks r1,r2,...")
-    p_bound.add_argument("--empirical-error", type=float,
-                         dest="empirical_error")
+    for name, (flag, kind) in _BOUND_FLAGS.items():
+        p_bound.add_argument(flag, dest=name,
+                             type=str if kind is list else kind,
+                             metavar="x1,x2,..." if kind is list else None)
     p_bound.add_argument("--from-model", dest="from_model",
                          help="model file; estimates p_sub out-of-subset")
     p_bound.add_argument("--data", help="CSV used with --from-model")

@@ -179,7 +179,8 @@ class TestCriterion5BoundOracles:
                     (5000, 10, 3, "0.01", "0.1"), (250, 1, 1, "0.9", "0.5"),
                     (10**6, 50, 30, "0.001", "0.02")]
         for n, T, d, delta, err in t4_cases:
-            got = bounds.theorem4_bound(n, T, d, float(delta), float(err))
+            got = bounds.theorem4_bound(n, T, d, float(err),
+                                        delta=float(delta))
             mn = mpmath.mpf(n)
             inner = (T * mpmath.log(mpmath.e * mn / T)
                      + d * mpmath.log(mpmath.e * mn / d)
@@ -209,7 +210,7 @@ class TestCriterion5BoundOracles:
         for risks, n, d, delta in t6_cases:
             T = len(risks)
             rep = bounds.theorem6_bound([float(r) for r in risks], n, d,
-                                        float(delta))
+                                        delta=float(delta))
             gsum = sum((mpmath.mpf("0.5")
                         - mpmath.mpf(r) / mpmath.log(2)) ** 2 for r in risks)
             training = mpmath.exp(-2 * gsum)

@@ -88,6 +88,18 @@ class TestDesignStats:
         with pytest.raises(ValueError, match=message):
             bounds.design_stats(subsets, n)
 
+    @pytest.mark.parametrize("subsets, message", [
+        # a repeated index was counted once: R = [1, 1] for 3 indices
+        ([[0, 1], [0, 0, 1]], "subset 1 holds row index 0 more than once"),
+        # these escaped as NumPy IndexError
+        ([[0.5]], r"subset 0 must be a list of integer row indices, got "
+                  r"\[0\.5\]"),
+        ([[1], [True]], r"subset 1 must be a list of integer row indices"),
+    ])
+    def test_repeated_or_non_integer_index_rejected(self, subsets, message):
+        with pytest.raises(ValueError, match=message):
+            bounds.design_stats(subsets, 2)
+
 
 def mp_theorem3(n, m, M, delta, p_sub, s1, beta, gamma):
     n, m, M = mpmath.mpf(n), mpmath.mpf(m), mpmath.mpf(M)
@@ -124,7 +136,11 @@ class TestTheorem3:
         hi = bounds.theorem3_bound(**self.inputs(n=20000, m=700, M=99))
         assert not lo.hypothesis_ok
         assert hi.hypothesis_ok
-        assert math.log(20000) ** 2 == pytest.approx(98.08, abs=0.01)
+        assert lo.hypothesis_threshold == hi.hypothesis_threshold
+        assert lo.hypothesis_threshold == math.log(20000) ** 2
+        assert lo.hypothesis_threshold == pytest.approx(98.08, abs=0.01)
+        degenerate = bounds.theorem3_bound(**self.inputs(p_sub=0.5, M=20))
+        assert degenerate.hypothesis_threshold == math.log(100) ** 2
 
     def test_even_odd_margin_term(self):
         even = bounds.theorem3_bound(**self.inputs(M=20, p_sub=0.0))
@@ -196,46 +212,71 @@ class TestTheorem3:
             bounds.theorem3_bound(**self.inputs(**{field: value}))
 
 
+class TestDelta:
+    """delta is keyword-only with one default, bounds.DELTA."""
+
+    def test_default_is_delta(self):
+        assert bounds.DELTA == 0.05
+        t3 = dict(n=100, m=70, M=21, p_sub=0.2, sigma1_sq=0.25,
+                  beta_kernel=1.0, gamma_kernel=1.0)
+        assert (bounds.theorem3_bound(**t3)
+                == bounds.theorem3_bound(**t3, delta=0.05))
+        assert (bounds.theorem4_bound(1000, 5, 20, 0.1)
+                == bounds.theorem4_bound(1000, 5, 20, 0.1, delta=0.05))
+        assert (bounds.theorem6_bound([0.1], 1000, 20)
+                == bounds.theorem6_bound([0.1], 1000, 20, delta=0.05))
+
+    def test_positional_delta_raises(self):
+        # the old order put delta before empirical_error; a positional call
+        # in that order must fail, not swap the two
+        with pytest.raises(TypeError):
+            bounds.theorem4_bound(1000, 5, 20, 0.05, 0.1)
+        with pytest.raises(TypeError):
+            bounds.theorem6_bound([0.1], 1000, 20, 0.05)
+        with pytest.raises(TypeError):
+            bounds.theorem3_bound(100, 70, 21, 0.05, 0.2, 0.25, 1.0, 1.0)
+
+
 class TestTheorem4:
     def test_oracle_value(self):
         e = mpmath.e
         inner = (5 * mpmath.log(200 * e) + 20 * mpmath.log(50 * e)
                  + mpmath.log(160))
         oracle = float(mpmath.sqrt(32 * inner / 1000))
-        got = bounds.theorem4_bound(1000, 5, 20, 0.05, 0.0)
+        got = bounds.theorem4_bound(1000, 5, 20, 0.0, delta=0.05)
         assert got == pytest.approx(oracle, rel=1e-12)
 
     def test_edge_log_terms_equal_one(self):
         # T = d_vc = n makes both ln(en/.) terms exactly 1
-        got = bounds.theorem4_bound(100, 100, 100, 0.5, 0.25)
+        got = bounds.theorem4_bound(100, 100, 100, 0.25, delta=0.5)
         expected = 0.25 + math.sqrt(32 * (100 + 100 + math.log(16)) / 100)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_T(self):
-        vals = [bounds.theorem4_bound(1000, T, 20, 0.05, 0.0)
+        vals = [bounds.theorem4_bound(1000, T, 20, 0.0, delta=0.05)
                 for T in range(1, 50)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_additive_in_empirical_error(self):
-        a = bounds.theorem4_bound(1000, 5, 20, 0.05, 0.0)
-        b = bounds.theorem4_bound(1000, 5, 20, 0.05, 0.3)
+        a = bounds.theorem4_bound(1000, 5, 20, 0.0, delta=0.05)
+        b = bounds.theorem4_bound(1000, 5, 20, 0.3, delta=0.05)
         assert b - a == pytest.approx(0.3, rel=1e-12)
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="n >= max"):
-            bounds.theorem4_bound(10, 20, 5, 0.05, 0.0)
+            bounds.theorem4_bound(10, 20, 5, 0.0, delta=0.05)
         with pytest.raises(ValueError, match="delta"):
-            bounds.theorem4_bound(100, 5, 5, 1.5, 0.0)
+            bounds.theorem4_bound(100, 5, 5, 0.0, delta=1.5)
         for T in (0, -1):
             with pytest.raises(ValueError, match="T must be >= 1"):
-                bounds.theorem4_bound(100, T, 3, 0.05, 0.1)
+                bounds.theorem4_bound(100, T, 3, 0.1, delta=0.05)
         with pytest.raises(ValueError, match="d_vc must be >= 1"):
-            bounds.theorem4_bound(100, 5, 0, 0.05, 0.1)
+            bounds.theorem4_bound(100, 5, 0, 0.1, delta=0.05)
 
     @pytest.mark.parametrize("error", [math.nan, math.inf, -0.1, 1.5])
     def test_empirical_error_must_be_a_rate(self, error):
         with pytest.raises(ValueError, match="empirical error"):
-            bounds.theorem4_bound(1000, 5, 20, 0.05, error)
+            bounds.theorem4_bound(1000, 5, 20, error, delta=0.05)
 
 
 class TestTheorem5:
@@ -274,6 +315,17 @@ class TestTheorem5:
         with pytest.raises(ValueError, match="theta"):
             bounds.theorem5_bound([0.2], math.nan)
 
+    def test_rejects_no_rounds_and_non_vector_input(self):
+        # [] gave 1.0 and a 2-D list was flattened (0.264)
+        with pytest.raises(ValueError, match="need one stage error per "
+                                             "boosting round, got none"):
+            bounds.theorem5_bound([])
+        with pytest.raises(ValueError, match=r"stage errors must be a 1-D "
+                                             r"list, got shape \(2, 2\)"):
+            bounds.theorem5_bound([[0.1, 0.2], [0.3, 0.1]])
+        with pytest.raises(ValueError, match=r"got shape \(\)"):
+            bounds.theorem5_bound(0.3)
+
     @pytest.mark.parametrize("theta", [2.0, -3.0, 1.0 + 1e-12, -1.5,
                                        math.inf, -math.inf])
     def test_rejects_theta_outside_margin_range(self, theta):
@@ -294,49 +346,56 @@ class TestTheorem5:
 
 class TestTheorem6:
     def test_zero_risks(self):
-        rep = bounds.theorem6_bound([0.0] * 4, 1000, 20, 0.05)
+        rep = bounds.theorem6_bound([0.0] * 4, 1000, 20, delta=0.05)
         assert rep.hypothesis_ok
         assert rep.training_term == pytest.approx(math.exp(-2.0), rel=1e-12)
         assert rep.total == pytest.approx(
-            rep.training_term + bounds.theorem4_bound(1000, 4, 20, 0.05, 0.0))
+            rep.training_term
+            + bounds.theorem4_bound(1000, 4, 20, 0.0, delta=0.05))
 
     def test_quarter_ln2_risks(self):
         T = 8
-        rep = bounds.theorem6_bound([math.log(2) / 4] * T, 1000, 20, 0.05)
+        rep = bounds.theorem6_bound([math.log(2) / 4] * T, 1000, 20,
+                                    delta=0.05)
         assert rep.training_term == pytest.approx(math.exp(-T / 8), rel=1e-12)
 
     def test_hypothesis_violation_flags_and_caps(self):
-        rep = bounds.theorem6_bound([0.5, 0.8], 1000, 20, 0.05)
+        rep = bounds.theorem6_bound([0.5, 0.8], 1000, 20, delta=0.05)
         assert not rep.hypothesis_ok
         assert rep.training_term == 1.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_risk_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            bounds.theorem6_bound([0.1, bad], 1000, 20, 0.05)
+            bounds.theorem6_bound([0.1, bad], 1000, 20, delta=0.05)
 
     def test_zero_rounds_or_dimension_rejected(self):
         with pytest.raises(ValueError, match="need one probit risk per "
                                              "boosting round, got none"):
-            bounds.theorem6_bound([], 100, 3, 0.05)
+            bounds.theorem6_bound([], 100, 3, delta=0.05)
         with pytest.raises(ValueError, match="d_vc must be >= 1"):
-            bounds.theorem6_bound([0.1], 100, 0, 0.05)
+            bounds.theorem6_bound([0.1], 100, 0, delta=0.05)
+
+    def test_non_vector_risks_rejected(self):
+        with pytest.raises(ValueError, match=r"probit risks must be a 1-D "
+                                             r"list, got shape \(2, 2\)"):
+            bounds.theorem6_bound([[0.1, 0.2], [0.3, 0.1]], 1000, 20)
 
     def test_round_count_is_the_number_of_risks(self):
         # the complexity term is theorem 4's at T = len(probit_risks)
         for T in (1, 3, 7):
-            rep = bounds.theorem6_bound([0.1] * T, 1000, 20, 0.05)
+            rep = bounds.theorem6_bound([0.1] * T, 1000, 20, delta=0.05)
             assert rep.complexity_term == bounds.theorem4_bound(
-                1000, T, 20, 0.05, 0.0)
+                1000, T, 20, 0.0, delta=0.05)
         with pytest.raises(ValueError, match=r"requires n >= max\(d_vc, T\)"):
-            bounds.theorem6_bound([0.1] * 6, 5, 2, 0.05)
+            bounds.theorem6_bound([0.1] * 6, 5, 2, delta=0.05)
 
     def test_oracle_value(self):
         risks = [0.05, 0.12, 0.30]
         gammas = [mpmath.mpf("0.5") - mpmath.mpf(r) / mpmath.log(2)
                   for r in risks]
         oracle = mpmath.exp(-2 * sum(g * g for g in gammas))
-        rep = bounds.theorem6_bound(risks, 500, 10, 0.1)
+        rep = bounds.theorem6_bound(risks, 500, 10, delta=0.1)
         assert rep.training_term == pytest.approx(float(oracle), rel=1e-12)
 
 

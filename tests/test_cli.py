@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -13,6 +14,10 @@ FAST = ["--M", "3", "--T", "2", "--B", "3", "--alpha", "0.7",
         "--depth", "2", "--min-leaf", "5"]
 KERNEL = ["--theorem", "3", "--sigma1-sq", "0.25", "--beta", "1", "--gamma",
           "1"]
+# every (theorem, flag its calculator lacks) pair, from the two CLI tables
+FOREIGN = [(theorem, flag, kind) for theorem, calc in cli._THEOREMS.items()
+           for name, (flag, kind) in cli._BOUND_FLAGS.items()
+           if name not in inspect.signature(calc).parameters]
 
 
 def write_csv(tmp_path, name="train.csv", n=120, seed=0, header=True):
@@ -437,7 +442,32 @@ class TestBound:
             cli.main(["bound", "--theorem", "3", "--n", "100", "--m", "70",
                       "--M", "21", "--p-sub", "0.2"])
         assert exc.value.code == 2
-        assert "not be defaulted silently" in capsys.readouterr().err
+        assert ("theorem 3 needs --sigma1-sq, --beta, --gamma"
+                in capsys.readouterr().err)
+        # the reason they have no default is in the help
+        with pytest.raises(SystemExit):
+            cli.main(["bound", "--help"])
+        assert "not estimable from one dataset" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("theorem, flag, kind", FOREIGN,
+                             ids=[f"{t}{f}" for t, f, _ in FOREIGN])
+    def test_flag_the_calculator_lacks_is_usage_error(self, capsys, theorem,
+                                                      flag, kind):
+        value = {int: "1", float: "0.1", list: "0.1,0.2"}[kind]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bound", "--theorem", str(theorem), flag, value])
+        assert exc.value.code == 2
+        assert (f"theorem {theorem} does not take {flag}\n"
+                in capsys.readouterr().err)
+
+    def test_flag_table_matches_the_calculators(self):
+        # every calculator parameter has a flag, every flag a parameter
+        params = {name for calc in cli._THEOREMS.values()
+                  for name in inspect.signature(calc).parameters}
+        assert params == set(cli._BOUND_FLAGS)
+        # no flag has a default of its own: unset flags parse to None
+        args = cli.build_parser().parse_args(["bound", "--theorem", "5"])
+        assert all(getattr(args, name) is None for name in params)
 
     def test_theorem3_explicit_inputs(self, tmp_path, capsys):
         report = tmp_path / "b3.json"
@@ -534,18 +564,21 @@ class TestBound:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
+    T3 = ["--theorem", "3", "--n", "20000", "--m", "14000", "--M", "99",
+          "--beta", "1", "--gamma", "1"]
+
     @pytest.mark.parametrize("argv, message", [
-        (["--theorem", "3", "--m", "14000", "--M", "99", "--p-sub", "nan",
-          "--sigma1-sq", "0.25"], "p_sub must be in [0, 1]"),
-        (["--theorem", "3", "--m", "14000", "--M", "99", "--p-sub", "0.2",
-          "--sigma1-sq", "nan"], "finite and nonnegative"),
-        (["--theorem", "3", "--m", "14000", "--M", "99", "--p-sub", "-3",
-          "--sigma1-sq", "0.25"], "p_sub must be in [0, 1]"),
-        (["--theorem", "4", "--T", "5", "--d-vc", "20",
+        (T3 + ["--p-sub", "nan", "--sigma1-sq", "0.25"],
+         "p_sub must be in [0, 1]"),
+        (T3 + ["--p-sub", "0.2", "--sigma1-sq", "nan"],
+         "finite and nonnegative"),
+        (T3 + ["--p-sub", "-3", "--sigma1-sq", "0.25"],
+         "p_sub must be in [0, 1]"),
+        (["--theorem", "4", "--n", "20000", "--T", "5", "--d-vc", "20",
           "--empirical-error", "nan"], "empirical error"),
         (["--theorem", "5", "--errors", "nan,0.2"], "[0, 1]"),
-        (["--theorem", "6", "--probit-risks", "nan", "--d-vc", "20"],
-         "finite"),
+        (["--theorem", "6", "--n", "20000", "--probit-risks", "nan",
+          "--d-vc", "20"], "finite"),
         # a normalized margin lies in [-1, 1]; theta 2 gave inf, -3 a number
         (["--theorem", "5", "--errors", "0,0.1", "--theta", "2"],
          "theta must lie in [-1, 1]"),
@@ -554,8 +587,7 @@ class TestBound:
     ])
     def test_non_finite_input_is_runtime_error(self, capsys, argv, message):
         # no bound is printed for input outside its range
-        rc = cli.main(["bound", "--n", "20000", "--beta", "1", "--gamma",
-                       "1"] + argv)
+        rc = cli.main(["bound"] + argv)
         assert rc == 1
         out = capsys.readouterr()
         assert message in out.err and "bound" not in out.out
@@ -573,10 +605,10 @@ class TestBound:
 
     @pytest.mark.parametrize("argv, message", [
         (["--theorem", "5", "--errors", "0.2", "--from-model", "m.json"],
-         "only theorem 3 takes --from-model"),
+         "theorem 5 does not take --from-model"),
         (["--theorem", "4", "--n", "1000", "--T", "5", "--d-vc", "20",
           "--empirical-error", "0.1", "--data", "d.csv"],
-         "only theorem 3 takes --data"),
+         "theorem 4 does not take --data"),
         (KERNEL + ["--n", "100", "--m", "70", "--M", "21", "--p-sub", "0.2",
                    "--data", "d.csv"], "--data needs --from-model"),
         (KERNEL + ["--from-model", "m.json"],
@@ -588,8 +620,18 @@ class TestBound:
          "drop --M"),
         (["--theorem", "5"], "theorem 5 needs --errors"),
         (["--theorem", "6", "--probit-risks", "0.1", "--n", "1000", "--T",
-          "1", "--d-vc", "20"],
-         "theorem 6 counts its rounds from --probit-risks; drop --T"),
+          "1", "--d-vc", "20"], "theorem 6 does not take --T"),
+        (["--theorem", "6", "--probit-risks", "0.1"],
+         "theorem 6 needs --n, --d-vc"),
+        # these three exited 0 and ignored the flags named
+        (["--theorem", "4", "--n", "1000", "--T", "5", "--d-vc", "20",
+          "--empirical-error", "0.1", "--errors", "0.3", "--probit-risks",
+          "0.1"], "theorem 4 does not take --errors, --probit-risks"),
+        (["--theorem", "5", "--errors", "0.2", "--delta", "0.1"],
+         "theorem 5 does not take --delta"),
+        (["--theorem", "6", "--probit-risks", "0.1", "--n", "1000",
+          "--d-vc", "20", "--T", "1", "--theta", "0.5"],
+         "theorem 6 does not take --T, --theta"),
     ])
     def test_bad_flag_combination_is_usage_error(self, tmp_path, monkeypatch,
                                                  capsys, argv, message):
@@ -622,7 +664,7 @@ class TestBound:
                             "d_vc", "delta", "training_term",
                             "complexity_term", "bound", "hypothesis_ok"}
         assert doc["complexity_term"] == bounds.theorem4_bound(
-            1000, 3, 20, 0.05, 0.0)
+            1000, 3, 20, 0.0, delta=0.05)
 
     def test_theorem6_hypothesis_violation(self, capsys):
         rc = cli.main(["bound", "--theorem", "6",
