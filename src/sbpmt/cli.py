@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
+import io
 import json
 import sys
 from dataclasses import asdict, fields, replace
@@ -106,13 +107,21 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _csv_line(cell: str) -> str:
+    """The line csv.writer writes for a one-cell row, terminator included."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([cell])
+    return buf.getvalue()
+
+
 def cmd_predict(args) -> int:
     model = _load_with_schema(args.model)
     dataset = data.load_csv(args.data, has_header=not args.no_header,
                             schema=model.schema)
     preds = ensemble.predict_sbpmt_many(model, dataset.X)
+    lines = [_csv_line(name) for name in dataset.class_names]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows([dataset.class_names[p]] for p in preds)
+        fh.write("".join(map(lines.__getitem__, preds.tolist())))
     print(f"wrote {len(preds)} predictions to {args.out}")
     return 0
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass, fields
+from operator import itemgetter
 
 import numpy as np
 
@@ -38,12 +40,11 @@ class Dataset:
         return len(self.class_names)
 
 
-def _is_numeric_column(values: list[str]) -> bool:
-    for v in values:
-        try:
-            float(v)
-        except ValueError:
-            return False
+def _is_numeric_column(values) -> bool:
+    try:
+        deque(map(float, values), maxlen=0)
+    except ValueError:
+        return False
     return True
 
 
@@ -51,7 +52,7 @@ def _read_rows(path, has_header: bool):
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            rows = [row for row in reader if row]
+            rows = list(filter(None, reader))
         except csv.Error as exc:
             raise ValueError(
                 f"{path}, line {reader.line_num}: {exc}") from None
@@ -59,9 +60,11 @@ def _read_rows(path, has_header: bool):
     return header, rows
 
 
-def _check_rows(rows, header) -> int:
-    """Reject rows narrower or wider than the header (or, without one, the
-    first row) and empty cells; returns the width."""
+def _check_rows(rows, header) -> None:
+    """Reject the first row, in file order, that is narrower or wider than
+    the header (or, without one, the first row) or holds a blank cell.
+    The one place that words these errors; it runs only after a cheap
+    whole-column check has found one."""
     width = len(header) if header is not None else len(rows[0])
     for r, row in enumerate(rows):
         if len(row) != width:
@@ -71,6 +74,14 @@ def _check_rows(rows, header) -> int:
             if cell.strip() == "":
                 col = header[c] if header else str(c)
                 raise ValueError(f"missing value at row {r + 1}, column {col}")
+
+
+def _row_width(rows, header) -> int:
+    """The width of every row: the header's, or without one the first
+    row's.  A row of another width is reported by _check_rows."""
+    width = len(header) if header is not None else len(rows[0])
+    if set(map(len, rows)) != {width}:
+        _check_rows(rows, header)
     return width
 
 
@@ -246,10 +257,8 @@ def load_csv(path, label_column=-1, has_header: bool = True,
 
 def _infer_schema(header, rows, label_column) -> dict:
     # encode_rows checks the header and every cell; only the widths are
-    # needed here, and a row of another width is reported as _check_rows would.
-    width = len(header) if header is not None else len(rows[0])
-    if any(len(row) != width for row in rows):
-        _check_rows(rows, header)
+    # needed here.
+    width = _row_width(rows, header)
     try:
         label_idx = int(label_column)
     except ValueError:
@@ -265,7 +274,7 @@ def _infer_schema(header, rows, label_column) -> dict:
     if width == 1:
         raise ValueError("no feature columns: the label is the only column")
 
-    class_names = list(dict.fromkeys(row[label_idx] for row in rows))
+    class_names = list(dict.fromkeys(map(itemgetter(label_idx), rows)))
     if len(class_names) < 2:
         raise ValueError("need at least 2 classes")
 
@@ -274,11 +283,10 @@ def _infer_schema(header, rows, label_column) -> dict:
         if c == label_idx:
             continue
         name = header[c] if header else f"col{c}"
-        values = [row[c] for row in rows]
-        if _is_numeric_column(values):
+        if _is_numeric_column(map(itemgetter(c), rows)):
             columns.append({"name": name, "kind": "numeric", "position": c})
         else:
-            levels = sorted(set(values))
+            levels = sorted(set(map(itemgetter(c), rows)))
             columns.append({"name": name, "kind": "categorical",
                             "position": c, "levels": levels})
 
@@ -307,47 +315,77 @@ def encode_rows(rows, header, schema):
     the schema's recorded positions, less the label's when the rows are
     too narrow to hold it.  y holds each row's index in
     schema["label"]["classes"], or is None when the rows carry no label
-    column.  A header that repeats a name, rows of another width than the
-    header (or the first row), empty cells, non-numeric cells in numeric
-    columns and labels outside the class list raise ValueError.  Unseen
-    categorical levels encode as an all-zero one-hot block with a warning.
+    column.  ValueError is raised, in this order, for a header that
+    repeats a name; for the first row, in file order, of another width
+    than the header (or the first row) or with an empty cell; for a
+    column missing from the input or a non-numeric cell in a numeric
+    column, in schema order; and for the first label outside the class
+    list.  Unseen categorical levels encode as an all-zero one-hot block
+    with a warning.
+
+    Each column is checked and converted in one pass over the rows, with
+    no copy of the cells: a numeric column that converts holds no blank
+    (float rejects one), and every other column is checked for blanks over
+    its distinct values.
     """
     label = schema["label"]
     _check_unique(header)
-    if not rows:
+    n = len(rows)
+    if not n:
         return np.zeros((0, len(_feature_names(schema)))), None
-    width = _check_rows(rows, header)
+    width = _row_width(rows, header)
+    names = header
     if header is None:
         named = sorted([label, *schema["columns"]],
                        key=lambda col: col["position"])
         if width <= len(schema["columns"]):
             named.remove(label)
-        header = [col["name"] for col in named[:width]]
-    index = {name: i for i, name in enumerate(header)}
-    label_idx = index.get(label["name"])
+        names = [col["name"] for col in named[:width]]
+    index = {name: i for i, name in enumerate(names)}
+
+    converted = {}
+    for col in schema["columns"]:
+        i = index.get(col["name"])
+        if col["kind"] == "numeric" and i is not None:
+            try:
+                converted[i] = np.fromiter(
+                    map(float, map(itemgetter(i), rows)), float, n)
+            except ValueError:
+                pass
+    distinct = {i: set(map(itemgetter(i), rows))
+                for i in range(width) if i not in converted}
+    if any(not v.strip() for values in distinct.values() for v in values):
+        _check_rows(rows, header)   # names the first blank in file order
 
     blocks = []
     for col in schema["columns"]:
-        if col["name"] not in index:
-            raise ValueError(f"column {col['name']!r} missing from input")
-        raw = [row[index[col["name"]]] for row in rows]
+        name = col["name"]
+        if name not in index:
+            raise ValueError(f"column {name!r} missing from input")
+        i = index[name]
         if col["kind"] == "numeric":
-            try:
-                blocks.append(np.array([float(v) for v in raw])[:, None])
-            except ValueError:
-                raise ValueError(f"non-numeric value in column {col['name']!r}")
+            if i not in converted:
+                raise ValueError(f"non-numeric value in column {name!r}")
+            blocks.append(converted[i][:, None])
         else:
-            unseen = sorted(set(raw) - set(col["levels"]))
+            levels = col["levels"]
+            unseen = sorted(distinct[i] - set(levels))
             if unseen:
-                warnings.warn(f"column {col['name']!r}: unseen levels "
-                              f"{unseen} encoded as all-zero")
-            blocks.append((np.array(raw)[:, None]
-                           == np.array(col["levels"])).astype(float))
+                warnings.warn(f"column {name!r}: unseen levels {unseen} "
+                              "encoded as all-zero")
+            code = {lv: k for k, lv in enumerate(levels)}
+            code.update(dict.fromkeys(unseen, -1))
+            codes = np.fromiter(map(code.__getitem__,
+                                    map(itemgetter(i), rows)), int, n)
+            blocks.append((codes[:, None]
+                           == np.arange(len(levels))).astype(float))
     y = None
-    if label_idx is not None:
+    if label["name"] in index:
         class_of = {c: i for i, c in enumerate(label["classes"])}
         try:
-            y = np.array([class_of[row[label_idx]] for row in rows])
+            y = np.fromiter(map(class_of.__getitem__,
+                                map(itemgetter(index[label["name"]]), rows)),
+                            int, n)
         except KeyError as exc:
             raise ValueError(f"label {exc.args[0]!r} is not one of the "
                              f"classes {label['classes']}") from None

@@ -1,4 +1,6 @@
+import csv
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -206,6 +208,34 @@ class TestPredict:
         assert rc == 0
         preds = preds_path.read_text().split()
         assert len(preds) == 120
+
+    def test_predictions_file_quotes_class_names(self, tmp_path):
+        # the file holds exactly what csv.writer writes for one-cell rows,
+        # quoting and \r\n terminators included
+        names = ["a,b", 'say "hi"', " padded ", "two\nlines"]
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0, 4, size=160)
+        train_csv = tmp_path / "train.csv"
+        with open(train_csv, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "label"])
+            writer.writerows([f"{v:.6f}", names[int(v)]] for v in x)
+        model_path = tmp_path / "model.json"
+        preds_path = tmp_path / "preds.csv"
+        assert cli.main(["train", "--data", str(train_csv), "--label",
+                         "label", "--out", str(model_path)] + FAST) == 0
+        assert cli.main(["predict", "--model", str(model_path), "--data",
+                         str(train_csv), "--out", str(preds_path)]) == 0
+        model = model_io.load_model(model_path)
+        X = data.load_csv(train_csv, schema=model.schema).X
+        want = [[model.schema["label"]["classes"][p]]
+                for p in ensemble.predict_sbpmt_many(model, X)]
+        assert {row[0] for row in want} == set(names)
+        buf = io.StringIO()
+        csv.writer(buf).writerows(want)
+        assert preds_path.read_bytes() == buf.getvalue().encode("utf-8")
+        with open(preds_path, encoding="utf-8", newline="") as fh:
+            assert list(csv.reader(fh)) == want
 
     def test_predict_empty_input(self, tmp_path, capsys):
         _, model_path = self.train(tmp_path)

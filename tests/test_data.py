@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -91,12 +92,22 @@ class TestLoadCsv:
             data.load_csv(p, "label")
 
     def test_cells_checked_once(self, tmp_path, monkeypatch):
+        # the row-by-row check runs once, and only to word an error that a
+        # whole-column check found
         calls = []
         check = data._check_rows
         monkeypatch.setattr(data, "_check_rows",
                             lambda *a: calls.append(1) or check(*a))
-        data.load_csv(write(tmp_path, MIXED), "label")
-        assert len(calls) == 1
+        schema = data.load_csv(write(tmp_path, MIXED), "label").schema
+        data.load_csv(write(tmp_path, MIXED), schema=schema)
+        assert calls == []
+        for text in ("a,color,label\n1.5,red,yes\n2.0, ,no\n",
+                     "a,color,label\n1.5,red,yes\n2.0,blue\n"):
+            with pytest.raises(ValueError):
+                data.load_csv(write(tmp_path, text), "label")
+            with pytest.raises(ValueError):
+                data.load_csv(write(tmp_path, text), schema=schema)
+        assert len(calls) == 4
 
     def test_ragged_rows_rejected(self, tmp_path):
         p = write(tmp_path, "a,b,label\n1,2,yes\n1,no\n")
@@ -249,6 +260,16 @@ class TestEncodeRows:
                                     schema)
         np.testing.assert_array_equal(X, [[1.0, 0, 0, 0]])
 
+    def test_levels_match_exactly(self, tmp_path):
+        # a cell equal to a level but for a trailing NUL is an unseen level
+        # (NumPy string arrays, which the encoder once compared, drop
+        # trailing NULs and so matched it to "red")
+        schema = self.schema(tmp_path)
+        with pytest.warns(UserWarning, match="unseen levels"):
+            X, _ = data.encode_rows([["1.0", "red\x00"]], ["a", "color"],
+                                    schema)
+        np.testing.assert_array_equal(X, [[1.0, 0, 0, 0]])
+
     def test_labels_map_through_the_schema_classes(self, tmp_path):
         schema = self.schema(tmp_path)  # classes ["yes", "no"]
         header = ["a", "color", "label"]
@@ -280,6 +301,224 @@ class TestEncodeRows:
         schema = self.schema(tmp_path)
         with pytest.raises(ValueError, match="non-numeric"):
             data.encode_rows([["oops", "red"]], ["a", "color"], schema)
+
+
+def reference_encode_rows(rows, header, schema):
+    """Row-wise reference for data.encode_rows: the encoder before it went
+    a column at a time.  It checks every row's width and every cell for a
+    blank in file order, then builds each schema column with a per-cell
+    loop, one block at a time."""
+    label = schema["label"]
+    data._check_unique(header)
+    if not rows:
+        return np.zeros((0, len(data._feature_names(schema)))), None
+    width = len(header) if header is not None else len(rows[0])
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"inconsistent column counts: row {r + 1} has "
+                             f"{len(row)} cells, expected {width}")
+        for c, cell in enumerate(row):
+            if cell.strip() == "":
+                col = header[c] if header else str(c)
+                raise ValueError(f"missing value at row {r + 1}, column {col}")
+    if header is None:
+        named = sorted([label, *schema["columns"]],
+                       key=lambda col: col["position"])
+        if width <= len(schema["columns"]):
+            named.remove(label)
+        header = [col["name"] for col in named[:width]]
+    index = {name: i for i, name in enumerate(header)}
+    label_idx = index.get(label["name"])
+
+    blocks = []
+    for col in schema["columns"]:
+        if col["name"] not in index:
+            raise ValueError(f"column {col['name']!r} missing from input")
+        raw = [row[index[col["name"]]] for row in rows]
+        if col["kind"] == "numeric":
+            try:
+                blocks.append(np.array([float(v) for v in raw])[:, None])
+            except ValueError:
+                raise ValueError(f"non-numeric value in column {col['name']!r}")
+        else:
+            unseen = sorted(set(raw) - set(col["levels"]))
+            if unseen:
+                warnings.warn(f"column {col['name']!r}: unseen levels "
+                              f"{unseen} encoded as all-zero")
+            blocks.append((np.array(raw)[:, None]
+                           == np.array(col["levels"])).astype(float))
+    y = None
+    if label_idx is not None:
+        class_of = {c: i for i, c in enumerate(label["classes"])}
+        try:
+            y = np.array([class_of[row[label_idx]] for row in rows])
+        except KeyError as exc:
+            raise ValueError(f"label {exc.args[0]!r} is not one of the "
+                             f"classes {label['classes']}") from None
+    return np.hstack(blocks), y
+
+
+def reference_load_csv(path, label_column=-1, has_header=True, schema=None):
+    """data.load_csv with reference_encode_rows in place of encode_rows."""
+    if schema is not None:
+        has_header = has_header and schema["has_header"]
+    header, rows = data._read_rows(path, has_header)
+    if schema is None:
+        if not rows:
+            raise ValueError(f"no data rows in {path}")
+        schema = data._infer_schema(header, rows, label_column)
+    X, y = reference_encode_rows(rows, header, schema)
+    data.check_inputs(X)
+    return X, y
+
+
+def outcome(encode, *args, **kwargs):
+    """What one encoder call gives: X and y down to their dtypes and bytes,
+    or the ValueError's text, with the text of every warning raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            X, y = encode(*args, **kwargs)
+            got = (X.dtype, X.shape, X.tobytes(),
+                   None if y is None else (y.dtype, y.tobytes()))
+        except ValueError as exc:
+            got = str(exc)
+    return got, [str(w.message) for w in caught]
+
+
+def encoded(path, *args, **kwargs):
+    ds = data.load_csv(path, *args, **kwargs)
+    return ds.X, ds.y
+
+
+# schemas inferred from small files: numeric column first, categorical
+# column first, and a label between two numeric columns
+SCHEMA_FILES = {
+    "mixed": MIXED,
+    "color-first": "color,label,a\nred,yes,1.5\nblue,no,2.0\n"
+                   "green,yes,0.5\n",
+    "label-between": "a,label,b\n1,yes,2\n3,no,4\n",
+}
+
+
+class TestEncoderParity:
+    """encode_rows and load_csv against the row-wise reference: the same
+    X and y bit for bit, the same warnings and the same error text."""
+
+    @pytest.fixture
+    def schemas(self, tmp_path):
+        return {key: data.load_csv(write(tmp_path, text, f"{key}.csv"),
+                                   "label").schema
+                for key, text in SCHEMA_FILES.items()}
+
+    @pytest.mark.parametrize("key, header, rows, want", [
+        # a blank cell in a column the schema never reads
+        ("mixed", ["a", "color", "extra", "label"],
+         [["1.5", "red", "", "yes"]], "missing value at row 1, column extra"),
+        # a blank cell before a ragged row, after one, and in one
+        ("mixed", ["a", "color", "label"],
+         [["1.5", "", "yes"], ["2.0", "red"]],
+         "missing value at row 1, column color"),
+        ("mixed", ["a", "color", "label"],
+         [["1.5", "red", "yes"], ["2.0", "red"], ["2.5", " ", "no"]],
+         "inconsistent column counts: row 2 has 2 cells, expected 3"),
+        ("mixed", ["a", "color", "label"], [["", "red"]],
+         "inconsistent column counts: row 1 has 2 cells, expected 3"),
+        # a non-numeric cell early, a blank cell later: the blank wins
+        ("mixed", ["a", "color", "label"],
+         [["oops", "red", "yes"], ["2.0", "\t", "no"]],
+         "missing value at row 2, column color"),
+        ("mixed", ["a", "color"], [["oops", "red"], ["", "red"]],
+         "missing value at row 2, column a"),
+        ("mixed", ["a", "color", "label"], [["oops", "red", "yes"]],
+         "non-numeric value in column 'a'"),
+        # a blank label, a blank with a column missing, a blank in a
+        # headerless row wider than the schema
+        ("mixed", ["a", "color", "label"], [["1.0", "red", " "]],
+         "missing value at row 1, column label"),
+        ("mixed", ["a", "label"], [["1.0", "yes"], ["", "no"]],
+         "missing value at row 2, column a"),
+        ("mixed", None, [["1.0", "red", "yes", "x", ""]],
+         "missing value at row 1, column 4"),
+        # numbers with spaces around them and with underscores
+        ("mixed", ["a", "color", "label"],
+         [[" 1.5", "red", "yes"], ["1_000", "blue", "no"],
+          ["-0 ", "green", "no"], ["1e-3", "red", "yes"]], None),
+        # unseen levels (spaces are not stripped from levels) and labels
+        ("mixed", ["a", "color"], [["1.0", "purple"], ["2.0", " red"]], None),
+        ("mixed", ["a", "color", "label"], [["1.0", "red", "maybe"]],
+         "label 'maybe' is not one of the classes ['yes', 'no']"),
+        ("mixed", ["a", "color", "label"],
+         [["1.0", "purple", "yes"], ["2.0", "red", "maybe"]],
+         "label 'maybe' is not one of the classes ['yes', 'no']"),
+        # a warning from an earlier column comes before a later error, and
+        # no warning comes before a blank
+        ("color-first", ["color", "a"], [["purple", "oops"]],
+         "non-numeric value in column 'a'"),
+        ("color-first", ["color", "a"], [["purple", "1"], ["red", ""]],
+         "missing value at row 2, column a"),
+        ("color-first", ["color"], [["purple"]],
+         "column 'a' missing from input"),
+        # headerless rows with and without the label
+        ("label-between", None, [["5", "no", "6"], ["7", "yes", "8"]], None),
+        ("label-between", None, [["5", "6"]], None),
+        ("mixed", None, [["2.5"]], "column 'color' missing from input"),
+        ("mixed", ["a", "color"], [], None),
+    ])
+    def test_encode_rows(self, schemas, key, header, rows, want):
+        got = outcome(data.encode_rows, rows, header, schemas[key])
+        assert got == outcome(reference_encode_rows, rows, header,
+                              schemas[key])
+        if want is not None:
+            assert got[0] == want
+        else:
+            assert isinstance(got[0], tuple)
+
+    @pytest.mark.parametrize("text, has_header, use_schema", [
+        (MIXED, True, True),
+        (MIXED, True, False),
+        ("1.5,red,yes\n2.0,blue,no\n", False, True),
+        ("1.5,red\n2.0,purple\n", False, True),
+        ("1.5,red,yes\n2.0,blue,no\n", False, False),
+        ("a,color,label\n", True, True),
+        ("a,color,label\n", True, False),
+        ("a,color,label\n1.5,red,yes\n\n,blue,no\n", True, False),
+        ("a,color,label\n1.5,red,yes\n2,blue,no\n3,red\n", True, False),
+        ("a,color,label\n1.5,red,yes\nnan,blue,no\n", True, True),
+        ("a,color,label\n 1_0,red,yes\n2, blue,no\n", True, False),
+    ])
+    def test_load_csv(self, tmp_path, schemas, text, has_header, use_schema):
+        p = write(tmp_path, text, "q.csv")
+        kwargs = dict(has_header=has_header)
+        if use_schema:
+            kwargs["schema"] = schemas["mixed"]
+        else:
+            kwargs["label_column"] = "label" if has_header else -1
+        assert (outcome(encoded, p, **kwargs)
+                == outcome(reference_load_csv, p, **kwargs))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_tables(self, schemas, seed):
+        # small tables of clean, spaced, blank, non-numeric and unseen
+        # cells, some ragged, with and without a header
+        rng = np.random.default_rng(seed)
+        numbers = ["1.5", " 2", "3e1", "-0", "1_0", "nan"]
+        odd = ["", " ", "oops", "purple", "maybe"]
+        cells = {"a": numbers, "color": ["red", "blue", "green"],
+                 "label": ["yes", "no"], "extra": numbers + ["x"]}
+        for _ in range(300):
+            names = list(rng.permutation(list(cells)))[:rng.integers(1, 5)]
+            rows = []
+            for _ in range(rng.integers(1, 6)):
+                row = [str(rng.choice(odd if rng.random() < 0.1
+                                      else cells[name])) for name in names]
+                if rng.random() < 0.05:
+                    row = row[:-1] or row + ["1"]
+                rows.append(row)
+            header = names if rng.random() < 0.8 else None
+            assert (outcome(data.encode_rows, rows, header, schemas["mixed"])
+                    == outcome(reference_encode_rows, rows, header,
+                               schemas["mixed"]))
 
 
 def reference_stratified_kfold(y, k, seed):
