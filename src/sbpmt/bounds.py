@@ -44,10 +44,9 @@ def design_stats(subsets, n: int) -> DesignStats:
     """Statistics of M >= 1 subsets of rows 0..n-1; their sizes may differ.
     A subset holding an index that is not an integer in 0..n-1, or one
     index twice, raises ValueError naming the subset."""
-    M = len(subsets)
-    if M < 1 or n < 1:
-        raise ValueError(f"need at least one subset and n >= 1, got {M} "
-                         f"subsets and n = {n}")
+    n, M = data.check_count("n", n, 1), len(subsets)
+    if M < 1:
+        raise ValueError("need at least one subset, got none")
     incidence = np.zeros((M, n), dtype=np.int64)
     for i, subset in enumerate(subsets):
         rows = np.asarray(subset)
@@ -98,9 +97,8 @@ def theorem3_bound(n: int, m: int, M: int, p_sub: float, sigma1_sq: float,
     M > ln^2(n) requirement and p_sub < 1/2; a nonpositive t makes the
     bound vacuous (rhs = 1, degenerate).
     """
-    for name, v in (("n", n), ("m", m), ("M", M)):
-        if v < 1:
-            raise ValueError(f"{name} must be >= 1, got {v}")
+    n, m, M = (data.check_count(name, v, 1)
+               for name, v in (("n", n), ("m", m), ("M", M)))
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
     if m > n:
@@ -125,17 +123,15 @@ def theorem3_bound(n: int, m: int, M: int, p_sub: float, sigma1_sq: float,
                            degenerate=True, **hypotheses)
     denom = (2.0 * Q_A**2 * sigma1_sq + Q_B**2 * beta_kernel / 2.0
              + (math.sqrt(Q_B * gamma_kernel) + 4.0 * Q_C**2 / 3.0) * t)
-    rhs = math.exp(-t * t / denom) if denom > 0.0 else 0.0
+    rhs = math.exp(-t * t / denom)  # denom >= 4 Q_C^2 t / 3 > 0
     return BoundReport(Q_A=Q_A, Q_B=Q_B, Q_C=Q_C, rhs=rhs, **hypotheses)
 
 
 def theorem4_bound(n: int, T: int, d_vc: int, empirical_error: float, *,
                    delta: float = DELTA) -> float:
     """VC complexity bound for a T-round boosted classifier on n samples."""
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    if d_vc < 1:
-        raise ValueError(f"d_vc must be >= 1, got {d_vc}")
+    n, T, d_vc = (data.check_count(name, v, 1)
+                  for name, v in (("n", n), ("T", T), ("d_vc", d_vc)))
     if n < max(d_vc, T):
         raise ValueError("requires n >= max(d_vc, T)")
     if not (0.0 < delta < 1.0):

@@ -103,8 +103,8 @@ def build_tree(X, y, n_classes: int, sample_weights, max_depth: int,
     O(depth * n * p) in all.  _best_split scores each node from its order
     with class-major (J, p, n) cumulative class masses.
     """
-    if max_depth < 0 or min_leaf_size < 1:
-        raise ValueError("bad tree configuration")
+    max_depth = data.check_count("max_depth", max_depth, 0)
+    min_leaf_size = data.check_count("min_leaf_size", min_leaf_size, 1)
     X, y = data.check_inputs(X, y, n_classes)
     w = data.check_weights(sample_weights, X.shape[0])
     mass = np.where(y == np.arange(n_classes)[:, None], w, 0.0)

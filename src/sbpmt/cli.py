@@ -129,8 +129,7 @@ def cmd_predict(args) -> int:
 def cmd_cv(args) -> int:
     cfg = _build_config(args)
     # k <= n needs the rows, and stratified_kfold checks it
-    if args.k < 2:
-        raise ValueError(f"--k must be >= 2, got {args.k}")
+    data.check_count("--k", args.k, 2)
     dataset = data.load_csv(args.data, args.label, not args.no_header)
     splits = data.stratified_kfold(dataset.y, args.k, args.seed)
     fold_accuracies = []
@@ -176,8 +175,7 @@ def _parse_sweep(spec: str):
 
 
 def cmd_simulate(args) -> int:
-    if args.repeats < 1:
-        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+    data.check_count("--repeats", args.repeats, 1)
     sim = _build_config(args, data.SimConfig)
     base = _build_config(args)
     sweep_name, sweep_values = (_parse_sweep(args.sweep) if args.sweep

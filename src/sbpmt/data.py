@@ -91,13 +91,23 @@ def _check_unique(header) -> None:
         raise ValueError(f"header repeats column {name!r}")
 
 
+def check_count(name: str, value, low: int) -> int:
+    """value as a Python int, if it is a Python or NumPy integer (not a
+    bool) >= low; anything else raises ValueError naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 def check_inputs(X, y=None, n_classes: int | None = None,
                  n_features: int | None = None):
     """Reject input the models cannot take, with a message naming it.
 
     X must be a 2-D array of finite values with at least one column (with
     n_features columns when given); y, when given, one class index in
-    0..n_classes-1 per row, with n_classes >= 2.
+    0..n_classes-1 per row, with n_classes a count >= 2 (check_count).
     Returns (X as floats, y); a fit (y given) also needs at least one row.
     """
     X = np.asarray(X, dtype=float)
@@ -113,8 +123,7 @@ def check_inputs(X, y=None, n_classes: int | None = None,
         raise ValueError(f"non-finite value {X[r, c]} in row {r + 1}, "
                          f"feature {c + 1}")
     if y is not None:
-        if n_classes < 2:
-            raise ValueError("need at least 2 classes")
+        n_classes = check_count("n_classes", n_classes, 2)
         y = np.asarray(y)
         if X.shape[0] == 0:
             raise ValueError("empty data")
@@ -218,9 +227,7 @@ def check_schema(schema, n_classes: int | None = None,
             (f"schema column {i}", c) for i, c in enumerate(columns)]:
         if not isinstance(col["name"], str):
             raise ValueError(f"{where}: name must be a string")
-        position = col["position"]
-        if type(position) is not int or position < 0:
-            raise ValueError(f"{where}: position must be an integer >= 0")
+        check_count(f"{where}: position", col["position"], 0)
     named = [label] + columns
     for key in ("name", "position"):
         if len({col[key] for col in named}) < len(named):
@@ -235,8 +242,9 @@ def load_csv(path, label_column=-1, has_header: bool = True,
              schema: dict | None = None) -> Dataset:
     """Load and encode a CSV file through encode_rows.
 
-    Without a schema, one is inferred from the file: label_column (a name
-    or an index) holds the labels, and classes follow first appearance.
+    Without a schema, one is inferred from the file: label_column, a name
+    or an integer index (negative counts from the end; a name of digits is
+    an index), holds the labels, and classes follow first appearance.
     With a schema (a fitted model's), the file is encoded under it and
     label_column is not used; the file may lack the label column, and y is
     then None.  A schema that encode_rows could not follow raises
@@ -259,18 +267,19 @@ def _infer_schema(header, rows, label_column) -> dict:
     # encode_rows checks the header and every cell; only the widths are
     # needed here.
     width = _row_width(rows, header)
-    try:
-        label_idx = int(label_column)
-    except ValueError:
-        if header is None:
-            raise ValueError("label column by name requires a header")
-        if label_column not in header:
-            raise ValueError(f"label column {label_column!r} not found")
-        label_idx = header.index(label_column)
-    if label_idx < 0:
-        label_idx += width
-    if not 0 <= label_idx < width:
+    label_idx = label_column
+    if isinstance(label_column, str):
+        try:
+            label_idx = int(label_column)
+        except ValueError:
+            if header is None:
+                raise ValueError("label column by name requires a header")
+            if label_column not in header:
+                raise ValueError(f"label column {label_column!r} not found")
+            label_idx = header.index(label_column)
+    if not -width <= label_idx < width:
         raise ValueError("label column index out of range")
+    label_idx = check_count("label_column", label_idx, -width) % width
     if width == 1:
         raise ValueError("no feature columns: the label is the only column")
 
@@ -400,8 +409,9 @@ def stratified_kfold(y, k: int, seed: int):
     instance of the global ones."""
     y = np.asarray(y)
     n = y.size
-    if not 2 <= k <= n:
-        raise ValueError("k must be between 2 and n")
+    k = check_count("k", k, 2)
+    if k > n:
+        raise ValueError(f"k must be between 2 and n = {n}, got {k}")
     rng = np.random.default_rng(seed)
     order = np.concatenate([rng.permutation(np.flatnonzero(y == cls))
                             for cls in np.unique(y)])

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -172,7 +171,7 @@ def draw_design(n: int, config: SbpmtConfig) -> np.ndarray:
     """config.M sorted subsets of size m = floor(config.alpha * n) as an
     (M, m) array, each sampled without replacement, independently across
     subsets; reproducible from config.seed."""
-    m = int(math.floor(config.alpha * n))
+    m = math.floor(config.alpha * data.check_count("n", n, 1))
     if m < 1:
         raise ValueError("subsample size floor(alpha*n) must be >= 1")
     rng = np.random.default_rng(config.seed)
@@ -191,11 +190,8 @@ def _usable_cpus() -> int:
 def _worker_count(M: int, workers, cpus: int) -> int:
     """Processes that fit M members: workers (None: one per CPU), capped
     at M and at the cpus usable."""
-    if workers is not None and (isinstance(workers, bool) or not isinstance(
-            workers, numbers.Integral) or workers < 1):
-        raise ValueError(f"workers must be an integer >= 1 or None, got "
-                         f"{workers!r}")
-    return min(M, cpus, cpus if workers is None else int(workers))
+    return min(M, cpus, cpus if workers is None
+               else data.check_count("workers", workers, 1))
 
 
 def _fit_member(X, y, n_classes: int, config: SbpmtConfig,
@@ -229,6 +225,7 @@ def fit_sbpmt(X, y, n_classes: int, config: SbpmtConfig,
     workers is the number of processes that fit the members: None for one
     per usable CPU, 1 to fit them in this process; it is capped at M and
     at the usable CPUs.  The fitted model does not depend on it."""
+    n_classes = data.check_count("n_classes", n_classes, 2)
     X, y = data.check_inputs(X, y, n_classes)
     design = draw_design(X.shape[0], config)
     members = _fit_members(X, y, n_classes, config, design,

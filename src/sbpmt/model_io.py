@@ -140,9 +140,7 @@ def model_from_dict(doc: dict) -> ensemble.SbpmtModel:
                     {f.name for f in fields(ensemble.SbpmtConfig)}, "config")
     data.check_keys(doc["design"], {"subsets"}, "design")
     cfg = ensemble.SbpmtConfig(**doc["config"])
-    n_classes = doc["n_classes"]
-    if type(n_classes) is not int or n_classes < 2:
-        raise ValueError(f"n_classes must be an integer >= 2, got {n_classes}")
+    n_classes = data.check_count("n_classes", doc["n_classes"], 2)
     if not isinstance(doc["members"], list) or not doc["members"]:
         raise ValueError("model file: members must be a nonempty list")
     if len(doc["members"]) != cfg.M:

@@ -62,6 +62,9 @@ def fit_pmt(X, y, n_classes: int, sample_weights, depth: int,
     used both for splitting and, renormalized within each leaf, for the
     leaf fits (a leaf whose weight mass is zero gets uniform weights).
     """
+    depth = data.check_count("depth", depth, 0)
+    min_leaf_size = data.check_count("min_leaf_size", min_leaf_size, 1)
+    probit_iters = data.check_count("probit_iters", probit_iters, 0)
     X, y = data.check_inputs(X, y, n_classes)
     w = data.check_weights(sample_weights, X.shape[0])
     w = w / float(np.sum(w))

@@ -68,8 +68,8 @@ def fit_probitboost(X, y, sample_weights, n_iter: int, starts=None):
 
     Each iteration fits every segment's working response on each feature
     alone, steps on the feature with the least weighted SSE (ties go to the
-    lowest index), and halves a segment's step while its risk would rise:
-    at most 40 times, then the step is 0.
+    lowest index), and takes the first of the steps 1, 1/2, ..., 2^-39
+    under which the segment's risk does not rise, or else step 0.
 
     Returns (LinearScore, ProbitBoostTrace): the score holds L intercepts
     and an (L, p) coefficient block, L = 1 without starts, and the trace
@@ -80,8 +80,7 @@ def fit_probitboost(X, y, sample_weights, n_iter: int, starts=None):
         raise ValueError("labels must be -1 or +1")
     X, _ = data.check_inputs(X, (y > 0).astype(int), 2)
     sw = data.check_weights(sample_weights, X.shape[0])
-    if n_iter < 0:
-        raise ValueError("iteration count must be >= 0")
+    n_iter = data.check_count("n_iter", n_iter, 0)
     X = np.asfortranarray(X)  # column-major for wls_fit_columns
     n, p = X.shape
     seg_starts = _check_starts([0] if starts is None else starts, n)
@@ -115,9 +114,8 @@ def fit_probitboost(X, y, sample_weights, n_iter: int, starts=None):
         # until its risk does not increase (small steps descend).
         step = np.ones(L)
         new = _segment_risks(sw, y, f + g, seg_starts)
-        rising = np.ones(L, dtype=bool)
-        for _halving in range(40):
-            rising &= new > risk
+        rising = new > risk
+        for _halving in range(39):
             if not rising.any():
                 break
             step[rising] *= 0.5
@@ -126,9 +124,9 @@ def fit_probitboost(X, y, sample_weights, n_iter: int, starts=None):
             new[rising] = _segment_risks(
                 sw[rows], y[rows], f[rows] + step[seg[rows]] * g[rows],
                 np.cumsum(sub) - sub)
-        else:
-            step[rising] = 0.0
-            new[rising] = risk[rising]
+            rising &= new > risk
+        step[rising] = 0.0
+        new[rising] = risk[rising]
         coef[leaves, s] += step * a
         intercept += step * b
         f += step[seg] * g

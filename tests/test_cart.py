@@ -251,9 +251,11 @@ class TestBuildTree:
     def test_bad_configuration_rejected(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([0, 1])
-        with pytest.raises(ValueError, match="configuration"):
+        with pytest.raises(ValueError,
+                           match="^max_depth must be >= 0, got -1$"):
             cart.build_tree(X, y, 2, np.ones(2), -1, 1)
-        with pytest.raises(ValueError, match="configuration"):
+        with pytest.raises(ValueError,
+                           match="^min_leaf_size must be >= 1, got 0$"):
             cart.build_tree(X, y, 2, np.ones(2), 2, 0)
 
     @pytest.mark.parametrize("X, y, w, message", [
@@ -269,7 +271,7 @@ class TestBuildTree:
 
     def test_one_class_rejected(self):
         # beside the table above, whose rows all pass n_classes = 2
-        with pytest.raises(ValueError, match="need at least 2 classes"):
+        with pytest.raises(ValueError, match="n_classes must be >= 2, got 1"):
             cart.build_tree(np.array([[0.0], [1.0]]), np.array([0, 0]), 1,
                             np.ones(2), 2, 1)
 

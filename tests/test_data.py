@@ -133,6 +133,26 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=message):
             data.load_csv(write(tmp_path, MIXED), label, has_header)
 
+    @pytest.mark.parametrize("label, name", [
+        ("label", "label"), ("2", "label"), (2, "label"),
+        (np.int64(2), "label"), (-1, "label"), ("-1", "label"),
+        (np.int64(-3), "a"), ("0", "a"),
+    ])
+    def test_label_column_by_name_or_index(self, tmp_path, label, name):
+        ds = data.load_csv(write(tmp_path, MIXED), label)
+        assert ds.schema["label"]["name"] == name
+
+    @pytest.mark.parametrize("label, message", [
+        (1.5, "^label_column must be an integer >= -3, got 1.5$"),
+        (True, "^label_column must be an integer >= -3, got True$"),
+        (np.float64(2.0), "^label_column must be an integer"),
+        (math.nan, "label column index out of range"),
+    ])
+    def test_float_or_bool_label_column_rejected(self, tmp_path, label,
+                                                 message):
+        with pytest.raises(ValueError, match=message):
+            data.load_csv(write(tmp_path, MIXED), label)
+
     def test_label_only_file_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no feature columns"):
             data.load_csv(write(tmp_path, "label\nyes\nno\n"), "label")
@@ -587,9 +607,9 @@ class TestStratifiedKfold:
         assert sizes == [4, 4, 4]
 
     def test_invalid_k(self):
-        with pytest.raises(ValueError, match="between 2 and n"):
+        with pytest.raises(ValueError, match="k must be >= 2, got 1"):
             data.stratified_kfold(np.zeros(5), 1, 0)
-        with pytest.raises(ValueError, match="between 2 and n"):
+        with pytest.raises(ValueError, match="between 2 and n = 5, got 6"):
             data.stratified_kfold(np.zeros(5), 6, 0)
 
 

@@ -309,7 +309,7 @@ class TestUntrustedFile:
         (lambda d: d["schema"]["columns"][2].update(name=2),
          "schema column 2: name must be a string"),
         (lambda d: d["schema"]["columns"][2].update(position=-1),
-         "schema column 2: position must be an integer >= 0"),
+         "schema column 2: position must be >= 0, got -1"),
         (lambda d: d["schema"]["label"].update(position="3"),
          "schema label: position must be an integer >= 0"),
         (lambda d: d["schema"]["columns"][2].update(name="x0"),

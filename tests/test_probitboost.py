@@ -104,6 +104,22 @@ class TestFitProbitboost:
         assert np.all(score.coefficients == 0.0)
         assert trace.risks == [pytest.approx(math.log(2))]
 
+    def test_capped_step_search_evaluates_each_step_once(self, monkeypatch):
+        # every trial raises the risk, so each iteration evaluates the steps
+        # 1, 1/2, ..., 2^-39 once each and then keeps step 0
+        calls = []
+
+        def rising(sw, y, f, starts):
+            calls.append(f)
+            return np.full(len(starts), float(len(calls) > 1))
+        monkeypatch.setattr(probitboost, "_segment_risks", rising)
+        X, y = separable_1d()
+        score, trace = probitboost.fit_probitboost(X, y, np.ones(4), 3)
+        assert len(calls) == 1 + 3 * 40
+        assert np.all(score.coefficients == 0.0)
+        assert np.all(score.intercept == 0.0)
+        assert trace.risks == [0.0] * 4
+
     def test_separable_first_step(self):
         # at f=0 all z_i share sign with x_i, so step 1 fits a positive
         # slope and separates the data
@@ -286,7 +302,7 @@ class TestBoundaryChecks:
 
     def test_negative_iteration_count_rejected(self):
         X, y = separable_1d()
-        with pytest.raises(ValueError, match="iteration count must be >= 0"):
+        with pytest.raises(ValueError, match="^n_iter must be >= 0, got -1$"):
             probitboost.fit_probitboost(X, y, np.ones(4), -1)
 
     def test_weight_count_must_match_rows(self):
@@ -350,7 +366,7 @@ class TestOneVersusAll:
         assert np.array_equal(pmt.predict_pmt_many(model, X), labels)
 
     def test_single_class_count_rejected(self):
-        with pytest.raises(ValueError, match="2 classes"):
+        with pytest.raises(ValueError, match="n_classes must be >= 2, got 1"):
             pmt.fit_pmt(np.zeros((3, 1)), np.zeros(3, dtype=int), 1,
                         np.ones(3), depth=0, min_leaf_size=1, probit_iters=5)
 
