@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import warnings
 from collections import deque
 from dataclasses import dataclass, fields
@@ -277,6 +278,9 @@ def _infer_schema(header, rows, label_column) -> dict:
             if label_column not in header:
                 raise ValueError(f"label column {label_column!r} not found")
             label_idx = header.index(label_column)
+    if not isinstance(label_idx, numbers.Real):
+        raise ValueError(f"label_column must be a column name or an "
+                         f"integer, got {label_column!r}")
     if not -width <= label_idx < width:
         raise ValueError("label column index out of range")
     label_idx = check_count("label_column", label_idx, -width) % width

@@ -14,7 +14,9 @@ design is drawn before any is fitted.  fit_sbpmt therefore maps one
 member fit over the design rows, either in a pool of forked worker
 processes, one per usable CPU and at most M, or in this process.  Each
 task carries X, y and one subset's indices, and the members come back in
-design order, so the model does not depend on the worker count.
+design order, so the model does not depend on the worker count.  The
+pool is forked after numerics.load_kernels, so the workers inherit
+SciPy's special functions rather than each importing them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import data, pmt
+from . import data, numerics, pmt
 
 ERR_CLAMP = 1e-10
 
@@ -209,6 +211,7 @@ def _fit_members(X, y, n_classes: int, config: SbpmtConfig,
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
+            numerics.load_kernels()  # once here, not once per worker
             pool = ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork"))
             try:

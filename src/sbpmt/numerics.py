@@ -4,6 +4,14 @@ Everything here is pure and operates on scalars or numpy arrays alike.
 The central object is the margin u = y*f(x); all response/weight algebra
 is expressed through the inverse Mills ratio r(u) = phi(u)/Phi(u) so that
 nothing overflows or cancels for u far below zero.
+
+The two probit kernels, inv_mills and probit_loss, are SciPy's erfcx and
+log_ndtr.  They are looked up as scipy.special.<name> at call time, and
+SciPy imports scipy.special on that first access, so importing this
+module (and sbpmt) loads only the SciPy package itself: loading a model,
+predicting and the bound calculators never pay for scipy.special, and
+the first fit in a process pays for it once.  load_kernels imports it
+ahead of that, for a process about to fork workers that will fit.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
+import scipy
 
 # Margins are clamped to [-U_MAX, U_MAX] before entering response/weight
 # formulas; beyond |u| = 8 the loss curvature underflows double precision.
@@ -23,6 +31,12 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
+def load_kernels() -> None:
+    """Import scipy.special now, so that processes forked from this one
+    inherit it instead of each importing it on its first kernel call."""
+    scipy.special  # SciPy imports a submodule on its first access
+
+
 def inv_mills(u):
     """Inverse Mills ratio r(u) = phi(u)/Phi(u).
 
@@ -30,12 +44,13 @@ def inv_mills(u):
     erfcx(-u/sqrt(2)), which stays finite for u << 0 where phi and Phi
     both underflow.
     """
-    return _SQRT_2_OVER_PI / special.erfcx(-np.asarray(u, dtype=float) / _SQRT2)
+    u = np.asarray(u, dtype=float)
+    return _SQRT_2_OVER_PI / scipy.special.erfcx(-u / _SQRT2)
 
 
 def probit_loss(u):
     """Probit loss Q(u) = -log Phi(u), evaluated in log space."""
-    return -special.log_ndtr(u)
+    return -scipy.special.log_ndtr(u)
 
 
 def working_response_and_weight(y, f):

@@ -69,7 +69,9 @@ def fit_probitboost(X, y, sample_weights, n_iter: int, starts=None):
     Each iteration fits every segment's working response on each feature
     alone, steps on the feature with the least weighted SSE (ties go to the
     lowest index), and takes the first of the steps 1, 1/2, ..., 2^-39
-    under which the segment's risk does not rise, or else step 0.
+    under which the segment's risk does not rise, or else step 0.  A
+    segment that takes step 0 keeps its f, so it takes step 0 on the same
+    feature in every later iteration, and its step search is skipped.
 
     Returns (LinearScore, ProbitBoostTrace): the score holds L intercepts
     and an (L, p) coefficient block, L = 1 without starts, and the trace
@@ -98,6 +100,7 @@ def fit_probitboost(X, y, sample_weights, n_iter: int, starts=None):
     intercept = np.zeros(L)
     f = np.zeros(n)
     risk = _segment_risks(sw, y, f, seg_starts)
+    frozen = np.zeros(L, dtype=bool)  # searches that ended at step 0
     leaf_risks = [risk]
     selected = []
     for _ in range(n_iter):
@@ -114,7 +117,7 @@ def fit_probitboost(X, y, sample_weights, n_iter: int, starts=None):
         # until its risk does not increase (small steps descend).
         step = np.ones(L)
         new = _segment_risks(sw, y, f + g, seg_starts)
-        rising = new > risk
+        rising = (new > risk) & ~frozen
         for _halving in range(39):
             if not rising.any():
                 break
@@ -125,8 +128,9 @@ def fit_probitboost(X, y, sample_weights, n_iter: int, starts=None):
                 sw[rows], y[rows], f[rows] + step[seg[rows]] * g[rows],
                 np.cumsum(sub) - sub)
             rising &= new > risk
-        step[rising] = 0.0
-        new[rising] = risk[rising]
+        frozen |= rising
+        step[frozen] = 0.0
+        new[frozen] = risk[frozen]
         coef[leaves, s] += step * a
         intercept += step * b
         f += step[seg] * g

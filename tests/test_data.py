@@ -153,6 +153,19 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=message):
             data.load_csv(write(tmp_path, MIXED), label)
 
+    @pytest.mark.parametrize("label, message", [
+        (None, "^label_column must be a column name or an integer, got "
+               "None$"),
+        ([1], r"^label_column must be a column name or an integer, got "
+              r"\[1\]$"),
+        (0.5, "^label_column must be an integer >= -3, got 0.5$"),
+        (-5, "^label column index out of range$"),
+    ])
+    def test_label_column_of_another_kind_named(self, tmp_path, label,
+                                                message):
+        with pytest.raises(ValueError, match=message):
+            data.load_csv(write(tmp_path, MIXED), label)
+
     def test_label_only_file_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no feature columns"):
             data.load_csv(write(tmp_path, "label\nyes\nno\n"), "label")

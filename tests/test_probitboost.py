@@ -78,6 +78,68 @@ def reference_fit_pmt(X, y, n_classes, sample_weights, depth, min_leaf_size,
     return intercept, coef, risk if n_classes == 2 else None
 
 
+def reference_segmented_probitboost(X, y, sample_weights, n_iter, starts):
+    """fit_probitboost as it was before segments froze: every iteration
+    runs every segment's whole step search, even one that ended at step 0
+    and so repeats its last search.  Returns (LinearScore,
+    ProbitBoostTrace, stuck), stuck counting the (iteration, segment)
+    pairs whose search ended at step 0."""
+    X = np.asfortranarray(X, dtype=float)
+    n, p = X.shape
+    L = len(starts)
+    counts = np.diff(starts, append=n)
+    seg = np.repeat(np.arange(L), counts)
+    mass = np.add.reduceat(sample_weights, starts)
+    share = mass / float(np.sum(mass))
+    empty = mass <= 0.0
+    sw = np.where(empty[seg], 1.0 / counts[seg],
+                  sample_weights / np.where(empty, 1.0, mass)[seg])
+
+    def segment_risks(sw, y, f, starts):
+        return np.add.reduceat(sw * numerics.probit_loss(y * f), starts)
+
+    leaves = np.arange(L)
+    coef = np.zeros((L, p))
+    intercept = np.zeros(L)
+    f = np.zeros(n)
+    risk = segment_risks(sw, y, f, starts)
+    leaf_risks, selected, stuck = [risk], [], 0
+    for _ in range(n_iter):
+        z, w = numerics.working_response_and_weight(y, f)
+        slopes, intercepts, sses = numerics.wls_fit_columns(X, z, w * sw,
+                                                            starts)
+        s = np.argmin(sses, axis=1)
+        a, b = slopes[leaves, s], intercepts[leaves, s]
+        g = a[seg] * X[np.arange(n), s[seg]] + b[seg]
+        step = np.ones(L)
+        new = segment_risks(sw, y, f + g, starts)
+        rising = new > risk
+        for _halving in range(39):
+            if not rising.any():
+                break
+            step[rising] *= 0.5
+            rows = rising[seg]
+            sub = counts[rising]
+            new[rising] = segment_risks(
+                sw[rows], y[rows], f[rows] + step[seg[rows]] * g[rows],
+                np.cumsum(sub) - sub)
+            rising &= new > risk
+        stuck += int(np.sum(rising))
+        step[rising] = 0.0
+        new[rising] = risk[rising]
+        coef[leaves, s] += step * a
+        intercept += step * b
+        f += step[seg] * g
+        risk = new
+        selected.append(s)
+        leaf_risks.append(risk)
+    trace = probitboost.ProbitBoostTrace(
+        risks=[float(np.sum(share * r)) for r in leaf_risks],
+        selected_features=np.array(selected, dtype=int).reshape(n_iter, L),
+        leaf_risks=np.array(leaf_risks))
+    return LinearScore(intercept, coef), trace, stuck
+
+
 def score_margin(score: LinearScore, x) -> float:
     """Margin of one row under a one-segment score, as a batch of one
     through a single-leaf PMT."""
@@ -105,8 +167,10 @@ class TestFitProbitboost:
         assert trace.risks == [pytest.approx(math.log(2))]
 
     def test_capped_step_search_evaluates_each_step_once(self, monkeypatch):
-        # every trial raises the risk, so each iteration evaluates the steps
-        # 1, 1/2, ..., 2^-39 once each and then keeps step 0
+        # every trial raises the risk, so the first iteration evaluates the
+        # steps 1, 1/2, ..., 2^-39 once each and then keeps step 0; the
+        # segment is then frozen, and each later iteration evaluates only
+        # its all-rows step 1
         calls = []
 
         def rising(sw, y, f, starts):
@@ -115,7 +179,7 @@ class TestFitProbitboost:
         monkeypatch.setattr(probitboost, "_segment_risks", rising)
         X, y = separable_1d()
         score, trace = probitboost.fit_probitboost(X, y, np.ones(4), 3)
-        assert len(calls) == 1 + 3 * 40
+        assert len(calls) == 1 + 40 + 2
         assert np.all(score.coefficients == 0.0)
         assert np.all(score.intercept == 0.0)
         assert trace.risks == [0.0] * 4
@@ -263,6 +327,30 @@ class TestSegments:
             assert model.probit_risk == pytest.approx(risk, rel=0, abs=1e-12)
         else:
             assert model.probit_risk is None
+
+    def test_frozen_segments_match_the_full_step_search(self):
+        # the leaves of a sim-shaped tree, where some segments' step
+        # searches end at step 0 and then repeat; skipping the repeats must
+        # not change a bit of the score or the trace
+        train, _ = data.simulate(data.SimConfig(n_train=100, n_test=1,
+                                                seed=2))
+        w = np.full(100, 0.01)
+        tree = cart.build_tree(train.X, train.y, 2, w, 6, 20)
+        leaf_rows = cart.flatten(tree)[-1]
+        order = np.concatenate(leaf_rows)
+        sizes = np.array([rows.size for rows in leaf_rows])
+        X, y = train.X[order], np.where(train.y[order] == 1, 1.0, -1.0)
+        starts = np.cumsum(sizes) - sizes
+        score, trace = probitboost.fit_probitboost(X, y, w, 100, starts)
+        ref, ref_trace, stuck = reference_segmented_probitboost(
+            X, y, w, 100, starts)
+        assert stuck > 0
+        assert np.array_equal(score.intercept, ref.intercept)
+        assert np.array_equal(score.coefficients, ref.coefficients)
+        assert trace.risks == ref_trace.risks
+        assert np.array_equal(trace.leaf_risks, ref_trace.leaf_risks)
+        assert np.array_equal(trace.selected_features,
+                              ref_trace.selected_features)
 
     def test_zero_mass_segment_gets_uniform_weights(self):
         rng = np.random.default_rng(2)
