@@ -1,12 +1,14 @@
 """Dataset ingestion, encoding, CV splitting and the synthetic generator.
 
 CSV files are comma-delimited UTF-8 with '.' decimals; a leading
-byte-order mark is dropped.  Numeric columns are parsed as reals; any
+byte-order mark is dropped.  A column is numeric when float takes every
+cell; _float_column decides it for inference and encoding alike.  Any
 other column is one-hot expanded, one 0/1 column per observed level
 (levels sorted lexicographically).  The label column is mapped to class
 indices in first-appearance order, or through a fitted model's schema,
 which check_schema vets as the model loader does.  Rows with missing
-cells or of the wrong width are rejected at ingestion.
+cells or of the wrong width are rejected at ingestion.  is_finite_number
+is the one test of a stored number, for check_config and the model loader.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import csv
 import math
 import numbers
 import warnings
-from collections import deque
 from dataclasses import dataclass, fields
 from operator import itemgetter
 
@@ -41,12 +42,13 @@ class Dataset:
         return len(self.class_names)
 
 
-def _is_numeric_column(values) -> bool:
+def _float_column(rows, i: int) -> np.ndarray | None:
+    """Column i of rows as floats, or None when float rejects a cell."""
     try:
-        deque(map(float, values), maxlen=0)
+        return np.fromiter(map(float, map(itemgetter(i), rows)), float,
+                           len(rows))
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def _read_rows(path, has_header: bool):
@@ -61,12 +63,10 @@ def _read_rows(path, has_header: bool):
     return header, rows
 
 
-def _check_rows(rows, header) -> None:
-    """Reject the first row, in file order, that is narrower or wider than
-    the header (or, without one, the first row) or holds a blank cell.
-    The one place that words these errors; it runs only after a cheap
-    whole-column check has found one."""
-    width = len(header) if header is not None else len(rows[0])
+def _check_rows(rows, header, width: int) -> None:
+    """Reject the first row, in file order, that is not width cells wide
+    or holds a blank cell.  The one place that words these errors; it runs
+    only after a cheap whole-column check has found one."""
     for r, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"inconsistent column counts: row {r + 1} has "
@@ -82,7 +82,7 @@ def _row_width(rows, header) -> int:
     row's.  A row of another width is reported by _check_rows."""
     width = len(header) if header is not None else len(rows[0])
     if set(map(len, rows)) != {width}:
-        _check_rows(rows, header)
+        _check_rows(rows, header, width)
     return width
 
 
@@ -136,14 +136,21 @@ def check_inputs(X, y=None, n_classes: int | None = None,
     return X, y
 
 
+def is_finite_number(value) -> bool:
+    """Whether value is a finite Python int or float (not a bool, nor a
+    NumPy scalar): the kind of a float field of a config, and of every
+    number a model file holds outside its arrays."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def check_config(config, **lows) -> None:
     """Reject a config dataclass with a field of the wrong kind (an integer
     field takes an int, not a bool or a float; a float field a finite int
     or float) or with a field below its lower bound in lows."""
     for f in fields(config):
         v = getattr(config, f.name)
-        if not (type(v) in (int, float) and math.isfinite(v)
-                if isinstance(f.default, float) else type(v) is int):
+        if not (is_finite_number(v) if isinstance(f.default, float)
+                else type(v) is int):
             raise ValueError(f"config: {f.name} must be a number of the "
                              f"kind of its default {f.default!r}")
     for name, low in lows.items():
@@ -296,7 +303,7 @@ def _infer_schema(header, rows, label_column) -> dict:
         if c == label_idx:
             continue
         name = header[c] if header else f"col{c}"
-        if _is_numeric_column(map(itemgetter(c), rows)):
+        if _float_column(rows, c) is not None:
             columns.append({"name": name, "kind": "numeric", "position": c})
         else:
             levels = sorted(set(map(itemgetter(c), rows)))
@@ -356,19 +363,13 @@ def encode_rows(rows, header, schema):
         names = [col["name"] for col in named[:width]]
     index = {name: i for i, name in enumerate(names)}
 
-    converted = {}
-    for col in schema["columns"]:
-        i = index.get(col["name"])
-        if col["kind"] == "numeric" and i is not None:
-            try:
-                converted[i] = np.fromiter(
-                    map(float, map(itemgetter(i), rows)), float, n)
-            except ValueError:
-                pass
+    converted = {index[col["name"]]: _float_column(rows, index[col["name"]])
+                 for col in schema["columns"]
+                 if col["kind"] == "numeric" and col["name"] in index}
     distinct = {i: set(map(itemgetter(i), rows))
-                for i in range(width) if i not in converted}
+                for i in range(width) if converted.get(i) is None}
     if any(not v.strip() for values in distinct.values() for v in values):
-        _check_rows(rows, header)   # names the first blank in file order
+        _check_rows(rows, header, width)  # names the first blank in file order
 
     blocks = []
     for col in schema["columns"]:
@@ -377,7 +378,7 @@ def encode_rows(rows, header, schema):
             raise ValueError(f"column {name!r} missing from input")
         i = index[name]
         if col["kind"] == "numeric":
-            if i not in converted:
+            if converted[i] is None:
                 raise ValueError(f"non-numeric value in column {name!r}")
             blocks.append(converted[i][:, None])
         else:

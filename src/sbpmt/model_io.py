@@ -1,6 +1,8 @@
 """Versioned JSON model persistence.
 
-The format is a self-describing JSON document with explicit
+serialize_model is the one writer of a model document and
+deserialize_model its one reader; save_model and load_model add only the
+file.  The format is a self-describing JSON document with explicit
 format_version, written as one compact line (no indentation, so the json
 module's C encoder writes it; python -m json.tool lays it out for
 reading).  A stage is stored as its raw_err and its tree, the tree as the
@@ -19,13 +21,13 @@ list that is not one tree, a score row count other than its leaf count,
 a depth above config.depth or a number too large for a float (the error
 names the member and stage), a schema that data.check_schema rejects and
 a malformed design raise ValueError, and so does a raw_err outside
-[0, 1].
+[0, 1].  A number outside the arrays is of the right kind when
+data.is_finite_number says so, the test a config's float fields pass.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -43,27 +45,6 @@ _ARRAY_KEYS = _NODE_KEYS + ("intercept", "coef")
 _TREE_KEYS = set(_ARRAY_KEYS) | {"probit_risk"}
 
 
-def model_to_dict(model: ensemble.SbpmtModel) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "config": asdict(model.config),
-        "n_classes": model.n_classes,
-        "schema": model.schema,
-        "design": {"subsets": model.design.tolist()},
-        "members": [
-            {"stages": [
-                {"raw_err": st.raw_err,
-                 "model": {k: np.asarray(getattr(st.model, k)).tolist()
-                           for k in _TREE_KEYS}}
-                for st in member.stages]}
-            for member in model.members],
-    }
-
-
-def _is_number(v) -> bool:
-    return type(v) in (int, float) and math.isfinite(v)
-
-
 def _tree_fields(tree, n_classes: int, n_features, where: str) -> dict:
     """The make_tree arguments of one stored tree: the arrays, with their
     kinds and shapes checked, and the probit risk, a finite number for 2
@@ -71,7 +52,7 @@ def _tree_fields(tree, n_classes: int, n_features, where: str) -> dict:
     from this tree's coef."""
     data.check_keys(tree, _TREE_KEYS, where)
     risk = tree["probit_risk"]
-    if not (_is_number(risk) if n_classes == 2 else risk is None):
+    if not (data.is_finite_number(risk) if n_classes == 2 else risk is None):
         raise ValueError(f"{where}: probit_risk must be " + (
             "a finite number for 2 classes" if n_classes == 2
             else "null for more than 2 classes"))
@@ -129,7 +110,34 @@ def _design(subsets, M: int) -> np.ndarray:
     return a
 
 
-def model_from_dict(doc: dict) -> ensemble.SbpmtModel:
+def serialize_model(model: ensemble.SbpmtModel) -> str:
+    """The model's document (see the module docstring) as one line of
+    JSON; the one writer of a model document."""
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "config": asdict(model.config),
+        "n_classes": model.n_classes,
+        "schema": model.schema,
+        "design": {"subsets": model.design.tolist()},
+        "members": [
+            {"stages": [
+                {"raw_err": st.raw_err,
+                 "model": {k: np.asarray(getattr(st.model, k)).tolist()
+                           for k in _TREE_KEYS}}
+                for st in member.stages]}
+            for member in model.members],
+    }
+    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"model file holds the non-finite number {token}")
+
+
+def deserialize_model(text: str) -> ensemble.SbpmtModel:
+    """The model a document holds; the one reader of a model document,
+    which rejects what the module docstring lists with ValueError."""
+    doc = json.loads(text, parse_constant=_reject_constant)
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(
@@ -159,7 +167,7 @@ def model_from_dict(doc: dict) -> ensemble.SbpmtModel:
             where = f"member {k} stage {t}"
             data.check_keys(sd, _STAGE_KEYS, where)
             raw_err = sd["raw_err"]
-            if not (_is_number(raw_err) and 0 <= raw_err <= 1):
+            if not (data.is_finite_number(raw_err) and 0 <= raw_err <= 1):
                 raise ValueError(f"{where}: raw_err must be a number in "
                                  "[0, 1]")
             tree = _tree_fields(sd["model"], n_classes, n_features,
@@ -178,19 +186,6 @@ def model_from_dict(doc: dict) -> ensemble.SbpmtModel:
         data.check_schema(doc["schema"], n_classes, n_features)
     return ensemble.SbpmtModel(members=members, design=design, config=cfg,
                                n_classes=n_classes, schema=doc["schema"])
-
-
-def serialize_model(model: ensemble.SbpmtModel) -> str:
-    return json.dumps(model_to_dict(model), sort_keys=True,
-                      allow_nan=False) + "\n"
-
-
-def _reject_constant(token: str):
-    raise ValueError(f"model file holds the non-finite number {token}")
-
-
-def deserialize_model(text: str) -> ensemble.SbpmtModel:
-    return model_from_dict(json.loads(text, parse_constant=_reject_constant))
 
 
 def save_model(model: ensemble.SbpmtModel, path) -> None:

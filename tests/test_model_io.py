@@ -85,18 +85,18 @@ class TestFileFormat:
 
     def test_wrong_version_rejected(self):
         model, _ = fit_small()
-        doc = model_io.model_to_dict(model)
+        doc = json.loads(model_io.serialize_model(model))
         doc["format_version"] = 999
         with pytest.raises(ValueError, match="format version"):
-            model_io.model_from_dict(doc)
+            model_io.deserialize_model(json.dumps(doc))
 
     @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_version_1_rejected_with_refit_message(self, version):
         model, _ = fit_small()
-        doc = model_io.model_to_dict(model)
+        doc = json.loads(model_io.serialize_model(model))
         doc["format_version"] = version
         with pytest.raises(ValueError, match=rf"version {version}\b.*refit"):
-            model_io.model_from_dict(doc)
+            model_io.deserialize_model(json.dumps(doc))
 
     def test_stages_are_flat_arrays(self):
         model, _ = fit_small(n_classes=3)
@@ -129,7 +129,7 @@ class TestFileFormat:
 
     def test_missing_version_rejected(self):
         with pytest.raises(ValueError, match="format version"):
-            model_io.model_from_dict({})
+            model_io.deserialize_model("{}")
 
     def test_trailing_newline_and_sorted_keys(self):
         model, _ = fit_small()
@@ -153,8 +153,8 @@ class TestFileFormat:
         # predict as the compact file does
         model, X = fit_small(n_classes)
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(model_io.model_to_dict(model),
-                                   sort_keys=True, indent=1,
+        doc = json.loads(model_io.serialize_model(model))
+        path.write_text(json.dumps(doc, sort_keys=True, indent=1,
                                    allow_nan=False) + "\n", encoding="utf-8")
         restored = model_io.load_model(path)
         assert (model_io.serialize_model(restored)
