@@ -99,6 +99,11 @@ def theorem3_bound(n: int, m: int, M: int, p_sub: float, sigma1_sq: float,
     """
     n, m, M = (data.check_count(name, v, 1)
                for name, v in (("n", n), ("m", m), ("M", M)))
+    p_sub, sigma1_sq, beta_kernel, gamma_kernel, delta = (
+        data.check_real(name, v) for name, v in (
+            ("p_sub", p_sub), ("sigma1_sq", sigma1_sq),
+            ("beta_kernel", beta_kernel), ("gamma_kernel", gamma_kernel),
+            ("delta", delta)))
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
     if m > n:
@@ -132,6 +137,8 @@ def theorem4_bound(n: int, T: int, d_vc: int, empirical_error: float, *,
     """VC complexity bound for a T-round boosted classifier on n samples."""
     n, T, d_vc = (data.check_count(name, v, 1)
                   for name, v in (("n", n), ("T", T), ("d_vc", d_vc)))
+    empirical_error = data.check_real("empirical_error", empirical_error)
+    delta = data.check_real("delta", delta)
     if n < max(d_vc, T):
         raise ValueError("requires n >= max(d_vc, T)")
     if not (0.0 < delta < 1.0):
@@ -155,6 +162,7 @@ def theorem5_bound(errors, theta: float = 0.0) -> float:
         raise ValueError("need one stage error per boosting round, got none")
     if not np.all((errors >= 0) & (errors <= 1)):
         raise ValueError("stage errors must lie in [0, 1]")
+    theta = data.check_real("theta", theta)
     if not -1.0 <= theta <= 1.0:  # a normalized margin; keeps it finite
         raise ValueError(f"theta must lie in [-1, 1], got {theta}")
     T = errors.size

@@ -102,6 +102,20 @@ def check_count(name: str, value, low: int) -> int:
     return int(value)
 
 
+def check_real(name: str, value) -> float:
+    """value as a float, if it is a Python or NumPy real number (not a
+    bool); anything else raises ValueError naming the argument.  Its
+    range is the caller's to check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+# The largest |x| a fit takes: a column centred at its mean then stays
+# within sqrt(float max), so the leaf fits' squares stay finite.
+FIT_LIMIT = math.sqrt(np.finfo(float).max) / 2
+
+
 def check_inputs(X, y=None, n_classes: int | None = None,
                  n_features: int | None = None):
     """Reject input the models cannot take, with a message naming it.
@@ -109,7 +123,8 @@ def check_inputs(X, y=None, n_classes: int | None = None,
     X must be a 2-D array of finite values with at least one column (with
     n_features columns when given); y, when given, one class index in
     0..n_classes-1 per row, with n_classes a count >= 2 (check_count).
-    Returns (X as floats, y); a fit (y given) also needs at least one row.
+    Returns (X as floats, y); a fit (y given) also needs at least one row
+    and no |x| above FIT_LIMIT.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -128,6 +143,12 @@ def check_inputs(X, y=None, n_classes: int | None = None,
         y = np.asarray(y)
         if X.shape[0] == 0:
             raise ValueError("empty data")
+        huge = np.abs(X) > FIT_LIMIT
+        if huge.any():
+            r, c = np.argwhere(huge)[0]
+            raise ValueError(f"value {X[r, c]} in row {r + 1}, feature "
+                             f"{c + 1} exceeds the fit limit "
+                             f"{FIT_LIMIT:.4g} in magnitude")
         if y.shape != (X.shape[0],) or y.dtype.kind not in "iu":
             raise ValueError("need one integer class index per row")
         out = (y < 0) | (y >= n_classes)
@@ -224,7 +245,7 @@ def check_schema(schema, n_classes: int | None = None,
         kind = col.get("kind") if isinstance(col, dict) else None
         check_keys(col, _COLUMN_KEYS["categorical" if kind == "categorical"
                                      else "numeric"], where)
-        if kind not in _COLUMN_KEYS:
+        if not isinstance(kind, str) or kind not in _COLUMN_KEYS:
             raise ValueError(f"{where}: kind must be 'numeric' or "
                              f"'categorical', got {kind!r}")
         if kind == "categorical" and not (_distinct_strings(col["levels"])
@@ -417,7 +438,7 @@ def stratified_kfold(y, k: int, seed: int):
     k = check_count("k", k, 2)
     if k > n:
         raise ValueError(f"k must be between 2 and n = {n}, got {k}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     order = np.concatenate([rng.permutation(np.flatnonzero(y == cls))
                             for cls in np.unique(y)])
     fold_of = np.empty(n, dtype=int)

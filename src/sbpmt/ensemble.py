@@ -1,9 +1,10 @@
 """Boosting and subagging layers over Probit Model Trees.
 
-fit_boosted is multi-class SAMME: it adds ln(J-1) to the stage weight and
-retains a stage iff err_t < 1 - 1/J; for J = 2 that is exactly binary
-AdaBoost.  BoostStage derives the clamped error and vote weight from a
-stage's tree and raw error.  The subagging layer draws an (M, m) design
+fit_boosted is multi-class SAMME: it adds ln(J-1) to the stage weight,
+retains a stage iff err_t < 1 - 1/J and ends the member after a stage
+with err_t = 0; for J = 2 that is exactly binary AdaBoost.  BoostStage
+derives the clamped error and vote weight from a stage's tree and raw
+error.  The subagging layer draws an (M, m) design
 of M index subsets of size floor(alpha * n) without replacement (with
 replacement at the subset level) and majority-votes the boosted members
 through a Committee.  fit_boosted and draw_design take a checked
@@ -146,7 +147,7 @@ class Committee:
 def fit_boosted(X, y, n_classes: int, config: SbpmtConfig) -> BoostedPmt:
     """SAMME over PMT base learners: at most config.T stages, each a PMT
     (config.depth, config.min_leaf_size, config.B) fitted to the current
-    sample weights."""
+    sample weights.  A stage that misses no row is the last one."""
     X, y = data.check_inputs(X, y, n_classes)
     m = X.shape[0]
     chance = 1.0 - 1.0 / n_classes - ERR_CLAMP
@@ -164,6 +165,10 @@ def fit_boosted(X, y, n_classes: int, config: SbpmtConfig) -> BoostedPmt:
                 stages.append(stage)
             break  # no better than chance: keep the prior stages
         stages.append(stage)
+        # a perfect stage's reweighting leaves w as it is, so every later
+        # round would fit the same tree again
+        if stage.raw_err == 0.0:
+            break
         w = w * np.exp(stage.alpha * miss)
         w = w / float(np.sum(w))
     return BoostedPmt(stages=stages)

@@ -64,7 +64,10 @@ def fit_probitboost(X, y, sample_weights, n_iter: int, starts=None):
     makes all rows one segment.  Each segment is its own fit: its weights
     are normalized to sum 1 within it (a segment whose weights are all 0
     gets uniform ones), and every sum runs over its own rows, so an
-    L-segment fit equals L one-segment fits bit for bit.
+    L-segment fit equals L one-segment fits bit for bit.  The steps are
+    fitted on the segment's columns less their weighted means, which the
+    intercepts take back, so a constant added to a column moves only the
+    intercepts.
 
     Each iteration fits every segment's working response on each feature
     alone, steps on the feature with the least weighted SSE (ties go to the
@@ -83,7 +86,6 @@ def fit_probitboost(X, y, sample_weights, n_iter: int, starts=None):
     X, _ = data.check_inputs(X, (y > 0).astype(int), 2)
     sw = data.check_weights(sample_weights, X.shape[0])
     n_iter = data.check_count("n_iter", n_iter, 0)
-    X = np.asfortranarray(X)  # column-major for wls_fit_columns
     n, p = X.shape
     seg_starts = _check_starts([0] if starts is None else starts, n)
     L = seg_starts.size
@@ -94,6 +96,11 @@ def fit_probitboost(X, y, sample_weights, n_iter: int, starts=None):
     empty = mass <= 0.0
     sw = np.where(empty[seg], 1.0 / counts[seg],
                   sw / np.where(empty, 1.0, mass)[seg])
+    # Each segment's columns, centred at their weighted mean, so that the
+    # one-pass moments of wls_fit_columns do not cancel on a column whose
+    # offset dwarfs its spread; column-major for wls_fit_columns.
+    mean = np.add.reduceat(sw[:, None] * X, seg_starts)
+    X = np.asfortranarray(X - mean[seg])
 
     leaves = np.arange(L)
     coef = np.zeros((L, p))
@@ -132,7 +139,7 @@ def fit_probitboost(X, y, sample_weights, n_iter: int, starts=None):
         step[frozen] = 0.0
         new[frozen] = risk[frozen]
         coef[leaves, s] += step * a
-        intercept += step * b
+        intercept += step * (b - a * mean[leaves, s])
         f += step[seg] * g
         risk = new
         selected.append(s)

@@ -438,3 +438,37 @@ class TestEstimatePSub:
         with pytest.warns(UserWarning, match="alpha = 1"):
             p = bounds.estimate_p_sub(model, X, y)
         assert 0.0 <= p <= 1.0
+
+
+# (calculator, a valid call, its real-valued arguments and their values)
+REALS = [
+    (bounds.theorem3_bound,
+     dict(n=1000, m=700, M=21, p_sub=0.1, sigma1_sq=0.25, beta_kernel=1.0,
+          gamma_kernel=1.0, delta=0.05),
+     ("p_sub", "sigma1_sq", "beta_kernel", "gamma_kernel", "delta")),
+    (bounds.theorem4_bound,
+     dict(n=1000, T=5, d_vc=20, empirical_error=0.1, delta=0.05),
+     ("empirical_error", "delta")),
+    (bounds.theorem5_bound, dict(errors=[0.1, 0.3], theta=0.2), ("theta",)),
+    (bounds.theorem6_bound, dict(probit_risks=[0.1], n=1000, d_vc=20,
+                                 delta=0.05), ("delta",)),
+]
+
+
+class TestRealArguments:
+    """A real-valued argument is a Python or NumPy real, not a bool."""
+
+    @pytest.mark.parametrize("fn, kwargs, arg, bad", [
+        pytest.param(fn, kwargs, arg, bad,
+                     id=f"{fn.__name__}-{arg}-{bad!r}")
+        for fn, kwargs, args in REALS for arg in args
+        for bad in (None, "0", True, [0.1])])
+    def test_non_number_rejected_naming_it(self, fn, kwargs, arg, bad):
+        with pytest.raises(ValueError, match=f"^{arg} must be a real number"):
+            fn(**dict(kwargs, **{arg: bad}))
+
+    @pytest.mark.parametrize("fn, kwargs, args", [
+        pytest.param(*row, id=row[0].__name__) for row in REALS])
+    def test_numpy_reals_accepted(self, fn, kwargs, args):
+        assert fn(**dict(kwargs, **{a: np.float64(kwargs[a])
+                                    for a in args})) == fn(**kwargs)

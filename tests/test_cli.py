@@ -93,6 +93,24 @@ class TestTrain:
         assert "non-finite value nan in row 17" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_feature_past_fit_limit_is_runtime_error(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # rejected before the fit, not after it when the model is saved
+        def fork():
+            raise AssertionError("a process was started")
+        monkeypatch.setattr(os, "fork", fork)
+        csv_path = write_csv(tmp_path, n=60)
+        lines = csv_path.read_text().splitlines()
+        lines[17] = "-1e155," + lines[17].split(",", 1)[1]
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "m.json"
+        rc = cli.main(["train", "--data", str(csv_path), "--out", str(out)]
+                      + FAST)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: value -1e+155 in row 17, feature 1 exceeds the fit limit")
+        assert not out.exists()
+
     @pytest.mark.parametrize("M", ["0", "-1"])
     def test_no_members_is_runtime_error(self, tmp_path, capsys, M):
         csv_path = write_csv(tmp_path, n=30)
@@ -296,6 +314,8 @@ class TestPredict:
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d["schema"]["columns"][0].pop("kind"),
          "schema column 0: missing keys ['kind']"),
+        (lambda d: d["schema"]["columns"][0].update(kind=[]),
+         "schema column 0: kind must be 'numeric' or 'categorical', got []"),
         (lambda d: d["schema"]["label"]["classes"].pop(),
          "schema label: classes must be 2 distinct strings"),
         (lambda d: d["design"]["subsets"][0].__setitem__(0, 0.5),

@@ -53,7 +53,7 @@ COUNTS = [
      {"n_classes": 2, "workers": 1}),
     (ensemble.draw_design, dict(n=40, config=CFG), {"n": 1}),
     (data.check_inputs, dict(X=X, y=Y, n_classes=2), {"n_classes": 2}),
-    (data.stratified_kfold, dict(y=Y, k=3, seed=0), {"k": 2}),
+    (data.stratified_kfold, dict(y=Y, k=3, seed=0), {"k": 2, "seed": 0}),
 ]
 
 # int parameters of public functions that are not counts checked here
@@ -69,7 +69,6 @@ EXEMPT = {
     ("data.check_schema", "n_features"):
         "compared for equality with the encoded width; the loader reads it "
         "off the trees",
-    ("data.stratified_kfold", "seed"): "np.random.default_rng checks it",
 }
 
 

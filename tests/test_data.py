@@ -205,6 +205,16 @@ class TestLoadCsv:
          "schema column 0 is not a JSON object"),
         (lambda s: s["columns"].clear(),
          "schema: columns must be a nonempty list"),
+        # a kind that is no string, hashable or not
+        (lambda s: s["columns"][0].update(kind=[]),
+         r"schema column 0: kind must be 'numeric' or 'categorical', "
+         r"got \[\]"),
+        (lambda s: s["columns"][0].update(kind={}),
+         "schema column 0: kind must be 'numeric' or 'categorical', got {}"),
+        (lambda s: s["columns"][0].update(kind=[["numeric"]]),
+         "schema column 0: kind must be 'numeric' or 'categorical'"),
+        (lambda s: s["columns"][0].update(kind=1),
+         "schema column 0: kind must be 'numeric' or 'categorical', got 1"),
     ])
     def test_bad_schema_rejected(self, tmp_path, edit, message):
         p = write(tmp_path, MIXED)

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from sbpmt import data, ensemble, model_io, pmt
+from sbpmt import cart, data, ensemble, model_io, pmt, probitboost
 from sbpmt.ensemble import SbpmtConfig
 
 
@@ -125,18 +125,19 @@ class TestFitAdaboost:
         acc12 = np.mean(predict_member(many, X) == y)
         assert acc12 >= acc1
 
-    def test_perfect_stages_clamp_and_continue(self):
-        # a perfect PMT gives raw err 0; the err is clamped, alpha is large
-        # but finite, weights are unchanged, and the loop runs to T
+    def test_perfect_stage_clamps_and_ends_member(self):
+        # a perfect PMT gives raw err 0; the err is clamped and alpha is
+        # large but finite.  Reweighting would leave the weights as they
+        # are, so the member ends there rather than refit the same tree
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
         model = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
             T=10, depth=1, min_leaf_size=1, B=2))
-        assert len(model.stages) == 10
-        for s in model.stages:
-            assert s.raw_err == 0.0
-            assert s.err == pytest.approx(ensemble.ERR_CLAMP)
-            assert s.alpha == pytest.approx(11.5129, abs=1e-3)
+        assert len(model.stages) == 1
+        s = model.stages[0]
+        assert s.raw_err == 0.0
+        assert s.err == pytest.approx(ensemble.ERR_CLAMP)
+        assert s.alpha == pytest.approx(11.5129, abs=1e-3)
         assert np.array_equal(predict_member(model, X), y)
 
     def test_useless_first_stage_kept_with_clamped_error(self):
@@ -288,6 +289,59 @@ class TestFitSbpmt:
         assert len(model.members) == 5
         assert model.n_classes == 2
         assert model.design.shape == (5, 84)
+
+    def test_constant_offset_leaves_the_fit_as_good(self):
+        # CART is shift-invariant and the leaf fits centre their columns,
+        # so adding 1e8 to every feature keeps the test error
+        train, test = data.simulate(data.SimConfig(seed=3, n_train=1000,
+                                                   n_test=4000))
+        cfg = SbpmtConfig(M=2, T=2, B=20, depth=3, seed=3)
+        errors = []
+        for offset in (0.0, 1e8):
+            model = ensemble.fit_sbpmt(train.X + offset, train.y, 2, cfg,
+                                       workers=1)
+            errors.append(np.mean(ensemble.predict_sbpmt_many(
+                model, test.X + offset) != test.y))
+        assert abs(errors[1] - errors[0]) <= 0.002
+
+    @pytest.mark.parametrize("fit", [
+        lambda X, y: ensemble.fit_sbpmt(X, y, 2, SbpmtConfig(M=2, T=1, B=2,
+                                                             depth=1),
+                                        workers=2),
+        lambda X, y: ensemble.fit_boosted(X, y, 2, SbpmtConfig(T=1, B=2,
+                                                               depth=1)),
+        lambda X, y: pmt.fit_pmt(X, y, 2, np.ones(y.size), 1, 5, 2),
+        lambda X, y: cart.build_tree(X, y, 2, np.ones(y.size), 1, 5),
+        lambda X, y: probitboost.fit_probitboost(X, 2.0 * y - 1.0,
+                                                 np.ones(y.size), 2),
+    ], ids=["fit_sbpmt", "fit_boosted", "fit_pmt", "build_tree",
+            "fit_probitboost"])
+    def test_features_past_the_fit_limit_rejected(self, fit, two_cpus,
+                                                  forks):
+        # squares of such features overflow in the leaf fits; every fit
+        # names the first one before it starts a worker
+        X, y = xor_data(60, seed=2)
+        with pytest.raises(ValueError, match=r"^value -?[0-9.e+]+ in row 1, "
+                           r"feature 1 exceeds the fit limit 6\.704e\+153"):
+            fit(X * 1e155, y)
+        assert forks == []
+
+    def test_features_at_the_fit_limit_fit_finite_and_reload(self):
+        # depth 1: each leaf fits a column that spans -limit..limit
+        X, y = xor_data(60, seed=2)
+        X = np.where(X > 0, data.FIT_LIMIT, -data.FIT_LIMIT)
+        model = ensemble.fit_sbpmt(X, y, 2, self.small_config(M=2, B=5,
+                                                              depth=1),
+                                   workers=1)
+        for member in model.members:
+            for st in member.stages:
+                assert np.isfinite(st.model.coef).all()
+                assert np.isfinite(st.model.intercept).all()
+                assert math.isfinite(st.model.probit_risk)
+        restored = model_io.deserialize_model(model_io.serialize_model(model))
+        np.testing.assert_array_equal(
+            ensemble.predict_sbpmt_many(restored, X),
+            ensemble.predict_sbpmt_many(model, X))
 
     def test_determinism(self):
         X, y = xor_data(120, seed=14)

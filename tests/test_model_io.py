@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbpmt import ensemble, model_io
+from sbpmt import cli, data, ensemble, model_io
 from sbpmt.ensemble import SbpmtConfig
 
 
@@ -17,7 +17,10 @@ def fit_small(n_classes=2, seed=0, n=150):
     if n_classes == 2:
         y = ((X[:, 0] > 0) ^ (X[:, 1] > 0)).astype(int)
     else:
+        # every tenth label moved on, so no member's first stage is
+        # perfect and each keeps its second
         y = np.digitize(X[:, 0], [-0.3, 0.3])
+        y[::10] = (y[::10] + 1) % 3
     cfg = SbpmtConfig(M=3, T=2, B=3, alpha=0.7, depth=2, min_leaf_size=5,
                       seed=seed)
     schema = {"label": {"name": "y", "position": 3,
@@ -383,6 +386,71 @@ class TestUntrustedFile:
                          str(query), "--out", str(out)]) == 1
         assert "member 0 stage 1 tree" in capsys.readouterr().err
         assert not out.exists()
+
+
+# What a mutation test puts in place of a value in a model document.
+MUTANTS = [None, True, 0, -1, 1.5, 1e308, "", "x", [], {}, [[]]]
+
+
+def key_paths(value, path=()):
+    """Every key path of a JSON value: each dict key, and the first two
+    items of each list, outermost first."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value[:2])
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from key_paths(child, path + (key,))
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_mutated_documents_load_or_raise_value_error(n_classes, tmp_path,
+                                                     capsys):
+    """Each value of a document replaced by each mutant either loads or
+    raises ValueError, and sbpmt predict reports every file that does not
+    load as an error line, not a traceback."""
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-1, 1, 60)
+    labels = np.digitize(a, [0.0] if n_classes == 2 else [-0.3, 0.3])
+    labels[::6] = (labels[::6] + 1) % n_classes  # no stage is perfect
+    rows = [f"{x:.3f},{c},k{k}"
+            for x, c, k in zip(a, rng.choice(["u", "v"], 60), labels)]
+    train = tmp_path / "train.csv"
+    train.write_text("a,color,label\n" + "\n".join(rows) + "\n",
+                     encoding="utf-8")
+    dataset = data.load_csv(train, "label")
+    model = ensemble.fit_sbpmt(dataset.X, dataset.y, n_classes, SbpmtConfig(
+        M=2, T=2, B=2, depth=1, min_leaf_size=5), schema=dataset.schema,
+        workers=1)
+    doc = json.loads(model_io.serialize_model(model))
+    assert all(len(m["stages"]) == 2 for m in doc["members"])
+    rejected = []
+    for path in list(key_paths(doc)):
+        *parents, last = path
+        holder = doc
+        for key in parents:
+            holder = holder[key]
+        original = holder[last]
+        for value in MUTANTS:
+            holder[last] = value
+            text = json.dumps(doc)
+            try:
+                model_io.deserialize_model(text)
+            except ValueError:
+                rejected.append(text)
+        holder[last] = original
+    assert rejected
+    model_path, out = tmp_path / "model.json", tmp_path / "p.csv"
+    for text in rejected:
+        model_path.write_text(text, encoding="utf-8")
+        assert cli.main(["predict", "--model", str(model_path), "--data",
+                         str(train), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @st.composite

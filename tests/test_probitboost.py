@@ -81,10 +81,11 @@ def reference_fit_pmt(X, y, n_classes, sample_weights, depth, min_leaf_size,
 def reference_segmented_probitboost(X, y, sample_weights, n_iter, starts):
     """fit_probitboost as it was before segments froze: every iteration
     runs every segment's whole step search, even one that ended at step 0
-    and so repeats its last search.  Returns (LinearScore,
+    and so repeats its last search.  Columns are centred per segment as
+    fit_probitboost centres them.  Returns (LinearScore,
     ProbitBoostTrace, stuck), stuck counting the (iteration, segment)
     pairs whose search ended at step 0."""
-    X = np.asfortranarray(X, dtype=float)
+    X = np.asarray(X, dtype=float)
     n, p = X.shape
     L = len(starts)
     counts = np.diff(starts, append=n)
@@ -94,6 +95,8 @@ def reference_segmented_probitboost(X, y, sample_weights, n_iter, starts):
     empty = mass <= 0.0
     sw = np.where(empty[seg], 1.0 / counts[seg],
                   sample_weights / np.where(empty, 1.0, mass)[seg])
+    mean = np.add.reduceat(sw[:, None] * X, starts)
+    X = np.asfortranarray(X - mean[seg])
 
     def segment_risks(sw, y, f, starts):
         return np.add.reduceat(sw * numerics.probit_loss(y * f), starts)
@@ -128,7 +131,7 @@ def reference_segmented_probitboost(X, y, sample_weights, n_iter, starts):
         step[rising] = 0.0
         new[rising] = risk[rising]
         coef[leaves, s] += step * a
-        intercept += step * b
+        intercept += step * (b - a * mean[leaves, s])
         f += step[seg] * g
         risk = new
         selected.append(s)
@@ -255,6 +258,16 @@ class TestFitProbitboost:
         s2, _ = probitboost.fit_probitboost(X[:10], y[:10], np.ones(10), 8)
         np.testing.assert_allclose(s1.coefficients, s2.coefficients,
                                    rtol=1e-12)
+
+
+def test_constant_offset_keeps_the_risk_path():
+    # one-pass moments on uncentred columns cancel at this offset
+    train, _ = data.simulate(data.SimConfig(seed=3, n_train=400, n_test=1))
+    y = 2.0 * train.y - 1.0
+    _, trace = probitboost.fit_probitboost(train.X, y, np.ones(400), 30)
+    _, shifted = probitboost.fit_probitboost(train.X + 1e8, y, np.ones(400),
+                                             30)
+    np.testing.assert_allclose(shifted.risks, trace.risks, rtol=0, atol=1e-6)
 
 
 class TestSegments:
