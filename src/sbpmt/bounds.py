@@ -42,15 +42,17 @@ class DesignStats:
 
 def design_stats(subsets, n: int) -> DesignStats:
     """Statistics of M >= 1 subsets of rows 0..n-1; their sizes may differ.
-    A subset holding an index that is not an integer in 0..n-1, or one
-    index twice, raises ValueError naming the subset."""
+    A subset holding an index that is not an integer in 0..n-1 (a bool
+    included), or one index twice, raises ValueError naming the subset."""
     n, M = data.check_count("n", n, 1), len(subsets)
     if M < 1:
         raise ValueError("need at least one subset, got none")
     incidence = np.zeros((M, n), dtype=np.int64)
     for i, subset in enumerate(subsets):
-        rows = np.asarray(subset)
-        if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+        rows = np.asarray(subset)  # reads a bool among integers as one
+        if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu") or (
+                not isinstance(subset, np.ndarray)
+                and any(isinstance(v, (bool, np.bool_)) for v in subset)):
             raise ValueError(f"subset {i} must be a list of integer row "
                              f"indices, got {subset!r}")
         bad = rows[(rows < 0) | (rows >= n)]
@@ -152,14 +154,10 @@ def theorem4_bound(n: int, T: int, d_vc: int, empirical_error: float, *,
     return empirical_error + math.sqrt(32.0 * inner / n)
 
 
-def theorem5_bound(errors, theta: float = 0.0) -> float:
-    """Margin bound 2^T prod_t sqrt(err_t^(1-theta) (1-err_t)^(1+theta))."""
-    errors = np.asarray(errors, dtype=float)
-    if errors.ndim != 1:
-        raise ValueError(f"stage errors must be a 1-D list, got shape "
-                         f"{errors.shape}")
-    if errors.size == 0:
-        raise ValueError("need one stage error per boosting round, got none")
+def theorem5_bound(errors: list[float], theta: float = 0.0) -> float:
+    """Margin bound 2^T prod_t sqrt(err_t^(1-theta) (1-err_t)^(1+theta))
+    over the stage errors, a nonempty list of reals in [0, 1]."""
+    errors = data.check_reals("stage errors", errors)
     if not np.all((errors >= 0) & (errors <= 1)):
         raise ValueError("stage errors must lie in [0, 1]")
     theta = data.check_real("theta", theta)
@@ -179,28 +177,21 @@ class Theorem6Report:
     hypothesis_ok: bool
 
 
-def theorem6_bound(probit_risks, n: int, d_vc: int, *,
+def theorem6_bound(probit_risks: list[float], n: int, d_vc: int, *,
                    delta: float = DELTA) -> Theorem6Report:
     """Generalization bound driven by one PMT probit risk per boosting
-    round, so T = len(probit_risks).  gamma_t = 1/2 - eps_t / ln 2;
+    round, so T = len(probit_risks); the risks are a nonempty list of
+    finite real numbers (data.check_reals).  gamma_t = 1/2 - eps_t / ln 2;
     requires 0 <= eps_t/ln2 < 1/2 for every round, otherwise the training
     term is reported as 1 and flagged.
     """
-    risks = np.asarray(probit_risks, dtype=float)
-    if risks.ndim != 1:
-        raise ValueError(f"probit risks must be a 1-D list, got shape "
-                         f"{risks.shape}")
-    if risks.size == 0:
-        raise ValueError("need one probit risk per boosting round, got none")
+    risks = data.check_reals("probit risks", probit_risks)
     if not np.all(np.isfinite(risks)):
         raise ValueError("probit risks must be finite")
     scaled = risks / numerics.LN2
     ok = bool(np.all((scaled >= 0.0) & (scaled < 0.5)))
-    if ok:
-        gammas = 0.5 - scaled
-        training = math.exp(-2.0 * float(np.sum(np.square(gammas))))
-    else:
-        training = 1.0
+    training = (math.exp(-2.0 * float(np.sum(np.square(0.5 - scaled))))
+                if ok else 1.0)
     complexity = theorem4_bound(n, risks.size, d_vc, 0.0, delta=delta)
     return Theorem6Report(training_term=training, complexity_term=complexity,
                           total=training + complexity, hypothesis_ok=ok)

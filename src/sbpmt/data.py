@@ -111,6 +111,19 @@ def check_real(name: str, value) -> float:
     return float(value)
 
 
+def check_reals(name: str, values) -> np.ndarray:
+    """values as a float array, if it is a nonempty 1-D list or array
+    whose every item passes check_real; anything else raises ValueError
+    naming the list.  The items' range is the caller's to check."""
+    items = np.asarray(values, dtype=object)
+    if items.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D list, got shape {items.shape}")
+    if items.size == 0:
+        raise ValueError(f"{name} must not be empty")
+    return np.array([check_real(f"{name}: item {i}", v)
+                     for i, v in enumerate(items)])
+
+
 # The largest |x| a fit takes: a column centred at its mean then stays
 # within sqrt(float max), so the leaf fits' squares stay finite.
 FIT_LIMIT = math.sqrt(np.finfo(float).max) / 2
@@ -121,10 +134,10 @@ def check_inputs(X, y=None, n_classes: int | None = None,
     """Reject input the models cannot take, with a message naming it.
 
     X must be a 2-D array of finite values with at least one column (with
-    n_features columns when given); y, when given, one class index in
-    0..n_classes-1 per row, with n_classes a count >= 2 (check_count).
-    Returns (X as floats, y); a fit (y given) also needs at least one row
-    and no |x| above FIT_LIMIT.
+    n_features columns when given).  A fit, which gives y or n_classes,
+    also needs at least one row, no |x| above FIT_LIMIT, n_classes a count
+    >= 2 (check_count) and y one class index in 0..n_classes-1 per row;
+    y = None then fails.  Returns (X as floats, y).
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -138,7 +151,7 @@ def check_inputs(X, y=None, n_classes: int | None = None,
         r, c = np.argwhere(~np.isfinite(X))[0]
         raise ValueError(f"non-finite value {X[r, c]} in row {r + 1}, "
                          f"feature {c + 1}")
-    if y is not None:
+    if y is not None or n_classes is not None:
         n_classes = check_count("n_classes", n_classes, 2)
         y = np.asarray(y)
         if X.shape[0] == 0:
@@ -496,11 +509,8 @@ def accuracy(predictions, labels) -> float:
     return 100.0 * float(np.mean(predictions == labels))
 
 
-def summarize_cv(fold_accuracies):
-    """(mean, sample sd) of per-fold accuracy percentages (divisor k-1)."""
-    a = np.asarray(fold_accuracies, dtype=float)
-    if a.size == 0:
-        raise ValueError("no fold accuracies")
-    mean = float(np.mean(a))
-    sd = float(np.std(a, ddof=1)) if a.size > 1 else 0.0
-    return mean, sd
+def summarize_cv(fold_accuracies: list[float]):
+    """(mean, sample sd) of per-fold accuracy percentages (divisor k-1),
+    given as a nonempty list of real numbers (check_reals)."""
+    a = check_reals("fold accuracies", fold_accuracies)
+    return float(np.mean(a)), float(np.std(a, ddof=1)) if a.size > 1 else 0.0

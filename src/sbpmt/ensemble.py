@@ -1,8 +1,8 @@
 """Boosting and subagging layers over Probit Model Trees.
 
 fit_boosted is multi-class SAMME: it adds ln(J-1) to the stage weight,
-retains a stage iff err_t < 1 - 1/J and ends the member after a stage
-with err_t = 0; for J = 2 that is exactly binary AdaBoost.  BoostStage
+keeps stages while err_t < 1 - 1/J (the first always, clamped) and ends
+the member after a stage with err_t = 0 (AdaBoost for J = 2).  BoostStage
 derives the clamped error and vote weight from a stage's tree and raw
 error.  The subagging layer draws an (M, m) design
 of M index subsets of size floor(alpha * n) without replacement (with
@@ -158,18 +158,16 @@ def fit_boosted(X, y, n_classes: int, config: SbpmtConfig) -> BoostedPmt:
                             config.min_leaf_size, config.B)
         miss = pmt.predict_pmt_many(model, X) != y
         # a stage that misses every row can sum its weights past 1
-        stage = BoostStage(model=model,
-                           raw_err=min(float(np.dot(w, miss)), 1.0))
-        if stage.raw_err >= chance:
-            if not stages:  # clamped; further rounds would repeat it
-                stages.append(stage)
+        raw_err = min(float(np.dot(w, miss)), 1.0)
+        if stages and raw_err >= chance:
             break  # no better than chance: keep the prior stages
-        stages.append(stage)
-        # a perfect stage's reweighting leaves w as it is, so every later
-        # round would fit the same tree again
-        if stage.raw_err == 0.0:
+        stages.append(BoostStage(model=model, raw_err=raw_err))
+        # a member ends at a first stage no better than chance, kept with
+        # its error clamped, and at a perfect stage, whose reweighting
+        # leaves w as it is: every later round would fit the same tree
+        if not 0.0 < raw_err < chance:
             break
-        w = w * np.exp(stage.alpha * miss)
+        w = w * np.exp(stages[-1].alpha * miss)
         w = w / float(np.sum(w))
     return BoostedPmt(stages=stages)
 

@@ -94,6 +94,8 @@ class TestDesignStats:
         ([[0.5]], r"subset 0 must be a list of integer row indices, got "
                   r"\[0\.5\]"),
         ([[1], [True]], r"subset 1 must be a list of integer row indices"),
+        # a bool among integers was read as row 1
+        ([[0, True]], r"subset 0 must be a list of integer row indices"),
     ])
     def test_repeated_or_non_integer_index_rejected(self, subsets, message):
         with pytest.raises(ValueError, match=message):
@@ -316,8 +318,8 @@ class TestTheorem5:
 
     def test_rejects_no_rounds_and_non_vector_input(self):
         # [] gave 1.0 and a 2-D list was flattened (0.264)
-        with pytest.raises(ValueError, match="need one stage error per "
-                                             "boosting round, got none"):
+        with pytest.raises(ValueError,
+                           match="^stage errors must not be empty$"):
             bounds.theorem5_bound([])
         with pytest.raises(ValueError, match=r"stage errors must be a 1-D "
                                              r"list, got shape \(2, 2\)"):
@@ -369,8 +371,8 @@ class TestTheorem6:
             bounds.theorem6_bound([0.1, bad], 1000, 20, delta=0.05)
 
     def test_zero_rounds_or_dimension_rejected(self):
-        with pytest.raises(ValueError, match="need one probit risk per "
-                                             "boosting round, got none"):
+        with pytest.raises(ValueError,
+                           match="^probit risks must not be empty$"):
             bounds.theorem6_bound([], 100, 3, delta=0.05)
         with pytest.raises(ValueError, match="d_vc must be >= 1"):
             bounds.theorem6_bound([0.1], 100, 0, delta=0.05)

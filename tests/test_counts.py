@@ -1,11 +1,14 @@
-"""data.check_count is the one rule for count arguments.
+"""data.check_count is the one rule for count arguments, and
+data.check_reals the one rule for lists of real numbers.
 
 COUNTS lists every count argument of the public API with a valid call
 and the argument's floor; every bad value of every row must raise
 ValueError naming the argument, and fit_sbpmt must reject it before it
 starts a worker process.  test_every_int_parameter_is_a_count_or_exempt
 keeps the table complete: a public function that gains an int parameter
-fails it until the parameter is added to COUNTS or to EXEMPT.
+fails it until the parameter is added to COUNTS or to EXEMPT.  LISTS does
+the same for every list[float] parameter: an item that is not a real
+number must raise ValueError naming the list.
 """
 
 import dataclasses
@@ -72,8 +75,36 @@ EXEMPT = {
 }
 
 
+# (function, its valid keyword arguments, its list argument, the list's
+# name in messages)
+LISTS = [
+    (bounds.theorem5_bound, dict(errors=[0.1, 0.2]), "errors",
+     "stage errors"),
+    (bounds.theorem6_bound, dict(probit_risks=[0.1, 0.2], n=1000, d_vc=20),
+     "probit_risks", "probit risks"),
+    (data.summarize_cv, dict(fold_accuracies=[90.0, 80.0]),
+     "fold_accuracies", "fold accuracies"),
+]
+
+
 def qualname(fn) -> str:
     return f"{fn.__module__.rsplit('.', 1)[1]}.{fn.__name__}"
+
+
+def annotated_parameters(annotation: str) -> set:
+    """(function, parameter) of every public function in sbpmt whose
+    parameter is annotated with annotation, alone or in a union."""
+    found = set()
+    for info in pkgutil.iter_modules(sbpmt.__path__):
+        module = importlib.import_module(f"sbpmt.{info.name}")
+        for name, fn in vars(module).items():
+            if (name.startswith("_") or not inspect.isfunction(fn)
+                    or fn.__module__ != module.__name__):
+                continue
+            for p in inspect.signature(fn).parameters.values():
+                if annotation in str(p.annotation).split(" | "):
+                    found.add((qualname(fn), p.name))
+    return found
 
 
 CASES = [pytest.param(fn, kwargs, arg, bad, id=f"{qualname(fn)}-{arg}-{bad}")
@@ -127,17 +158,24 @@ def test_theorems_agree_for_numpy_and_python_ints(fn, kwargs, floors):
 
 
 def test_every_int_parameter_is_a_count_or_exempt():
-    found = set()
-    for info in pkgutil.iter_modules(sbpmt.__path__):
-        module = importlib.import_module(f"sbpmt.{info.name}")
-        for name, fn in vars(module).items():
-            if (name.startswith("_") or not inspect.isfunction(fn)
-                    or fn.__module__ != module.__name__):
-                continue
-            for p in inspect.signature(fn).parameters.values():
-                if "int" in str(p.annotation).split(" | "):
-                    found.add((qualname(fn), p.name))
+    found = annotated_parameters("int")
     counted = {(qualname(fn), arg) for fn, _, floors in COUNTS
                for arg in floors}
     assert found - counted - EXEMPT.keys() == set()
     assert EXEMPT.keys() <= found  # no stale exemption
+
+
+@pytest.mark.parametrize("fn, kwargs, arg, name, bad", [
+    pytest.param(fn, kwargs, arg, name, bad, id=f"{qualname(fn)}-{bad!r}")
+    for fn, kwargs, arg, name in LISTS
+    for bad in (["0.1"], [0.1, True], [None], [{}])])
+def test_bad_list_item_rejected_naming_the_list(fn, kwargs, arg, name, bad):
+    # the last item is the bad one; str and bool items were converted
+    with pytest.raises(ValueError, match=f"^{re.escape(name)}: item "
+                                         f"{len(bad) - 1} must be a real"):
+        fn(**dict(kwargs, **{arg: bad}))
+
+
+def test_every_list_parameter_is_in_lists():
+    assert annotated_parameters("list[float]") == {
+        (qualname(fn), arg) for fn, _, arg, _ in LISTS}

@@ -710,5 +710,6 @@ class TestAccuracyAndSummary:
         assert data.summarize_cv([97.0]) == (97.0, 0.0)
 
     def test_summarize_empty(self):
-        with pytest.raises(ValueError, match="no fold"):
+        with pytest.raises(ValueError,
+                           match="^fold accuracies must not be empty$"):
             data.summarize_cv([])

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from sbpmt import cart, data, ensemble, model_io, pmt, probitboost
+from sbpmt import bounds, cart, data, ensemble, model_io, pmt, probitboost
 from sbpmt.ensemble import SbpmtConfig
 
 
@@ -583,6 +583,25 @@ class TestWorkerPool:
         with pytest.raises(ValueError, match="^workers must be "):
             ensemble.fit_sbpmt(X, y, 2, SbpmtConfig(M=4, T=1, B=1, depth=1),
                                workers=workers)
+
+    @pytest.mark.parametrize("fit", [
+        lambda X, y: ensemble.fit_sbpmt(X, y, 2, SbpmtConfig(M=4, T=1, B=1)),
+        lambda X, y: ensemble.fit_boosted(X, y, 2, SbpmtConfig(T=1, B=1)),
+        lambda X, y: pmt.fit_pmt(X, y, 2, np.ones(len(X)), 1, 5, 1),
+        lambda X, y: cart.build_tree(X, y, 2, np.ones(len(X)), 1, 5),
+        lambda X, y: bounds.estimate_p_sub(ensemble.fit_sbpmt(
+            X, (X[:, 0] > 0).astype(int), 2, SbpmtConfig(M=2, T=1, B=1),
+            workers=1), X, y),
+    ], ids=["fit_sbpmt", "fit_boosted", "fit_pmt", "build_tree",
+            "estimate_p_sub"])
+    def test_missing_labels_rejected_before_any_process(self, fit, two_cpus,
+                                                        forks):
+        # each failed inside the member fits, fit_sbpmt after forking
+        X, _ = xor_data(60, seed=34)
+        with pytest.raises(ValueError,
+                           match="^need one integer class index per row$"):
+            fit(X, None)
+        assert forks == []
 
     def test_one_class_rejected_before_any_process(self, two_cpus, forks):
         X, _ = xor_data(60, seed=33)
