@@ -195,9 +195,17 @@ def check_config(config, **lows) -> None:
 
 def check_weights(sample_weights, n: int) -> np.ndarray:
     """Reject sample weights a fit cannot take: there must be one finite,
-    nonnegative weight per row, with a positive, finite sum.  Returns the
-    weights as floats."""
-    w = np.asarray(sample_weights, dtype=float)
+    nonnegative weight per row, with a positive, finite sum.  An array of
+    integer or float dtype is taken on its dtype; any other input item by
+    item, each item a real number (check_real).  Returns the weights as
+    floats."""
+    w = sample_weights
+    if not (isinstance(w, np.ndarray) and w.dtype.kind in "iuf"):
+        items = np.asarray(w, dtype=object)
+        w = np.array([check_real(f"sample weights: item {i}", v)
+                      for i, v in enumerate(items.ravel())]
+                     ).reshape(items.shape)
+    w = np.asarray(w, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"need one sample weight per row: got shape "
                          f"{w.shape}, expected ({n},)")
@@ -511,6 +519,11 @@ def accuracy(predictions, labels) -> float:
 
 def summarize_cv(fold_accuracies: list[float]):
     """(mean, sample sd) of per-fold accuracy percentages (divisor k-1),
-    given as a nonempty list of real numbers (check_reals)."""
+    given as a nonempty list of real numbers (check_reals) in [0, 100]."""
     a = check_reals("fold accuracies", fold_accuracies)
+    bad = ~((a >= 0) & (a <= 100))  # NaN fails both
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"fold accuracies: item {i} must be a percentage "
+                         f"in [0, 100], got {a[i]}")
     return float(np.mean(a)), float(np.std(a, ddof=1)) if a.size > 1 else 0.0

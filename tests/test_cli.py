@@ -12,6 +12,8 @@ import pytest
 
 from sbpmt import bounds, cli, data, ensemble, model_io
 
+from model_doc import decoded, encoded
+
 FAST = ["--M", "3", "--T", "2", "--B", "3", "--alpha", "0.7",
         "--depth", "2", "--min-leaf", "5"]
 KERNEL = ["--theorem", "3", "--sigma1-sq", "0.25", "--beta", "1", "--gamma",
@@ -318,15 +320,15 @@ class TestPredict:
          "schema column 0: kind must be 'numeric' or 'categorical', got []"),
         (lambda d: d["schema"]["label"]["classes"].pop(),
          "schema label: classes must be 2 distinct strings"),
-        (lambda d: d["design"]["subsets"][0].__setitem__(0, 0.5),
-         "design: subsets must hold integers"),
+        (lambda d: d["design"]["subsets"][0].__setitem__(0, -1),
+         "design: each subset must hold nonnegative row indices"),
     ])
     def test_bad_schema_or_design_is_runtime_error(self, tmp_path, capsys,
                                                    edit, message):
         csv_path, model_path = self.train(tmp_path)
-        doc = json.loads(model_path.read_text(encoding="utf-8"))
+        doc = decoded(json.loads(model_path.read_text(encoding="utf-8")))
         edit(doc)
-        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        model_path.write_text(json.dumps(encoded(doc)), encoding="utf-8")
         preds_path = tmp_path / "preds.csv"
         rc = cli.main(["predict", "--model", str(model_path),
                        "--data", str(csv_path), "--out", str(preds_path)])

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sbpmt import data
+from sbpmt import data, pmt
 from sbpmt.data import SimConfig
 
 
@@ -249,6 +249,34 @@ class TestCheckInputs:
         for X0 in (np.zeros((3, 0)), np.zeros((0, 0))):
             with pytest.raises(ValueError, match="no feature columns"):
                 data.check_inputs(X0)
+
+
+class TestCheckWeights:
+    @pytest.mark.parametrize("weights, item, got", [
+        (["1", True, 0.5], 0, "'1'"),
+        ([1, True, 0.5], 1, "True"),
+        ([1.0, 2.0, None], 2, "None"),
+        (np.array([1, True, 0.5], dtype=object), 1, "True"),
+        (np.array([True, False, True]), 0, "True"),
+    ])
+    def test_non_number_weight_rejected(self, weights, item, got):
+        with pytest.raises(ValueError, match=rf"^sample weights: item {item} "
+                           rf"must be a real number, got {got}$"):
+            data.check_weights(weights, 3)
+
+    def test_fit_rejects_string_and_bool_weights(self):
+        X = np.linspace(-1, 1, 40)[:, None]
+        y = (X[:, 0] > 0).astype(int)
+        with pytest.raises(ValueError, match="sample weights: item 0 must "
+                                             "be a real number, got '1'"):
+            pmt.fit_pmt(X, y, 2, ["1"] * 20 + [True] * 20, 1, 5, 2)
+
+    def test_numeric_arrays_and_lists_accepted(self):
+        for w in ([1, 2, 0.5], np.array([1, 2, 0]), np.float32([1, 2, 0.5]),
+                  np.uint8([1, 2, 3])):
+            out = data.check_weights(w, 3)
+            assert out.dtype == float
+            np.testing.assert_array_equal(out, np.asarray(w, dtype=float))
 
 
 class TestEncodeRows:
@@ -713,3 +741,18 @@ class TestAccuracyAndSummary:
         with pytest.raises(ValueError,
                            match="^fold accuracies must not be empty$"):
             data.summarize_cv([])
+
+    @pytest.mark.parametrize("folds, item, got", [
+        ([math.nan, 90.0], 0, "nan"),
+        ([math.inf], 0, "inf"),
+        ([90.0, -math.inf], 1, "-inf"),
+        ([150.0, -20.0], 0, "150.0"),
+        ([20.0, -20.0], 1, "-20.0"),
+    ])
+    def test_summarize_impossible_accuracy_rejected(self, folds, item, got):
+        with pytest.raises(ValueError, match=rf"^fold accuracies: item {item} "
+                           rf"must be a percentage in \[0, 100\], got {got}$"):
+            data.summarize_cv(folds)
+
+    def test_summarize_bounds_accepted(self):
+        assert data.summarize_cv([0.0, 100.0]) == (50.0, math.sqrt(5000.0))

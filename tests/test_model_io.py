@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import re
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from sbpmt import cli, data, ensemble, model_io
 from sbpmt.ensemble import SbpmtConfig
+
+from model_doc import decoded, encoded
 
 
 def fit_small(n_classes=2, seed=0, n=150):
@@ -93,7 +96,7 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="format version"):
             model_io.deserialize_model(json.dumps(doc))
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_version_1_rejected_with_refit_message(self, version):
         model, _ = fit_small()
         doc = json.loads(model_io.serialize_model(model))
@@ -106,18 +109,29 @@ class TestFileFormat:
         doc = json.loads(model_io.serialize_model(model))
         tree = doc["members"][0]["stages"][0]["model"]
         # the tree is the arguments of pmt.make_tree: its preorder split
-        # list (feature -1 at a leaf) and a score row per leaf
+        # list (feature -1 at a leaf) and a score row per leaf, each array
+        # the base64 of its little-endian bytes, with no shape stored
         assert set(tree) == {"feature", "threshold", "intercept", "coef",
                              "probit_risk"}
-        n_nodes, n_leaves = len(tree["feature"]), len(tree["intercept"])
-        assert n_nodes == 2 * n_leaves - 1 == len(tree["threshold"])
-        assert tree["feature"].count(-1) == n_leaves
-        assert np.shape(tree["coef"]) == (n_leaves, 3, 3)
+        a = {k: np.frombuffer(base64.b64decode(tree[k], validate=True),
+                              "<i4" if k == "feature" else "<f8")
+             for k in ("feature", "threshold", "intercept", "coef")}
+        n_leaves = int(np.sum(a["feature"] == -1))
+        assert a["feature"].size == 2 * n_leaves - 1 == a["threshold"].size
+        assert a["intercept"].size == n_leaves * 3
+        assert a["coef"].size == n_leaves * 3 * 3
+        fitted = model.members[0].stages[0].model
+        for k, v in a.items():
+            np.testing.assert_array_equal(v.reshape(
+                np.shape(getattr(fitted, k))), getattr(fitted, k))
+        subsets = np.frombuffer(base64.b64decode(doc["design"]["subsets"]),
+                                "<i4")
+        np.testing.assert_array_equal(subsets.reshape(3, -1), model.design)
         assert "rows" not in json.dumps(doc["members"])
         # each fact once: the probit risk in the tree, n_classes in the
         # document, the design seed in the config; a stage's err and alpha
         # follow from its raw_err, a tree's child table, leaf numbers and
-        # depth from its split list
+        # depth from its split list, and every shape from those counts
         stage = doc["members"][0]["stages"][0]
         assert set(stage) == {"raw_err", "model"}
         assert "probit_risk" in tree
@@ -128,6 +142,22 @@ class TestFileFormat:
         model, _ = fit_small()
         model.members[0].stages[0].model.probit_risk = math.nan
         with pytest.raises(ValueError):
+            model_io.serialize_model(model)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("threshold", math.nan, "threshold holds a non-finite number"),
+        ("coef", math.inf, "coef holds a non-finite number"),
+        ("intercept", -math.inf, "intercept holds a non-finite number"),
+        # an index that int32 cannot hold is refused, not wrapped
+        ("design", 2**31, "subsets must hold integers that int32 holds"),
+        ("feature", -2**31 - 1, "feature must hold integers that int32"),
+    ])
+    def test_non_finite_array_or_wide_index_not_written(self, key, value,
+                                                        message):
+        model, _ = fit_small()
+        holder = model if key == "design" else model.members[0].stages[0].model
+        getattr(holder, key).flat[0] = value  # int64 or float64
+        with pytest.raises(ValueError, match=message):
             model_io.serialize_model(model)
 
     def test_missing_version_rejected(self):
@@ -175,8 +205,10 @@ class TestUntrustedFile:
     rejected on load with a ValueError naming the member and stage."""
 
     def doc(self):
+        """A 3-class document with its arrays decoded to nested lists
+        (model_doc.decoded); json.dumps(encoded(doc)) stores them again."""
         model, _ = fit_small(n_classes=3)
-        return json.loads(model_io.serialize_model(model))
+        return decoded(json.loads(model_io.serialize_model(model)))
 
     def test_nan_token_rejected(self):
         text = model_io.serialize_model(fit_small()[0])
@@ -185,8 +217,9 @@ class TestUntrustedFile:
             model_io.deserialize_model(text)
         doc = self.doc()
         doc["members"][0]["stages"][0]["model"]["coef"][0][0][0] = math.inf
-        with pytest.raises(ValueError, match="non-finite number Infinity"):
-            model_io.deserialize_model(json.dumps(doc))
+        with pytest.raises(ValueError, match="member 0 stage 0 tree: coef "
+                                             "must hold finite numbers"):
+            model_io.deserialize_model(json.dumps(encoded(doc)))
 
     @pytest.mark.parametrize("edit, message", [
         (lambda t: t.pop("threshold"), r"missing keys \['threshold'\]"),
@@ -210,14 +243,14 @@ class TestUntrustedFile:
         (lambda t: [t.update({k: t[k][1:]}) for k in ("intercept", "coef")],
          r"must be \(L, 3\) and \(L, 3, 3\) for its L = \d+ leaves"),
         (lambda t: [t[k].append(t[k][0]) for k in ("intercept", "coef")],
-         r"\(\d+, 3\) and coef \(\d+, 3, 3\) must be .* for its L"),
-        (lambda t: t.update(feature=[0.5] * len(t["feature"])),
-         "feature must hold integers"),
+         r"intercept of \d+ and coef of \d+ values must be .* for its L"),
         (lambda t: t.update(threshold=t["threshold"][1:]),
          "nonempty lists of one length"),
         (lambda t: t.update(intercept=t["intercept"][1:]),
-         r"intercept \(\d+, 3\) and coef"),
-        (lambda t: t["coef"][0].pop(), ""),  # ragged lists
+         r"intercept of \d+ and coef of \d+ values"),
+        # a coef length other than L * K * p
+        (lambda t: t["coef"][0].pop(), r"coef of \d+ values must be"),
+        (lambda t: t["coef"][0][0].append(0.0), r"\(L, 3, 3\) for its L"),
         (lambda t: t.update(coef=[row[:1] for row in t["coef"]]),
          r"must be \(L, 3\)"),
         (lambda t: t.update(coef=[[[0.0] * 4] * 3] * len(t["coef"])),
@@ -233,7 +266,7 @@ class TestUntrustedFile:
         edit(doc["members"][1]["stages"][0]["model"])
         with pytest.raises(ValueError, match="member 1 stage 0 tree: "
                                              f".*{message}"):
-            model_io.deserialize_model(json.dumps(doc))
+            model_io.deserialize_model(json.dumps(encoded(doc)))
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d["members"][0]["stages"][0].pop("raw_err"),
@@ -264,8 +297,7 @@ class TestUntrustedFile:
         (lambda d: d["config"].update(B=-5), "config: need B >= 0"),
         (lambda d: d["config"].update(min_leaf_size=0),
          "config: need min_leaf_size >= 1"),
-        # json.dumps writes inf as Infinity; the test writes it as 1e999,
-        # which the parser reads as inf
+        # non-finite values inside the arrays' bytes
         (lambda d: d["members"][1]["stages"][0]["model"]["threshold"]
          .__setitem__(0, math.inf),
          "member 1 stage 0 tree: threshold must hold finite numbers"),
@@ -275,10 +307,13 @@ class TestUntrustedFile:
         (lambda d: d["members"][0]["stages"][1]["model"]["coef"][0][0]
          .__setitem__(2, math.inf),
          "member 0 stage 1 tree: coef must hold finite numbers"),
+        (lambda d: d["members"][2]["stages"][0]["model"]["threshold"]
+         .__setitem__(1, math.nan),
+         "member 2 stage 0 tree: threshold must hold finite numbers"),
         (lambda d: d.update(n_classes=3.0), "n_classes must be an integer"),
         (lambda d: d.update(n_classes=True), "n_classes must be an integer"),
         (lambda d: d.update(format_version=float(model_io.FORMAT_VERSION)),
-         "unsupported model format version 5.0"),
+         "unsupported model format version 6.0"),
         # the member count is config.M; no member has more than config.T
         # stages
         (lambda d: d["config"].update(M=50),
@@ -327,25 +362,53 @@ class TestUntrustedFile:
         (lambda d: d["schema"].pop("columns"),
          r"schema: missing keys \['columns'\]"),
         # the design: one subset per member, increasing row indices
-        (lambda d: d["design"]["subsets"][1].__setitem__(0, 0.5),
-         "design: subsets must hold integers"),
         (lambda d: d["design"]["subsets"][1].__setitem__(0, -1),
          "design: each subset must hold nonnegative row indices"),
         (lambda d: d["design"]["subsets"][1].reverse(),
          "in strictly increasing order"),
         (lambda d: d["design"]["subsets"][1].pop(),
-         "design: subsets must be nonempty lists of one size"),
+         "design: subsets must be M = 3 nonempty subsets of one size, got "
+         "314 indices"),
         (lambda d: d["design"].update(subsets=[[], [], []]),
-         "design: subsets must be nonempty lists of one size"),
+         "design: subsets must be M = 3 nonempty subsets of one size, got 0"),
+        # 2 subsets of 105 read as 3 of 70: the second runs back to row 0
         (lambda d: d["design"]["subsets"].pop(),
-         "design: subsets must be a list of 3 index lists, one per member"),
+         "in strictly increasing order"),
     ])
     def test_bad_document_rejected(self, edit, message):
         doc = self.doc()
         edit(doc)
-        text = json.dumps(doc).replace("Infinity", "1e999")
         with pytest.raises(ValueError, match=message):
-            model_io.deserialize_model(text)
+            model_io.deserialize_model(json.dumps(encoded(doc)))
+
+    @pytest.mark.parametrize("where, key", [
+        ("member 1 stage 0 tree", "feature"),
+        ("member 1 stage 0 tree", "threshold"),
+        ("member 1 stage 0 tree", "intercept"),
+        ("member 1 stage 0 tree", "coef"),
+        ("design", "subsets"),
+    ])
+    @pytest.mark.parametrize("value, message", [
+        # a JSON true, a number list or an integer where bytes belong
+        (True, "must be a base64 string"),
+        ([0.0, 1.0], "must be a base64 string"),
+        ([], "must be a base64 string"),
+        (0, "must be a base64 string"),
+        (None, "must be a base64 string"),
+        ("AAAA!AAA", "is not valid base64"),
+        ("AAA", "is not valid base64"),  # no padding
+        ("AAAA\nAAAA", "is not valid base64"),
+        ("AAAA\u00e9AAA", "is not valid base64"),
+        # 3 bytes: not a whole number of 4- or 8-byte items
+        ("AAAA", r"holds 3 bytes, not a whole number of [48]-byte items"),
+    ])
+    def test_bad_array_string_rejected(self, where, key, value, message):
+        doc = json.loads(model_io.serialize_model(fit_small(n_classes=3)[0]))
+        holder = (doc["design"] if key == "subsets"
+                  else doc["members"][1]["stages"][0]["model"])
+        holder[key] = value
+        with pytest.raises(ValueError, match=f"^{where}: {key} {message}"):
+            model_io.deserialize_model(json.dumps(doc))
 
     @pytest.mark.parametrize("risk", ['"abc"', "[1, 2]", "null", "1e999"])
     def test_binary_probit_risk_must_be_finite(self, risk):
@@ -378,7 +441,7 @@ class TestUntrustedFile:
         doc = self.doc()
         doc["members"][0]["stages"][1]["model"]["feature"][0] = 99
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_text(json.dumps(encoded(doc)), encoding="utf-8")
         query = tmp_path / "q.csv"
         query.write_text("x0,x1,x2\n0.1,0.2,0.3\n", encoding="utf-8")
         out = tmp_path / "p.csv"

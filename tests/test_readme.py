@@ -4,7 +4,9 @@ import re
 import shlex
 from pathlib import Path
 
-from sbpmt import cli
+import numpy as np
+
+from sbpmt import cli, ensemble, model_io
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,3 +35,27 @@ def test_cli_bound_examples_run(capsys):
     for argv in examples:
         assert cli.main(argv) == 0, argv
         assert "bound" in capsys.readouterr().out
+
+
+def test_model_file_snippet_reads_the_arrays(tmp_path, monkeypatch):
+    # the "Model files" snippet, run on a freshly saved model, reads the
+    # arrays load_model reads
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Model files\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-1, 1, size=(120, 3))
+    y = np.digitize(X[:, 0], [-0.3, 0.3])
+    config = ensemble.SbpmtConfig(M=2, T=1, B=3, depth=2, seed=1)
+    monkeypatch.chdir(tmp_path)  # the block reads model.json
+    model_io.save_model(ensemble.fit_sbpmt(X, y, 3, config, workers=1),
+                        "model.json")
+    scope: dict = {}
+    exec(compile(block, str(README), "exec"), scope)
+    loaded = model_io.load_model("model.json")
+    tree = loaded.members[0].stages[0].model
+    for key in ("feature", "threshold", "intercept", "coef"):
+        np.testing.assert_array_equal(scope[key], getattr(tree, key))
+        assert scope[key].shape == getattr(tree, key).shape
+    np.testing.assert_array_equal(scope["subsets"], loaded.design)
+    assert scope["coef"].shape[1:] == (3, 3)
