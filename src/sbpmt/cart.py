@@ -10,7 +10,8 @@ over class-major cumulative class masses.  Trees only provide the
 partition; leaf models are attached one level up.  Routing convention: x
 goes left iff x[feature] <= threshold.  Grown trees are Leaf/Internal
 nodes; fitted models keep only their preorder split list (flatten), from
-which links derives the child table that routing follows: row i of it is
+which links derives the child table that routing follows (of one tree, or
+of a committee's trees laid end to end): row i of it is
 indexed by the comparison x[feature[i]] <= threshold[i] itself, so
 route_many moves every row down one level with one gather from X and one
 from the table.
@@ -152,51 +153,52 @@ def flatten(tree: TreeNode):
 
 
 def links(feature):
-    """Child table and depth of a preorder split list.
+    """Child table, depth and roots of whole preorder trees laid end to end.
 
-    Node i is a leaf iff feature[i] == -1.  Returns (child, depth): child
-    is (N, 2), and internal node i sends x to child[i, s] with s = 1 iff
-    x[feature[i]] <= threshold[i] (left) and s = 0 otherwise (right); a
-    leaf is its own child (child[i] == [i, i]), and depth is the longest
-    root-to-leaf path.  Raises ValueError unless the list is exactly one
-    whole tree.
+    Node i is a leaf iff feature[i] == -1, and a node that comes when no
+    child slot is pending starts a new tree.  Returns (child, depth,
+    roots): child is (N, 2), and internal node i sends x to child[i, s]
+    with s = 1 iff x[feature[i]] <= threshold[i] (left) and s = 0
+    otherwise (right); a leaf is its own child (child[i] == [i, i]);
+    depth is the longest root-to-leaf path of any tree, and roots the
+    first node of each tree.  Raises ValueError when the list is empty or
+    ends inside a tree.
     """
     feature = np.asarray(feature).tolist()
     child = [list(range(len(feature))), list(range(len(feature)))]
     level = [0] * len(feature)
-    todo = [(1, 0)]  # (side, parent) of each node still to come, last first
+    roots = []
+    todo = []  # (side, parent) of each node still to come, last first
     for i, f in enumerate(feature):
-        if not todo:
-            raise ValueError(f"split list is not one tree: node {i} follows "
-                             "a complete tree")
-        side, parent = todo.pop()
-        if i:
+        if todo:
+            side, parent = todo.pop()
             child[side][parent] = i
             level[i] = level[parent] + 1
+        else:
+            roots.append(i)
         if f != -1:
             todo += [(0, i), (1, i)]  # the left subtree comes first
-    if todo:
+    if todo or not feature:
         raise ValueError("split list is not one tree: it ends inside a tree")
     # (N, 2) in C order: route_many reads row i at flat 2i and 2i + 1
-    return np.array(child).T.copy(), max(level)
+    return np.array(child).T.copy(), max(level), np.array(roots)
 
 
-def route_many(tree, roots, X) -> np.ndarray:
-    """Node reached by every row of X in each of several trees.
+def route_many(tree, X) -> np.ndarray:
+    """Node reached by every row of X in each tree of tree.
 
     tree holds the node arrays (feature, threshold and the (N, 2) child
-    table; see links) of one or more trees laid side by side, and depth, a
-    bound on their depth; roots[t] is the root node of tree t.  Every row
-    moves one level down in every tree per step: one gather reads each
-    row's split value from the C-order ravel of X (row * p + feature), and
-    one picks the child at 2 * node + (x <= threshold), so a NaN goes
-    right.  A leaf routes to itself, so depth steps reach every leaf.
-    Returns node ids of shape (n, len(roots)).
+    table; see links) of one or more trees laid end to end, their depth
+    and their roots.  Every row moves one level down in every tree per
+    step: one gather reads each row's split value from the C-order ravel
+    of X (row * p + feature), and one picks the child at 2 * node + (x <=
+    threshold), so a NaN goes right.  A leaf routes to itself, so depth
+    steps reach every leaf.  Returns node ids of shape (n, len(roots)).
     """
     n, p = X.shape
     flat = X.ravel()
     row = np.arange(n)[:, None] * p
-    node = np.tile(np.asarray(roots), (n, 1))
+    node = np.tile(tree.roots, (n, 1))
     for _ in range(tree.depth):
         x = flat.take(row + tree.feature.take(node))
         node = tree.child.take(2 * node + (x <= tree.threshold.take(node)))

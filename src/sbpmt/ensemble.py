@@ -99,19 +99,21 @@ class SbpmtModel:
 
 @dataclass
 class Committee:
-    """The trees of boosted members laid side by side: tree t starts at
-    node roots[t], belongs to member[t] and votes with weight alpha[t]."""
+    """The trees of boosted members as one PmtModel, their split lists and
+    score blocks laid end to end: tree t starts at node trees.roots[t],
+    belongs to member[t] and votes with weight alpha[t]."""
 
     trees: pmt.PmtModel
-    roots: np.ndarray
     alpha: np.ndarray
     member: np.ndarray
 
     @classmethod
     def of(cls, members: list[BoostedPmt]) -> "Committee":
         stages = [(k, st) for k, m in enumerate(members) for st in m.stages]
-        trees, roots = pmt.stack([st.model for _, st in stages])
-        return cls(trees, roots, np.array([st.alpha for _, st in stages]),
+        trees = pmt.make_tree(*(
+            np.concatenate([getattr(st.model, name) for _, st in stages])
+            for name in ("feature", "threshold", "intercept", "coef")))
+        return cls(trees, np.array([st.alpha for _, st in stages]),
                    np.array([k for k, _ in stages]))
 
     def member_classes(self, X) -> np.ndarray:
@@ -126,7 +128,7 @@ class Committee:
         block = max(1, BLOCK_FLOATS // (self.alpha.size * trees.coef[0].size))
         out = np.empty((X.shape[0], M), dtype=int)
         for start in range(0, X.shape[0], block):
-            cls = pmt.tree_classes(trees, self.roots, X[start:start + block])
+            cls = pmt.tree_classes(trees, X[start:start + block])
             n = cls.shape[0]
             bins = (np.arange(n)[:, None] * M + self.member) * J + cls
             votes = np.bincount(bins.ravel(), weights=np.tile(self.alpha, n),

@@ -214,6 +214,10 @@ def deserialize_model(text: str) -> ensemble.SbpmtModel:
                 model = pmt.make_tree(**tree)
             except ValueError as exc:
                 raise ValueError(f"{where} tree: {exc}") from None
+            if model.roots.size > 1:
+                raise ValueError(f"{where} tree: split list is not one tree: "
+                                 f"node {model.roots[1]} follows a complete "
+                                 "tree")
             if model.depth > cfg.depth:
                 raise ValueError(f"{where} tree: depth {model.depth}, deeper "
                                  f"than config.depth = {cfg.depth}")

@@ -2,8 +2,9 @@
 
 A fitted tree is its preorder split list (cart.flatten) and one score
 block with a row per leaf, margin_k(x) = intercept[l, k] + coef[l, k] . x;
-make_tree, which builds every PmtModel from a fit or a model file,
-derives the child table, leaf numbers and depth.  Binary trees have K =
+make_tree, which builds every PmtModel from a fit, a model file or a
+committee's trees laid end to end, derives the child table, leaf numbers,
+depth and roots.  Binary trees have K =
 1 margin (positive predicts class 1, so ties go to class 0, the sign(0) =
 -1 convention); multi-class trees have K = n_classes one-versus-all
 margins, decided by argmax (ties go to the smallest class index).
@@ -20,7 +21,7 @@ from . import cart, data, probitboost
 
 @dataclass
 class PmtModel:
-    """One Probit Model Tree, or several laid side by side (see stack)."""
+    """One Probit Model Tree, or several laid end to end (see make_tree)."""
 
     feature: np.ndarray    # (N,) split feature per node; -1 at a leaf
     threshold: np.ndarray  # (N,) split threshold per node
@@ -29,6 +30,7 @@ class PmtModel:
     intercept: np.ndarray  # (L, K)
     coef: np.ndarray       # (L, K, p)
     depth: int             # longest root-to-leaf path
+    roots: np.ndarray      # (T,) first node of each tree
     # Weighted probit risk of the whole tree (binary only; None for J > 2).
     # Feeds the Theorem-6-style bound on boosted training error.
     probit_risk: float | None = None
@@ -40,15 +42,17 @@ class PmtModel:
 
 def make_tree(feature, threshold, intercept, coef,
               probit_risk: float | None = None) -> PmtModel:
-    """The PmtModel of a preorder split list (see cart.flatten) and its
-    score block, a row per leaf in preorder.  cart.links derives the child
-    table and the depth, and rejects a list that is not one tree."""
+    """The PmtModel of preorder split lists laid end to end (see
+    cart.flatten) and their score block, a row per leaf in the same order:
+    one tree, or a committee's trees.  cart.links derives the child table,
+    the depth and the roots, and rejects a list that ends inside a tree;
+    the leaves are numbered across all the trees."""
     feature = np.asarray(feature)
     is_leaf = feature == -1
-    child, depth = cart.links(feature)
+    child, depth, roots = cart.links(feature)
     return PmtModel(feature, np.asarray(threshold), child,
                     np.where(is_leaf, np.cumsum(is_leaf) - 1, -1),
-                    intercept, coef, depth, probit_risk)
+                    intercept, coef, depth, roots, probit_risk)
 
 
 def fit_pmt(X, y, n_classes: int, sample_weights, depth: int,
@@ -85,32 +89,16 @@ def fit_pmt(X, y, n_classes: int, sample_weights, depth: int,
                      fits[0][1].risks[-1] if n_classes == 2 else None)
 
 
-def stack(models: list[PmtModel]):
-    """Lay trees side by side: (one PmtModel over all of them, root node
-    of each tree).  Node and leaf indices are offset per tree."""
-    roots = np.cumsum([0] + [m.feature.size for m in models[:-1]])
-    leaf_off = np.cumsum([0] + [m.intercept.shape[0] for m in models[:-1]])
-
-    def cat(name, offsets=np.zeros(len(models), dtype=int)):
-        return np.concatenate([getattr(m, name) + o
-                               for m, o in zip(models, offsets)])
-
-    return PmtModel(feature=cat("feature"), threshold=cat("threshold"),
-                    child=cat("child", roots), leaf=cat("leaf", leaf_off),
-                    intercept=cat("intercept"), coef=cat("coef"),
-                    depth=max(m.depth for m in models)), roots
-
-
-def margins(trees: PmtModel, roots, X) -> np.ndarray:
+def margins(trees: PmtModel, X) -> np.ndarray:
     """Leaf margins of every row of X in every tree, shape (n, T, K)."""
-    leaf = trees.leaf[cart.route_many(trees, roots, X)]
+    leaf = trees.leaf[cart.route_many(trees, X)]
     return trees.intercept[leaf] + np.einsum("ntkp,np->ntk",
                                              trees.coef[leaf], X)
 
 
-def tree_classes(trees: PmtModel, roots, X) -> np.ndarray:
+def tree_classes(trees: PmtModel, X) -> np.ndarray:
     """Class index of every row of X in every tree, shape (n, T)."""
-    m = margins(trees, roots, X)
+    m = margins(trees, X)
     if trees.n_classes == 2:
         return (m[:, :, 0] > 0).astype(int)
     return np.argmax(m, axis=2)
@@ -118,4 +106,4 @@ def tree_classes(trees: PmtModel, roots, X) -> np.ndarray:
 
 def predict_pmt_many(model: PmtModel, X) -> np.ndarray:
     X, _ = data.check_inputs(X, n_features=model.coef.shape[-1])
-    return tree_classes(model, [0], X)[:, 0]
+    return tree_classes(model, X)[:, 0]

@@ -121,7 +121,7 @@ def max_depth(node):
 
 def route_leaves(tree, X):
     t, _ = flat(tree)
-    return t.leaf[cart.route_many(t, [0], np.asarray(X, dtype=float))[:, 0]]
+    return t.leaf[cart.route_many(t, np.asarray(X, dtype=float))[:, 0]]
 
 
 class TestBuildTree:
@@ -433,8 +433,9 @@ class TestRouting:
                                  for x in Xq]
 
     def test_trees_side_by_side_route_independently(self):
-        # a stack of trees of depths 1, 4, 0 (one leaf) and 2 routes a
-        # block, and each of its rows alone, as the per-tree walk does
+        # trees of depths 1, 4, 0 (one leaf) and 2, their split lists laid
+        # end to end in one make_tree, route a block, and each of its rows
+        # alone, as the per-tree walk does
         rng = np.random.default_rng(5)
         X = rng.normal(size=(200, 3))
         y = (X[:, 0] + X[:, 1] * X[:, 2] > 0).astype(int)
@@ -442,16 +443,20 @@ class TestRouting:
                  for d in (1, 4, 0, 2)]
         assert [max_depth(t) for t in trees] == [1, 4, 0, 2]
         flats = [flat(t)[0] for t in trees]
-        both, roots = pmt.stack(flats)
+        both = pmt.make_tree(*(
+            np.concatenate([getattr(f, name) for f in flats])
+            for name in ("feature", "threshold", "intercept", "coef")))
         assert both.depth == 4
+        assert both.roots.tolist() == np.cumsum(
+            [0] + [f.feature.size for f in flats[:-1]]).tolist()
         Xq = rng.normal(size=(100, 3))
-        nodes = cart.route_many(both, roots, Xq)
-        for t, (tree, f, r) in enumerate(zip(trees, flats, roots)):
+        nodes = cart.route_many(both, Xq)
+        for t, (tree, f, r) in enumerate(zip(trees, flats, both.roots)):
             assert f.leaf[nodes[:, t] - r].tolist() == [walk(tree, x)
                                                         for x in Xq]
         for i, x in enumerate(Xq):
             np.testing.assert_array_equal(
-                cart.route_many(both, roots, x[None, :])[0], nodes[i])
+                cart.route_many(both, x[None, :])[0], nodes[i])
 
     def test_threshold_goes_left_and_nan_goes_right(self):
         # x <= threshold picks the left child; a NaN compares false, so
@@ -461,7 +466,7 @@ class TestRouting:
         t = pmt.make_tree(feature, threshold, zeros, zeros[:, :, None])
         X = np.array([[9.0, 0.5], [9.0, np.nextafter(0.5, 1.0)],
                       [-2.0, 0.6], [np.nan, 0.7], [0.0, np.nan]])
-        assert cart.route_many(t, [0], X)[:, 0].tolist() == [1, 4, 3, 4, 4]
+        assert cart.route_many(t, X)[:, 0].tolist() == [1, 4, 3, 4, 4]
 
     @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
     def test_links_route_like_walk(self, depth):
@@ -480,29 +485,41 @@ class TestRouting:
     def test_links_of_a_small_list(self):
         # 0 splits into leaf 1 and split 2, which splits into leaves 3, 4;
         # a row is [right, left], indexed by x <= threshold
-        child, depth = cart.links([0, -1, 1, -1, -1])
+        child, depth, roots = cart.links([0, -1, 1, -1, -1])
         assert child.tolist() == [[2, 1], [1, 1], [4, 3], [3, 3], [4, 4]]
-        assert depth == 2
-        child, depth = cart.links([-1])
+        assert depth == 2 and roots.tolist() == [0]
+        child, depth, roots = cart.links([-1])
         assert child.tolist() == [[0, 0]] and depth == 0
+        assert roots.tolist() == [0]
 
-    @pytest.mark.parametrize("feature, message", [
-        ([], "ends inside a tree"),
-        ([0], "ends inside a tree"),
-        ([0, -1], "ends inside a tree"),
-        ([-1, -1], "node 1 follows a complete tree"),
-        ([0, -1, -1, -1], "node 3 follows a complete tree"),
-    ])
-    def test_links_rejects_what_is_not_one_tree(self, feature, message):
-        with pytest.raises(ValueError, match="not one tree: .*" + message):
+    def test_links_of_lists_laid_end_to_end(self):
+        # a stump, a one-leaf tree and the depth-2 tree above: each tree
+        # starts where the one before it is complete, its child table is
+        # the tree's own shifted by its root, and depth is the deepest
+        stump, deep = [0, -1, -1], [0, -1, 1, -1, -1]
+        child, depth, roots = cart.links(stump + [-1] + deep)
+        assert roots.tolist() == [0, 3, 4]
+        assert child.tolist() == [[2, 1], [1, 1], [2, 2], [3, 3],
+                                  [6, 5], [5, 5], [8, 7], [7, 7], [8, 8]]
+        assert depth == 2
+        _, depth, roots = cart.links(deep + stump)
+        assert depth == 2 and roots.tolist() == [0, 5]
+        _, depth, roots = cart.links([-1, -1, -1])
+        assert depth == 0 and roots.tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("feature", [[], [0], [0, -1], [-1, 0, -1],
+                                         [0, -1, -1, 1, -1]])
+    def test_links_rejects_a_list_that_ends_inside_a_tree(self, feature):
+        with pytest.raises(ValueError, match="^split list is not one tree: "
+                                             "it ends inside a tree$"):
             cart.links(feature)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match="ends inside a tree"):
             pmt.make_tree(feature, np.zeros(len(feature)), np.zeros((1, 1)),
                           np.zeros((1, 1, 1)))
 
     def test_route_many_empty(self):
         tree, _ = self.tree()
-        assert cart.route_many(flat(tree)[0], [0],
+        assert cart.route_many(flat(tree)[0],
                                np.zeros((0, 2))).shape == (0, 1)
 
     def test_dimension_mismatch(self):

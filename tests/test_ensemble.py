@@ -43,7 +43,7 @@ def reference_vote(model, X):
 def add_at_vote(committee, X):
     """np.add.at reference for Committee.member_classes and predict: the
     (n, M) member classes and the (n,) majority."""
-    cls = pmt.tree_classes(committee.trees, committee.roots, X)
+    cls = pmt.tree_classes(committee.trees, X)
     n, M, J = cls.shape[0], committee.member[-1] + 1, committee.trees.n_classes
     votes = np.zeros((n, M, J))
     np.add.at(votes, (np.arange(n)[:, None], committee.member, cls),
@@ -61,19 +61,19 @@ def random_committee(n_classes, M, T, seed):
     or depend on the order of addition (0.1 + 0.2 != 0.3)."""
     rng = np.random.default_rng(seed)
     K = 1 if n_classes == 2 else n_classes
-    trees = []
+    feature, threshold, intercept = [], [], []
     for _ in range(M * T):
         if rng.integers(2):
-            feature = [int(rng.integers(2)), -1, -1]
-            threshold = np.array([rng.normal(), 0.0, 0.0])
+            f, thr = [int(rng.integers(2)), -1, -1], [rng.normal(), 0.0, 0.0]
         else:
-            feature, threshold = [-1], np.zeros(1)
-        L = feature.count(-1)
-        trees.append(pmt.make_tree(
-            feature, threshold, rng.integers(-2, 3, size=(L, K)) + 0.0,
-            np.zeros((L, K, 2))))
-    stacked, roots = pmt.stack(trees)
-    return ensemble.Committee(stacked, roots,
+            f, thr = [-1], [0.0]
+        feature += f
+        threshold += thr
+        intercept.append(rng.integers(-2, 3, size=(f.count(-1), K)) + 0.0)
+    intercept = np.concatenate(intercept)
+    trees = pmt.make_tree(feature, threshold, intercept,
+                          np.zeros(intercept.shape + (2,)))
+    return ensemble.Committee(trees,
                               rng.choice([0.1, 0.2, 0.3, 0.25, 0.5, 0.75],
                                          size=M * T),
                               np.repeat(np.arange(M), T))

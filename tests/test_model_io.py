@@ -239,6 +239,15 @@ class TestUntrustedFile:
         (lambda t: [t[k].append(t[k][-1]) for k in
                     ("feature", "threshold", "intercept", "coef")],
          r"split list is not one tree: node \d+ follows a complete tree"),
+        # make_tree takes trees laid end to end; a stored list holds one
+        (lambda t: t.update(feature=[-1, -1], threshold=[0.0] * 2,
+                            intercept=[[0.0] * 3] * 2,
+                            coef=[[[0.0] * 3] * 3] * 2),
+         "split list is not one tree: node 1 follows a complete tree"),
+        (lambda t: t.update(feature=[0, -1, -1, -1], threshold=[0.0] * 4,
+                            intercept=[[0.0] * 3] * 3,
+                            coef=[[[0.0] * 3] * 3] * 3),
+         "split list is not one tree: node 3 follows a complete tree"),
         # a score row per leaf: one short, or one over
         (lambda t: [t.update({k: t[k][1:]}) for k in ("intercept", "coef")],
          r"must be \(L, 3\) and \(L, 3, 3\) for its L = \d+ leaves"),

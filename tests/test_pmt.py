@@ -37,7 +37,7 @@ def weighted_probit_risk(model, X, y, sample_weights) -> float:
     ypm = np.where(np.asarray(y) == 1, 1.0, -1.0)
     w = np.asarray(sample_weights, dtype=float)
     w = w / float(np.sum(w))
-    f = pmt.margins(model, [0], np.asarray(X, dtype=float))[:, 0, 0]
+    f = pmt.margins(model, np.asarray(X, dtype=float))[:, 0, 0]
     return float(np.dot(w, numerics.probit_loss(ypm * f)))
 
 
@@ -146,9 +146,11 @@ class TestPredict:
         X, y = xor_data(300, seed=21)
         w = np.random.default_rng(21).uniform(0.5, 2.0, size=300)
         models = [pmt.fit_pmt(X, y, 2, w, d, 10, 4) for d in (0, 1, 3)]
-        trees, roots = pmt.stack(models)
+        trees = pmt.make_tree(*(
+            np.concatenate([getattr(m, name) for m in models])
+            for name in ("feature", "threshold", "intercept", "coef")))
         Xq = np.random.default_rng(22).uniform(-1, 1, size=(80, 2))
-        classes = pmt.tree_classes(trees, roots, Xq)
+        classes = pmt.tree_classes(trees, Xq)
         for t, model in enumerate(models):
             np.testing.assert_array_equal(classes[:, t],
                                           pmt.predict_pmt_many(model, Xq))

@@ -151,7 +151,7 @@ def score_margin(score: LinearScore, x) -> float:
                           score.coefficients.reshape(1, 1, p))
     X, _ = data.check_inputs(np.asarray(x, dtype=float)[None, :],
                              n_features=p)
-    return float(pmt.margins(model, [0], X)[0, 0, 0])
+    return float(pmt.margins(model, X)[0, 0, 0])
 
 
 def separable_1d():
