@@ -124,6 +124,18 @@ def check_reals(name: str, values) -> np.ndarray:
                      for i, v in enumerate(items)])
 
 
+def check_numbers(name: str, values) -> np.ndarray:
+    """values as a float array, if np.asarray gives them an integer or
+    float dtype; any other dtype (bool, complex, string, object) raises
+    ValueError naming it, since converting it would make up or drop
+    numbers.  The shape and the values are the caller's to check."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype "
+                         f"{a.dtype}")
+    return a.astype(float, copy=False)
+
+
 # The largest |x| a fit takes: a column centred at its mean then stays
 # within sqrt(float max), so the leaf fits' squares stay finite.
 FIT_LIMIT = math.sqrt(np.finfo(float).max) / 2
@@ -133,13 +145,14 @@ def check_inputs(X, y=None, n_classes: int | None = None,
                  n_features: int | None = None):
     """Reject input the models cannot take, with a message naming it.
 
-    X must be a 2-D array of finite values with at least one column (with
-    n_features columns when given).  A fit, which gives y or n_classes,
-    also needs at least one row, no |x| above FIT_LIMIT, n_classes a count
-    >= 2 (check_count) and y one class index in 0..n_classes-1 per row;
-    y = None then fails.  Returns (X as floats, y).
+    X must be a 2-D array of finite real numbers (check_numbers) with at
+    least one column (with n_features columns when given).  A fit, which
+    gives y or n_classes, also needs at least one row, no |x| above
+    FIT_LIMIT, n_classes a count >= 2 (check_count) and y one class index
+    in 0..n_classes-1 per row; y = None then fails.  Returns (X as floats,
+    y).
     """
-    X = np.asarray(X, dtype=float)
+    X = check_numbers("X", X)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got {X.ndim}-D")
     if X.shape[1] == 0:

@@ -232,9 +232,13 @@ def fit_sbpmt(X, y, n_classes: int, config: SbpmtConfig,
 
     workers is the number of processes that fit the members: None for one
     per usable CPU, 1 to fit them in this process; it is capped at M and
-    at the usable CPUs.  The fitted model does not depend on it."""
+    at the usable CPUs.  The fitted model does not depend on it.  A
+    schema, when given, must be one the model loader takes
+    (data.check_schema, with n_classes classes and X's features)."""
     n_classes = data.check_count("n_classes", n_classes, 2)
     X, y = data.check_inputs(X, y, n_classes)
+    if schema is not None:
+        data.check_schema(schema, n_classes, X.shape[1])
     design = draw_design(X.shape[0], config)
     members = _fit_members(X, y, n_classes, config, design,
                            _worker_count(config.M, workers, _usable_cpus()))
@@ -248,7 +252,7 @@ def predict_sbpmt_many(model: SbpmtModel, X) -> np.ndarray:
 
 def predict_sbpmt(model: SbpmtModel, x) -> int:
     """The class of one row x, a 1-D array of the model's features."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError(f"x must be one row, a 1-D array, got shape "
                          f"{x.shape}")

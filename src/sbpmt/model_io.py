@@ -113,7 +113,7 @@ def _tree_fields(tree, n_classes: int, n_features, where: str) -> dict:
     n = a["feature"].size
     if n == 0 or a["threshold"].size != n:
         raise ValueError(f"{where}: feature, threshold must be nonempty "
-                         "lists of one length")
+                         "arrays of one length")
     K = 1 if n_classes == 2 else n_classes
     L = int(np.sum(a["feature"] == -1))  # a leaf per -1, a score row each
     p = n_features or (a["coef"].size // (L * K) if L else 0)

@@ -80,7 +80,7 @@ def fit_probitboost(X, y, sample_weights, n_iter: int, starts=None):
     and an (L, p) coefficient block, L = 1 without starts, and the trace
     always holds n_iter + 1 risks.
     """
-    y = np.asarray(y, dtype=float)
+    y = data.check_numbers("labels", y)
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
     X, _ = data.check_inputs(X, (y > 0).astype(int), 2)

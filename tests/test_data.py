@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sbpmt import data, pmt
+from sbpmt import data, ensemble, pmt, probitboost
 from sbpmt.data import SimConfig
 
 
@@ -249,6 +249,37 @@ class TestCheckInputs:
         for X0 in (np.zeros((3, 0)), np.zeros((0, 0))):
             with pytest.raises(ValueError, match="no feature columns"):
                 data.check_inputs(X0)
+
+    @pytest.mark.parametrize("cast, dtype", [
+        (lambda a: a.astype(str), "<U"),
+        (lambda a: a + 0j, "complex128"),
+        (lambda a: a > 0, "bool"),
+        (lambda a: a.astype(object), "object"),
+    ], ids=["str", "complex", "bool", "object"])
+    def test_what_is_not_a_real_number_is_not_converted(self, cast, dtype):
+        # a string is not parsed, a complex number not cut to its real
+        # part and a bool not taken as 0/1: each is rejected by its dtype,
+        # in a fit, in a prediction and as ProbitBoost's +-1 labels
+        X = np.linspace(-1, 1, 60).reshape(30, 2)
+        y = (X[:, 0] > 0).astype(int)
+        model = ensemble.fit_sbpmt(X, y, 2, ensemble.SbpmtConfig(
+            M=1, T=1, B=1, depth=1, min_leaf_size=5), workers=1)
+        bad = cast(X)
+        calls = [
+            lambda: data.check_inputs(bad),
+            lambda: pmt.fit_pmt(bad, y, 2, np.ones(30), 1, 5, 1),
+            lambda: ensemble.fit_sbpmt(bad, y, 2, model.config, workers=1),
+            lambda: ensemble.predict_sbpmt_many(model, bad),
+            lambda: ensemble.predict_sbpmt(model, bad[0]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^X must hold real numbers, "
+                                                 f"got dtype {dtype}"):
+                call()
+        with pytest.raises(ValueError, match="^labels must hold real "
+                                             f"numbers, got dtype {dtype}"):
+            probitboost.fit_probitboost(X, cast(2.0 * y - 1.0), np.ones(30),
+                                        1)
 
 
 class TestCheckWeights:

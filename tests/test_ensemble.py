@@ -603,6 +603,21 @@ class TestWorkerPool:
             fit(X, None)
         assert forks == []
 
+    @pytest.mark.parametrize("cut, message", [
+        (lambda schema: {"foo": 1},
+         r"^schema: missing keys \['columns', 'has_header', 'label'\]"),
+        (lambda schema: dict(schema, columns=schema["columns"][:3]),
+         "^schema: the columns encode 3 features, but the trees read 10$"),
+    ], ids=["no-schema-keys", "three-of-ten-columns"])
+    def test_schema_the_loader_rejects_is_rejected_before_any_process(
+            self, cut, message, two_cpus, no_fork):
+        # each fitted and saved a file that load_model then rejected
+        train, _ = data.simulate(data.SimConfig(n_train=60, n_test=1))
+        with pytest.raises(ValueError, match=message):
+            ensemble.fit_sbpmt(train.X, train.y, 2,
+                               SbpmtConfig(M=4, T=1, B=1, depth=1),
+                               schema=cut(train.schema))
+
     def test_one_class_rejected_before_any_process(self, two_cpus, forks):
         X, _ = xor_data(60, seed=33)
         with pytest.raises(ValueError, match="n_classes must be >= 2, got 1"):

@@ -9,7 +9,9 @@ the workers inherit it instead of each importing it again.  Each case
 runs in a fresh interpreter, since this one has long since imported it.
 test_only_numerics_imports_scipy keeps the rule in the source: a
 `from scipy import ...` or an `import scipy.<submodule>` would load the
-submodule with the package.
+submodule with the package.  test_only_make_tree_builds_a_pmt_model keeps
+another: pmt.make_tree is the one constructor of a PmtModel, for one tree
+and for a committee's trees alike.
 """
 
 import ast
@@ -124,3 +126,28 @@ def test_only_numerics_imports_scipy():
              for path in sorted((SRC / "sbpmt").glob("*.py"))
              for line, what in scipy_imports(path)]
     assert found == []
+
+
+def model_constructions(node, where="<module>"):
+    """(line, function) of every PmtModel(...) call under node, the
+    function being the innermost def around the call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from model_constructions(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            if name == "PmtModel":
+                yield child.lineno, where
+        yield from model_constructions(child, where)
+
+
+def test_only_make_tree_builds_a_pmt_model():
+    calls = [(path.stem, line, where)
+             for path in sorted((SRC / "sbpmt").glob("*.py"))
+             for line, where in model_constructions(
+                 ast.parse(path.read_text(encoding="utf-8"), str(path)))]
+    assert [(module, where) for module, _, where in calls] == [
+        ("pmt", "make_tree")], calls

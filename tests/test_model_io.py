@@ -254,7 +254,7 @@ class TestUntrustedFile:
         (lambda t: [t[k].append(t[k][0]) for k in ("intercept", "coef")],
          r"intercept of \d+ and coef of \d+ values must be .* for its L"),
         (lambda t: t.update(threshold=t["threshold"][1:]),
-         "nonempty lists of one length"),
+         "nonempty arrays of one length"),
         (lambda t: t.update(intercept=t["intercept"][1:]),
          r"intercept of \d+ and coef of \d+ values"),
         # a coef length other than L * K * p
