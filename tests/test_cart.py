@@ -509,7 +509,7 @@ class TestRouting:
 
     @pytest.mark.parametrize("feature", [[], [0], [0, -1], [-1, 0, -1],
                                          [0, -1, -1, 1, -1]])
-    def test_links_rejects_a_list_that_ends_inside_a_tree(self, feature):
+    def test_links_rejects_what_is_not_one_tree(self, feature):
         with pytest.raises(ValueError, match="^split list is not one tree: "
                                              "it ends inside a tree$"):
             cart.links(feature)
