@@ -9,7 +9,7 @@ associated finite-sample generalization-error bounds.
 from .bounds import (BoundReport, DesignStats, design_stats, estimate_p_sub,
                      theorem3_bound, theorem4_bound, theorem5_bound,
                      theorem6_bound)
-from .cart import build_tree, flatten, links, route_many
+from .cart import balance, build_tree, flatten, links, route_many
 from .data import (Dataset, SimConfig, accuracy, check_inputs, load_csv,
                    simulate, stratified_kfold, summarize_cv)
 from .ensemble import (BoostedPmt, SbpmtConfig, SbpmtModel, draw_design,

@@ -9,12 +9,13 @@ A node's split search scores every cut of every feature in one array pass
 over class-major cumulative class masses.  Trees only provide the
 partition; leaf models are attached one level up.  Routing convention: x
 goes left iff x[feature] <= threshold.  Grown trees are Leaf/Internal
-nodes; fitted models keep only their preorder split list (flatten), from
-which links derives the child table that routing follows (of one tree, or
-of a committee's trees laid end to end): row i of it is
-indexed by the comparison x[feature[i]] <= threshold[i] itself, so
-route_many moves every row down one level with one gather from X and one
-from the table.
+nodes; fitted models keep only their preorder split list (flatten).
+balance checks that such a list holds whole trees, and links derives
+from it, with array operations over that running balance and no loop
+over the nodes, the child table that routing follows (of one tree, or of
+a committee's trees laid end to end): row i of it is indexed by the
+comparison x[feature[i]] <= threshold[i] itself, so route_many moves
+every row down one level with one gather from X and one from the table.
 """
 
 from __future__ import annotations
@@ -152,6 +153,23 @@ def flatten(tree: TreeNode):
     return feature, threshold, leaf_rows
 
 
+def balance(feature) -> np.ndarray:
+    """Running balance of whole preorder trees laid end to end.
+
+    Node i counts +1 if it splits (feature[i] != -1) and -1 if it is a
+    leaf; entry i of the result is the sum over nodes 0..i.  A tree's
+    nodes sum to -1 and each of its proper prefixes to 0 or more, so tree
+    k ends where the balance first reaches -k - 1, and the list holds
+    whole trees iff its last entry is below 0 and below every earlier
+    one (the first minimum is the last entry).  Raises ValueError when
+    the list is empty or ends inside a tree.
+    """
+    b = np.where(np.asarray(feature) == -1, -1, 1).cumsum()
+    if not b.size or b[-1] >= 0 or b.argmin() != b.size - 1:
+        raise ValueError("split list is not one tree: it ends inside a tree")
+    return b
+
+
 def links(feature):
     """Child table, depth and roots of whole preorder trees laid end to end.
 
@@ -163,25 +181,35 @@ def links(feature):
     depth is the longest root-to-leaf path of any tree, and roots the
     first node of each tree.  Raises ValueError when the list is empty or
     ends inside a tree.
+
+    Array operations over the balance b before each node (0, then see
+    balance), as in Blelloch's "Prefix sums and their applications"
+    (1990): a node's subtree is the run of positions from it until b
+    drops below the node's own b.  So split i has its left child at
+    i + 1 and its right child at the next position whose b equals b[i],
+    and every node's subtree ends at the next position whose b is
+    b[i] - 1 (position N, after the list, included).  One sort of the
+    positions by (b, position) finds both.  A node's level is the number
+    of nodes before it whose subtree has not ended, and the roots are
+    the nodes at level 0.
     """
-    feature = np.asarray(feature).tolist()
-    child = [list(range(len(feature))), list(range(len(feature)))]
-    level = [0] * len(feature)
-    roots = []
-    todo = []  # (side, parent) of each node still to come, last first
-    for i, f in enumerate(feature):
-        if todo:
-            side, parent = todo.pop()
-            child[side][parent] = i
-            level[i] = level[parent] + 1
-        else:
-            roots.append(i)
-        if f != -1:
-            todo += [(0, i), (1, i)]  # the left subtree comes first
-    if todo or not feature:
-        raise ValueError("split list is not one tree: it ends inside a tree")
+    feature = np.asarray(feature)
+    n = feature.size
+    b = np.concatenate(([0], balance(feature)))
+    key = b * (n + 1) + np.arange(n + 1)  # by balance, then by position
+    order = np.argsort(key)
+    keyed = key[order]
+    after = np.empty(n + 1, dtype=np.int64)  # the next position at one b
+    after[order[:-1]] = order[1:]
+    split = np.flatnonzero(feature != -1)
     # (N, 2) in C order: route_many reads row i at flat 2i and 2i + 1
-    return np.array(child).T.copy(), max(level), np.array(roots)
+    child = np.repeat(np.arange(n), 2).reshape(n, 2)
+    child[split, 0] = after[split]
+    child[split, 1] = split + 1
+    # order[0] is position n, the one lowest balance; the queries rise
+    end = order[np.searchsorted(keyed, keyed[1:] - (n + 1))]
+    level = np.arange(n) - np.cumsum(np.bincount(end, minlength=n + 1))[:n]
+    return child, int(level.max()), np.flatnonzero(level == 0)
 
 
 def route_many(tree, X) -> np.ndarray:

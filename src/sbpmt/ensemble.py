@@ -7,7 +7,9 @@ derives the clamped error and vote weight from a stage's tree and raw
 error.  The subagging layer draws an (M, m) design
 of M index subsets of size floor(alpha * n) without replacement (with
 replacement at the subset level) and majority-votes the boosted members
-through a Committee.  fit_boosted and draw_design take a checked
+through a Committee, which an SbpmtModel builds when it is constructed,
+after a fit and a load alike; its routing tables come with its first
+use (see pmt.PmtModel).  fit_boosted and draw_design take a checked
 SbpmtConfig; data.check_inputs checks the class count with the data.
 
 The members are independent: each needs only its own subset, and the
@@ -52,7 +54,8 @@ class BoostStage:
     @property
     def alpha(self) -> float:
         """The SAMME vote weight ln((1 - err) / err) / 2 + ln(J - 1)."""
-        return (0.5 * math.log((1.0 - self.err) / self.err)
+        err = self.err
+        return (0.5 * math.log((1.0 - err) / err)
                 + math.log(self.model.n_classes - 1))
 
 
@@ -91,10 +94,11 @@ class SbpmtModel:
     config: SbpmtConfig
     n_classes: int
     schema: dict | None = field(default=None)
+    committee: "Committee" = field(init=False, repr=False)
 
-    @functools.cached_property
-    def committee(self) -> "Committee":
-        return Committee.of(self.members)
+    def __post_init__(self):
+        """Build the members' committee once, after a fit and a load alike."""
+        self.committee = Committee.of(self.members)
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """Probit Model Tree: CART partition + per-leaf ProbitBoost models.
 
 A fitted tree is its preorder split list (cart.flatten) and one score
-block with a row per leaf, margin_k(x) = intercept[l, k] + coef[l, k] . x;
-make_tree, which builds every PmtModel from a fit, a model file or a
-committee's trees laid end to end, derives the child table, leaf numbers,
-depth and roots.  Binary trees have K =
+block with a row per leaf, margin_k(x) = intercept[l, k] + coef[l, k] . x.
+make_tree builds every PmtModel, from a fit, a model file or a
+committee's trees laid end to end, and checks that the list holds whole
+trees; the child table, depth and roots (one cart.links pass) and the
+leaf numbers are built on first use and then kept.  Binary trees have K =
 1 margin (positive predicts class 1, so ties go to class 0, the sign(0) =
 -1 convention); multi-class trees have K = n_classes one-versus-all
 margins, decided by argmax (ties go to the smallest class index).
@@ -12,6 +13,7 @@ margins, decided by argmax (ties go to the smallest class index).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,16 +23,16 @@ from . import cart, data, probitboost
 
 @dataclass
 class PmtModel:
-    """One Probit Model Tree, or several laid end to end (see make_tree)."""
+    """One Probit Model Tree, or several laid end to end (see make_tree).
+
+    The routing tables follow from the split list.  Each is built on its
+    first use and then kept as a plain attribute, so routing pays nothing
+    to read it; child, depth and roots come from one cart.links pass."""
 
     feature: np.ndarray    # (N,) split feature per node; -1 at a leaf
     threshold: np.ndarray  # (N,) split threshold per node
-    child: np.ndarray      # (N, 2) [right, left] child; a leaf is its own
-    leaf: np.ndarray       # (N,) row of the score block; -1 at a split
     intercept: np.ndarray  # (L, K)
     coef: np.ndarray       # (L, K, p)
-    depth: int             # longest root-to-leaf path
-    roots: np.ndarray      # (T,) first node of each tree
     # Weighted probit risk of the whole tree (binary only; None for J > 2).
     # Feeds the Theorem-6-style bound on boosted training error.
     probit_risk: float | None = None
@@ -39,20 +41,43 @@ class PmtModel:
     def n_classes(self) -> int:  # K = 1 margin means 2 classes
         return max(2, self.intercept.shape[1])
 
+    @functools.cached_property
+    def _links(self) -> tuple:
+        return cart.links(self.feature)
+
+    @functools.cached_property
+    def child(self) -> np.ndarray:
+        """(N, 2) [right, left] child per node; a leaf is its own."""
+        return self._links[0]
+
+    @functools.cached_property
+    def depth(self) -> int:
+        """Longest root-to-leaf path of any of the trees."""
+        return self._links[1]
+
+    @functools.cached_property
+    def roots(self) -> np.ndarray:
+        """(T,) first node of each tree."""
+        return self._links[2]
+
+    @functools.cached_property
+    def leaf(self) -> np.ndarray:
+        """(N,) row of the score block per node; -1 at a split."""
+        is_leaf = self.feature == -1
+        return np.where(is_leaf, np.cumsum(is_leaf) - 1, -1)
+
 
 def make_tree(feature, threshold, intercept, coef,
               probit_risk: float | None = None) -> PmtModel:
     """The PmtModel of preorder split lists laid end to end (see
     cart.flatten) and their score block, a row per leaf in the same order:
-    one tree, or a committee's trees.  cart.links derives the child table,
-    the depth and the roots, and rejects a list that ends inside a tree;
-    the leaves are numbered across all the trees."""
+    one tree, or a committee's trees.  cart.balance rejects a list that
+    ends inside a tree, and builds no table; the leaves are numbered
+    across all the trees."""
     feature = np.asarray(feature)
-    is_leaf = feature == -1
-    child, depth, roots = cart.links(feature)
-    return PmtModel(feature, np.asarray(threshold), child,
-                    np.where(is_leaf, np.cumsum(is_leaf) - 1, -1),
-                    intercept, coef, depth, roots, probit_risk)
+    cart.balance(feature)
+    return PmtModel(feature, np.asarray(threshold), intercept, coef,
+                    probit_risk)
 
 
 def fit_pmt(X, y, n_classes: int, sample_weights, depth: int,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,52 @@ def max_depth(node):
 def route_leaves(tree, X):
     t, _ = flat(tree)
     return t.leaf[cart.route_many(t, np.asarray(X, dtype=float))[:, 0]]
+
+
+def reference_links(feature):
+    """Stack-loop reference for cart.links: one node at a time, a node
+    fills the last pending child slot or, when none is pending, starts a
+    new tree."""
+    feature = np.asarray(feature).tolist()
+    child = [list(range(len(feature))), list(range(len(feature)))]
+    level = [0] * len(feature)
+    roots = []
+    todo = []  # (side, parent) of each node still to come, last first
+    for i, f in enumerate(feature):
+        if todo:
+            side, parent = todo.pop()
+            child[side][parent] = i
+            level[i] = level[parent] + 1
+        else:
+            roots.append(i)
+        if f != -1:
+            todo += [(0, i), (1, i)]  # the left subtree comes first
+    if todo or not feature:
+        raise ValueError("split list is not one tree: it ends inside a tree")
+    return np.array(child).T.copy(), max(level), np.array(roots)
+
+
+# A preorder split list of one whole tree: -1 at a leaf, a feature index
+# at a split, whose left subtree comes first.
+preorder_trees = st.recursive(
+    st.just([-1]),
+    lambda sub: st.tuples(st.integers(0, 4), sub, sub).map(
+        lambda t: [t[0]] + t[1] + t[2]),
+    max_leaves=40)
+
+
+@st.composite
+def split_lists(draw):
+    """1-5 whole trees laid end to end, as they are, cut short by some
+    nodes, or followed by some more (which may or may not close)."""
+    feature = sum(draw(st.lists(preorder_trees, min_size=1, max_size=5)), [])
+    how = draw(st.sampled_from(["whole", "truncated", "over-long"]))
+    if how == "truncated":
+        return feature[:draw(st.integers(0, len(feature) - 1))]
+    if how == "over-long":
+        return feature + draw(st.lists(st.integers(-1, 4), min_size=1,
+                                       max_size=6))
+    return feature
 
 
 class TestBuildTree:
@@ -516,6 +564,24 @@ class TestRouting:
         with pytest.raises(ValueError, match="ends inside a tree"):
             pmt.make_tree(feature, np.zeros(len(feature)), np.zeros((1, 1)),
                           np.zeros((1, 1, 1)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(split_lists())
+    def test_links_matches_the_stack_loop(self, feature):
+        # the array pass and the loop agree bit for bit on whole trees,
+        # and raise the same error on lists that are not
+        try:
+            expected = reference_links(feature)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                cart.links(feature)
+            return
+        got = cart.links(feature)
+        for a, b in zip(got, expected):
+            assert type(a) is type(b)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and a.flags.c_contiguous
+            np.testing.assert_array_equal(a, b, strict=True)
 
     def test_route_many_empty(self):
         tree, _ = self.tree()

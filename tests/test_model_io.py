@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbpmt import cli, data, ensemble, model_io
+from sbpmt import cart, cli, data, ensemble, model_io
 from sbpmt.ensemble import SbpmtConfig
 
 from model_doc import decoded, encoded
@@ -22,8 +22,9 @@ def fit_small(n_classes=2, seed=0, n=150):
     else:
         # every tenth label moved on, so no member's first stage is
         # perfect and each keeps its second
-        y = np.digitize(X[:, 0], [-0.3, 0.3])
-        y[::10] = (y[::10] + 1) % 3
+        y = np.digitize(X[:, 0], [-0.3, 0.3] if n_classes == 3
+                        else np.linspace(-1, 1, n_classes + 1)[1:-1])
+        y[::10] = (y[::10] + 1) % n_classes
     cfg = SbpmtConfig(M=3, T=2, B=3, alpha=0.7, depth=2, min_leaf_size=5,
                       seed=seed)
     schema = {"label": {"name": "y", "position": 3,
@@ -70,6 +71,42 @@ class TestRoundTrip:
                 assert sa.raw_err == sb.raw_err
                 assert sa.alpha == sb.alpha and sa.err == sb.err
                 assert sa.model.probit_risk == sb.model.probit_risk
+
+
+class TestOnePassLoad:
+    """A load reads the committee's trees with one cart.links pass, which
+    also builds the tables that prediction routes through."""
+
+    def test_load_and_predictions_run_links_once(self, tmp_path,
+                                                 monkeypatch):
+        model, X = fit_small(n_classes=3)
+        path = tmp_path / "model.json"
+        model_io.save_model(model, path)
+        calls, links = [], cart.links
+        monkeypatch.setattr(cart, "links", lambda feature: (
+            calls.append(np.size(feature)), links(feature))[1])
+        loaded = model_io.load_model(path)
+        ensemble.predict_sbpmt(loaded, X[0])
+        ensemble.predict_sbpmt_many(loaded, X)
+        trees = [st.model for m in model.members for st in m.stages]
+        assert len(trees) == 6
+        assert calls == [sum(t.feature.size for t in trees)]
+
+    @pytest.mark.parametrize("n_classes", [2, 4])
+    def test_loaded_committee_equals_the_fitted(self, n_classes):
+        model, _ = fit_small(n_classes)
+        text = model_io.serialize_model(model)
+        loaded = model_io.deserialize_model(text)
+        a, b = loaded.committee, model.committee
+        for name in ("feature", "threshold", "child", "leaf", "roots",
+                     "intercept", "coef"):
+            np.testing.assert_array_equal(getattr(a.trees, name),
+                                          getattr(b.trees, name),
+                                          strict=True, err_msg=name)
+        assert a.trees.depth == b.trees.depth
+        np.testing.assert_array_equal(a.alpha, b.alpha, strict=True)
+        np.testing.assert_array_equal(a.member, b.member, strict=True)
+        assert model_io.serialize_model(loaded) == text
 
 
 class TestFileFormat:
@@ -200,6 +237,18 @@ class TestFileFormat:
                 == ensemble.predict_sbpmt_many(model, Xq[:50]).tolist())
 
 
+def tree_of(doc, k, t):
+    """The stored tree of member k's stage t."""
+    return doc["members"][k]["stages"][t]["model"]
+
+
+def drop_last_leaf(tree):
+    """Drop a decoded tree's last node, a leaf, and its score row, so its
+    split list ends inside the tree."""
+    for key in ("feature", "threshold", "intercept", "coef"):
+        tree[key] = tree[key][:-1]
+
+
 class TestUntrustedFile:
     """A model file is outside input: what prediction could not follow is
     rejected on load with a ValueError naming the member and stage."""
@@ -276,6 +325,62 @@ class TestUntrustedFile:
         with pytest.raises(ValueError, match="member 1 stage 0 tree: "
                                              f".*{message}"):
             model_io.deserialize_model(json.dumps(encoded(doc)))
+
+    @pytest.mark.parametrize("edit, message", [
+        # a middle stage that ends inside a tree, which the next stage's
+        # nodes would complete (see the test below)
+        (lambda d: drop_last_leaf(tree_of(d, 1, 0)),
+         "member 1 stage 0 tree: split list is not one tree: it ends "
+         "inside a tree"),
+        # a middle stage that holds two trees
+        (lambda d: tree_of(d, 1, 1).update(
+            feature=[0, -1, -1, -1], threshold=[0.0] * 4,
+            intercept=[[0.0] * 3] * 3, coef=[[[0.0] * 3] * 3] * 3),
+         "member 1 stage 1 tree: split list is not one tree: node 3 "
+         "follows a complete tree"),
+        # a middle stage deeper than config.depth = 2
+        (lambda d: tree_of(d, 1, 0).update(
+            feature=[0, 0, 0, -1, -1, -1, -1], threshold=[0.0] * 7,
+            intercept=[[0.0] * 3] * 4, coef=[[[0.0] * 3] * 3] * 4),
+         "member 1 stage 0 tree: depth 3, deeper than config.depth = 2"),
+        # a non-finite coef in the last stage
+        (lambda d: tree_of(d, 2, 1)["coef"][-1][-1].__setitem__(-1, math.inf),
+         "member 2 stage 1 tree: coef must hold finite numbers"),
+        # a feature out of range in a middle stage
+        (lambda d: tree_of(d, 1, 1)["feature"].__setitem__(0, 3),
+         "member 1 stage 1 tree: node 0 has feature index 3, outside -1..2"),
+        # of two faults, the one a tree by tree load meets first: in an
+        # earlier stage, or the feature before the list's end
+        (lambda d: (tree_of(d, 0, 1)["threshold"].__setitem__(0, math.nan),
+                    d["members"][2]["stages"][0].pop("raw_err")),
+         "member 0 stage 1 tree: threshold must hold finite numbers"),
+        (lambda d: (tree_of(d, 0, 0)["feature"].__setitem__(0, 7),
+                    tree_of(d, 1, 1).update(
+                        feature=[-1, -1], threshold=[0.0] * 2,
+                        intercept=[[0.0] * 3] * 2,
+                        coef=[[[0.0] * 3] * 3] * 2)),
+         "member 0 stage 0 tree: node 0 has feature index 7, outside -1..2"),
+        (lambda d: (drop_last_leaf(tree_of(d, 1, 0)),
+                    tree_of(d, 1, 0)["feature"].__setitem__(0, 99)),
+         "member 1 stage 0 tree: node 0 has feature index 99, outside -1..2"),
+    ])
+    def test_one_pass_check_names_the_tree(self, edit, message):
+        # the checks run on all the trees at once; the error is still
+        # exactly the one a tree by tree load raises
+        doc = self.doc()
+        edit(doc)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            model_io.deserialize_model(json.dumps(encoded(doc)))
+
+    def test_a_cut_stage_can_leave_whole_trees_end_to_end(self):
+        # the premise of the first case above: the committee's split
+        # lists laid end to end still read as whole trees, so only the
+        # per-tree check rejects the cut stage
+        doc = self.doc()
+        drop_last_leaf(tree_of(doc, 1, 0))
+        cart.links(np.concatenate([s["model"]["feature"]
+                                   for m in doc["members"]
+                                   for s in m["stages"]]))
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d["members"][0]["stages"][0].pop("raw_err"),
