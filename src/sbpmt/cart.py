@@ -171,14 +171,14 @@ def balance(feature) -> np.ndarray:
 
 
 def links(feature):
-    """Child table, depth and roots of whole preorder trees laid end to end.
+    """Child table, levels and roots of whole preorder trees laid end to end.
 
     Node i is a leaf iff feature[i] == -1, and a node that comes when no
-    child slot is pending starts a new tree.  Returns (child, depth,
+    child slot is pending starts a new tree.  Returns (child, level,
     roots): child is (N, 2), and internal node i sends x to child[i, s]
     with s = 1 iff x[feature[i]] <= threshold[i] (left) and s = 0
     otherwise (right); a leaf is its own child (child[i] == [i, i]);
-    depth is the longest root-to-leaf path of any tree, and roots the
+    level is each node's distance from its tree's root, and roots the
     first node of each tree.  Raises ValueError when the list is empty or
     ends inside a tree.
 
@@ -209,7 +209,7 @@ def links(feature):
     # order[0] is position n, the one lowest balance; the queries rise
     end = order[np.searchsorted(keyed, keyed[1:] - (n + 1))]
     level = np.arange(n) - np.cumsum(np.bincount(end, minlength=n + 1))[:n]
-    return child, int(level.max()), np.flatnonzero(level == 0)
+    return child, level, np.flatnonzero(level == 0)
 
 
 def route_many(tree, X) -> np.ndarray:

@@ -66,9 +66,9 @@ def _member_rows(model: ensemble.SbpmtModel) -> list[dict]:
         rows.append({
             "member": k,
             "stage_errors": stage_errs,
-            "stage_alphas": [st.alpha for st in member.stages],
-            "stage_probit_risks": [st.model.probit_risk
-                                   for st in member.stages],
+            "stage_alphas": [st.alpha(model.n_classes)
+                             for st in member.stages],
+            "stage_probit_risks": [st.probit_risk for st in member.stages],
             "theorem5_product_bound": bounds.theorem5_bound(stage_errs),
         })
     return rows

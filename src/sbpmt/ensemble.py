@@ -2,14 +2,14 @@
 
 fit_boosted is multi-class SAMME: it adds ln(J-1) to the stage weight,
 keeps stages while err_t < 1 - 1/J (the first always, clamped) and ends
-the member after a stage with err_t = 0 (AdaBoost for J = 2).  BoostStage
-derives the clamped error and vote weight from a stage's tree and raw
-error.  The subagging layer draws an (M, m) design
-of M index subsets of size floor(alpha * n) without replacement (with
-replacement at the subset level) and majority-votes the boosted members
-through a Committee, which an SbpmtModel builds when it is constructed,
-after a fit and a load alike; its routing tables come with its first
-use (see pmt.PmtModel).  fit_boosted and draw_design take a checked
+the member after a stage with err_t = 0 (AdaBoost for J = 2).  A
+BoostStage keeps a stage's raw error and probit risk; its clamped error
+and vote weight follow from the raw error and J.  The subagging layer
+draws an (M, m) design of M index subsets of size floor(alpha * n)
+without replacement (with replacement at the subset level) and
+majority-votes the boosted members through a Committee, whose trees
+(every stage's, in member order, laid end to end) are the one store of
+a model's tree arrays.  fit_boosted and draw_design take a checked
 SbpmtConfig; data.check_inputs checks the class count with the data.
 
 The members are independent: each needs only its own subset, and the
@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -42,21 +42,19 @@ BLOCK_FLOATS = 1 << 17
 
 @dataclass
 class BoostStage:
-    model: pmt.PmtModel
     raw_err: float   # weighted error as observed
+    probit_risk: float | None  # the stage tree's (see pmt.PmtModel)
 
-    @property
-    def err(self) -> float:
+    def err(self, n_classes: int) -> float:
         """raw_err clamped into [ERR_CLAMP, 1 - 1/J - ERR_CLAMP]."""
         return min(max(self.raw_err, ERR_CLAMP),
-                   1.0 - 1.0 / self.model.n_classes - ERR_CLAMP)
+                   1.0 - 1.0 / n_classes - ERR_CLAMP)
 
-    @property
-    def alpha(self) -> float:
+    def alpha(self, n_classes: int) -> float:
         """The SAMME vote weight ln((1 - err) / err) / 2 + ln(J - 1)."""
-        err = self.err
+        err = self.err(n_classes)
         return (0.5 * math.log((1.0 - err) / err)
-                + math.log(self.model.n_classes - 1))
+                + math.log(n_classes - 1))
 
 
 @dataclass
@@ -90,15 +88,16 @@ class SbpmtConfig:
 @dataclass
 class SbpmtModel:
     members: list[BoostedPmt]
+    trees: InitVar[pmt.PmtModel]  # the committee's trees (see Committee)
     design: np.ndarray  # (M, m): the rows of each member's subset, sorted
+    n: int              # the number of rows the design was drawn from
     config: SbpmtConfig
     n_classes: int
     schema: dict | None = field(default=None)
     committee: "Committee" = field(init=False, repr=False)
 
-    def __post_init__(self):
-        """Build the members' committee once, after a fit and a load alike."""
-        self.committee = Committee.of(self.members)
+    def __post_init__(self, trees):
+        self.committee = Committee.of(self.members, trees)
 
 
 @dataclass
@@ -112,12 +111,12 @@ class Committee:
     member: np.ndarray
 
     @classmethod
-    def of(cls, members: list[BoostedPmt]) -> "Committee":
+    def of(cls, members: list[BoostedPmt], trees: pmt.PmtModel):
+        """The committee of members whose stages' trees, in member order,
+        trees lays end to end."""
         stages = [(k, st) for k, m in enumerate(members) for st in m.stages]
-        trees = pmt.make_tree(*(
-            np.concatenate([getattr(st.model, name) for _, st in stages])
-            for name in ("feature", "threshold", "intercept", "coef")))
-        return cls(trees, np.array([st.alpha for _, st in stages]),
+        return cls(trees,
+                   np.array([st.alpha(trees.n_classes) for _, st in stages]),
                    np.array([k for k, _ in stages]))
 
     def member_classes(self, X) -> np.ndarray:
@@ -150,15 +149,18 @@ class Committee:
         return counts.reshape(n, J).argmax(axis=1)
 
 
-def fit_boosted(X, y, n_classes: int, config: SbpmtConfig) -> BoostedPmt:
+def fit_boosted(X, y, n_classes: int, config: SbpmtConfig
+                ) -> tuple[BoostedPmt, list[pmt.PmtModel]]:
     """SAMME over PMT base learners: at most config.T stages, each a PMT
     (config.depth, config.min_leaf_size, config.B) fitted to the current
-    sample weights.  A stage that misses no row is the last one."""
+    sample weights.  A stage that misses no row is the last one.  Returns
+    the member and its stages' trees."""
     X, y = data.check_inputs(X, y, n_classes)
     m = X.shape[0]
     chance = 1.0 - 1.0 / n_classes - ERR_CLAMP
     w = np.full(m, 1.0 / m)
     stages: list[BoostStage] = []
+    trees: list[pmt.PmtModel] = []
     for _ in range(config.T):
         model = pmt.fit_pmt(X, y, n_classes, w, config.depth,
                             config.min_leaf_size, config.B)
@@ -167,15 +169,16 @@ def fit_boosted(X, y, n_classes: int, config: SbpmtConfig) -> BoostedPmt:
         raw_err = min(float(np.dot(w, miss)), 1.0)
         if stages and raw_err >= chance:
             break  # no better than chance: keep the prior stages
-        stages.append(BoostStage(model=model, raw_err=raw_err))
+        stages.append(BoostStage(raw_err, model.probit_risk))
+        trees.append(model)
         # a member ends at a first stage no better than chance, kept with
         # its error clamped, and at a perfect stage, whose reweighting
         # leaves w as it is: every later round would fit the same tree
         if not 0.0 < raw_err < chance:
             break
-        w = w * np.exp(stages[-1].alpha * miss)
+        w = w * np.exp(stages[-1].alpha(n_classes) * miss)
         w = w / float(np.sum(w))
-    return BoostedPmt(stages=stages)
+    return BoostedPmt(stages=stages), trees
 
 
 def draw_design(n: int, config: SbpmtConfig) -> np.ndarray:
@@ -205,16 +208,17 @@ def _worker_count(M: int, workers, cpus: int) -> int:
                else data.check_count("workers", workers, 1))
 
 
-def _fit_member(X, y, n_classes: int, config: SbpmtConfig,
-                idx: np.ndarray) -> BoostedPmt:
+def _fit_member(X, y, n_classes: int, config: SbpmtConfig, idx: np.ndarray
+                ) -> tuple[BoostedPmt, list[pmt.PmtModel]]:
     return fit_boosted(X[idx], y[idx], n_classes, config)
 
 
 def _fit_members(X, y, n_classes: int, config: SbpmtConfig,
-                 subsets: np.ndarray, workers: int) -> list[BoostedPmt]:
-    """One boosted member per subset, in design order: fitted by a pool of
-    `workers` forked processes (see the module docstring), or here, one
-    after another, with one worker or without the fork start method."""
+                 subsets: np.ndarray, workers: int) -> list:
+    """fit_boosted's member and trees for each subset, in design order:
+    fitted by a pool of `workers` forked processes (see the module
+    docstring), or here, one after another, with one worker or without the
+    fork start method."""
     fit = functools.partial(_fit_member, X, y, n_classes, config)
     if workers > 1:
         import multiprocessing
@@ -244,9 +248,11 @@ def fit_sbpmt(X, y, n_classes: int, config: SbpmtConfig,
     if schema is not None:
         data.check_schema(schema, n_classes, X.shape[1])
     design = draw_design(X.shape[0], config)
-    members = _fit_members(X, y, n_classes, config, design,
-                           _worker_count(config.M, workers, _usable_cpus()))
-    return SbpmtModel(members=members, design=design, config=config,
+    fits = _fit_members(X, y, n_classes, config, design,
+                        _worker_count(config.M, workers, _usable_cpus()))
+    return SbpmtModel(members=[member for member, _ in fits],
+                      trees=pmt.join([t for _, trees in fits for t in trees]),
+                      design=design, n=X.shape[0], config=config,
                       n_classes=n_classes, schema=schema)
 
 

@@ -2,18 +2,17 @@
 
 A fitted tree is its preorder split list (cart.flatten) and one score
 block with a row per leaf, margin_k(x) = intercept[l, k] + coef[l, k] . x.
-make_tree builds every PmtModel, from a fit, a model file or a
-committee's trees laid end to end, and checks that the list holds whole
-trees; the child table, depth and roots (one cart.links pass) and the
-leaf numbers are built on first use and then kept.  Binary trees have K =
-1 margin (positive predicts class 1, so ties go to class 0, the sign(0) =
--1 convention); multi-class trees have K = n_classes one-versus-all
-margins, decided by argmax (ties go to the smallest class index).
+make_tree builds every PmtModel, of one tree or of trees laid end to end
+(join): one cart.links pass checks that the list holds whole trees and
+gives the routing tables, and the score block must have a row per leaf.
+Binary trees have K = 1 margin (positive predicts class 1, so ties go
+to class 0, the sign(0) = -1 convention); multi-class trees have K =
+n_classes one-versus-all margins, decided by argmax (ties go to the
+smallest class index).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,15 +23,16 @@ from . import cart, data, probitboost
 @dataclass
 class PmtModel:
     """One Probit Model Tree, or several laid end to end (see make_tree).
-
-    The routing tables follow from the split list.  Each is built on its
-    first use and then kept as a plain attribute, so routing pays nothing
-    to read it; child, depth and roots come from one cart.links pass."""
+    The routing tables follow from the split list."""
 
     feature: np.ndarray    # (N,) split feature per node; -1 at a leaf
     threshold: np.ndarray  # (N,) split threshold per node
     intercept: np.ndarray  # (L, K)
     coef: np.ndarray       # (L, K, p)
+    child: np.ndarray      # (N, 2) [right, left] child; a leaf is its own
+    depth: int             # longest root-to-leaf path of any tree
+    roots: np.ndarray      # (T,) first node of each tree
+    leaf: np.ndarray       # (N,) score row per node; -1 at a split
     # Weighted probit risk of the whole tree (binary only; None for J > 2).
     # Feeds the Theorem-6-style bound on boosted training error.
     probit_risk: float | None = None
@@ -41,43 +41,39 @@ class PmtModel:
     def n_classes(self) -> int:  # K = 1 margin means 2 classes
         return max(2, self.intercept.shape[1])
 
-    @functools.cached_property
-    def _links(self) -> tuple:
-        return cart.links(self.feature)
-
-    @functools.cached_property
-    def child(self) -> np.ndarray:
-        """(N, 2) [right, left] child per node; a leaf is its own."""
-        return self._links[0]
-
-    @functools.cached_property
-    def depth(self) -> int:
-        """Longest root-to-leaf path of any of the trees."""
-        return self._links[1]
-
-    @functools.cached_property
-    def roots(self) -> np.ndarray:
-        """(T,) first node of each tree."""
-        return self._links[2]
-
-    @functools.cached_property
-    def leaf(self) -> np.ndarray:
-        """(N,) row of the score block per node; -1 at a split."""
-        is_leaf = self.feature == -1
-        return np.where(is_leaf, np.cumsum(is_leaf) - 1, -1)
-
 
 def make_tree(feature, threshold, intercept, coef,
               probit_risk: float | None = None) -> PmtModel:
     """The PmtModel of preorder split lists laid end to end (see
     cart.flatten) and their score block, a row per leaf in the same order:
-    one tree, or a committee's trees.  cart.balance rejects a list that
-    ends inside a tree, and builds no table; the leaves are numbered
-    across all the trees."""
-    feature = np.asarray(feature)
-    cart.balance(feature)
-    return PmtModel(feature, np.asarray(threshold), intercept, coef,
-                    probit_risk)
+    one tree, or a committee's trees; the leaves are numbered across all
+    the trees.  Raises ValueError for a list that ends inside a tree
+    (cart.links), a threshold per node missing, or a score block other
+    than (L, K) intercepts and (L, K, p) coefficients, p >= 1, for the L
+    leaves."""
+    feature, threshold = np.asarray(feature), np.asarray(threshold)
+    intercept, coef = np.asarray(intercept), np.asarray(coef)
+    child, level, roots = cart.links(feature)
+    is_leaf = feature == -1
+    leaf = np.where(is_leaf, np.cumsum(is_leaf) - 1, -1)
+    L = int(np.count_nonzero(is_leaf))
+    if threshold.shape != feature.shape:
+        raise ValueError(f"threshold holds {threshold.size} values for "
+                         f"{feature.size} nodes")
+    if (intercept.ndim != 2 or intercept.shape[0] != L or coef.ndim != 3
+            or coef.shape[:2] != intercept.shape or coef.shape[2] < 1):
+        raise ValueError(f"score block: intercept {intercept.shape} and coef "
+                         f"{coef.shape} must be (L, K) and (L, K, p) for the "
+                         f"L = {L} leaves")
+    return PmtModel(feature, threshold, intercept, coef, child,
+                    int(level.max()), roots, leaf, probit_risk)
+
+
+def join(trees: list[PmtModel]) -> PmtModel:
+    """The trees laid end to end as one PmtModel (see make_tree)."""
+    return make_tree(*(np.concatenate([getattr(t, name) for t in trees])
+                       for name in ("feature", "threshold", "intercept",
+                                    "coef")))
 
 
 def fit_pmt(X, y, n_classes: int, sample_weights, depth: int,

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import conftest
-from sbpmt import bounds, data, ensemble, model_io, numerics, probitboost
+from sbpmt import (bounds, data, ensemble, model_io, numerics, pmt,
+                   probitboost)
 from sbpmt.ensemble import SbpmtConfig
 
 mpmath.mp.dps = 40
@@ -96,10 +97,10 @@ class TestCriterion4Theorem5Live:
             X = rng.uniform(-1, 1, size=(n, int(rng.integers(1, 5))))
             y = (X[:, 0] + 0.5 * rng.normal(size=n) > 0).astype(int)
             T = int(rng.integers(1, 8))
-            model = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
+            model, trees = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
                 T=T, depth=int(rng.integers(1, 4)), min_leaf_size=2,
                 B=int(rng.integers(0, 6))))
-            preds = ensemble.Committee.of([model]).predict(X)
+            preds = ensemble.Committee.of([model], pmt.join(trees)).predict(X)
             err = float(np.mean(preds != y))
             bound = bounds.theorem5_bound([s.raw_err for s in model.stages],
                                           0.0)
@@ -346,11 +347,12 @@ class TestCriterion8DegenerateIdentities:
         cfg = SbpmtConfig(M=1, T=4, B=5, alpha=1.0, depth=2,
                           min_leaf_size=5, seed=0)
         sub = ensemble.fit_sbpmt(X, y, 2, cfg)
-        single = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
+        single, trees = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
             T=4, depth=2, min_leaf_size=5, B=5))
         Xq = rng.uniform(-1, 1, size=(1000, 3))
-        same = np.array_equal(ensemble.predict_sbpmt_many(sub, Xq),
-                              ensemble.Committee.of([single]).predict(Xq))
+        same = np.array_equal(
+            ensemble.predict_sbpmt_many(sub, Xq),
+            ensemble.Committee.of([single], pmt.join(trees)).predict(Xq))
         report("8a: M=1, alpha=1 equals single boosted PMT", same)
         assert same
 
@@ -377,10 +379,10 @@ class TestCriterion8DegenerateIdentities:
                           min_leaf_size=5, seed=0)
         model = ensemble.fit_sbpmt(X, y, 2, cfg)
         Xq = rng.uniform(-1, 1, size=(400, 2))
-        member = ensemble.Committee.of(model.members[:1]).predict(Xq)
-        for other in model.members[1:]:
-            assert np.array_equal(
-                member, ensemble.Committee.of([other]).predict(Xq))
+        members = model.committee.member_classes(Xq)
+        member = members[:, 0]
+        for k in range(1, 5):
+            assert np.array_equal(member, members[:, k])
         vote = ensemble.predict_sbpmt_many(model, Xq)
         ok = np.array_equal(vote, member)
         report("8c: unanimous members, vote equals member output", ok)

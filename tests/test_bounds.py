@@ -415,9 +415,9 @@ class TestEstimatePSub:
         model, X, y = self.fit_toy()
         got = bounds.estimate_p_sub(model, X, y)
         rates = []
-        for member, subset in zip(model.members, model.design):
+        for k, subset in enumerate(model.design):
             out = np.setdiff1d(np.arange(200), subset)
-            preds = ensemble.Committee.of([member]).predict(X[out])
+            preds = model.committee.member_classes(X[out])[:, k]
             rates.append(np.mean(preds != y[out]))
         assert got == pytest.approx(np.mean(rates), rel=1e-14)
         assert 0.0 <= got <= 1.0

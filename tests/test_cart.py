@@ -146,7 +146,7 @@ def reference_links(feature):
             todo += [(0, i), (1, i)]  # the left subtree comes first
     if todo or not feature:
         raise ValueError("split list is not one tree: it ends inside a tree")
-    return np.array(child).T.copy(), max(level), np.array(roots)
+    return np.array(child).T.copy(), np.array(level), np.array(roots)
 
 
 # A preorder split list of one whole tree: -1 at a leaf, a feature index
@@ -533,27 +533,27 @@ class TestRouting:
     def test_links_of_a_small_list(self):
         # 0 splits into leaf 1 and split 2, which splits into leaves 3, 4;
         # a row is [right, left], indexed by x <= threshold
-        child, depth, roots = cart.links([0, -1, 1, -1, -1])
+        child, level, roots = cart.links([0, -1, 1, -1, -1])
         assert child.tolist() == [[2, 1], [1, 1], [4, 3], [3, 3], [4, 4]]
-        assert depth == 2 and roots.tolist() == [0]
-        child, depth, roots = cart.links([-1])
-        assert child.tolist() == [[0, 0]] and depth == 0
+        assert level.tolist() == [0, 1, 1, 2, 2] and roots.tolist() == [0]
+        child, level, roots = cart.links([-1])
+        assert child.tolist() == [[0, 0]] and level.tolist() == [0]
         assert roots.tolist() == [0]
 
     def test_links_of_lists_laid_end_to_end(self):
         # a stump, a one-leaf tree and the depth-2 tree above: each tree
         # starts where the one before it is complete, its child table is
-        # the tree's own shifted by its root, and depth is the deepest
+        # the tree's own shifted by its root, and a level is within a tree
         stump, deep = [0, -1, -1], [0, -1, 1, -1, -1]
-        child, depth, roots = cart.links(stump + [-1] + deep)
+        child, level, roots = cart.links(stump + [-1] + deep)
         assert roots.tolist() == [0, 3, 4]
         assert child.tolist() == [[2, 1], [1, 1], [2, 2], [3, 3],
                                   [6, 5], [5, 5], [8, 7], [7, 7], [8, 8]]
-        assert depth == 2
-        _, depth, roots = cart.links(deep + stump)
-        assert depth == 2 and roots.tolist() == [0, 5]
-        _, depth, roots = cart.links([-1, -1, -1])
-        assert depth == 0 and roots.tolist() == [0, 1, 2]
+        assert level.tolist() == [0, 1, 1, 0, 0, 1, 1, 2, 2]
+        _, level, roots = cart.links(deep + stump)
+        assert level.max() == 2 and roots.tolist() == [0, 5]
+        _, level, roots = cart.links([-1, -1, -1])
+        assert level.tolist() == [0, 0, 0] and roots.tolist() == [0, 1, 2]
 
     @pytest.mark.parametrize("feature", [[], [0], [0, -1], [-1, 0, -1],
                                          [0, -1, -1, 1, -1]])

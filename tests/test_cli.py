@@ -320,8 +320,8 @@ class TestPredict:
          "schema column 0: kind must be 'numeric' or 'categorical', got []"),
         (lambda d: d["schema"]["label"]["classes"].pop(),
          "schema label: classes must be 2 distinct strings"),
-        (lambda d: d["design"]["subsets"][0].__setitem__(0, -1),
-         "design: each subset must hold nonnegative row indices"),
+        (lambda d: d["design"]["subsets"][0].pop(),
+         "design: each subset must hold floor(alpha * n) = "),
     ])
     def test_bad_schema_or_design_is_runtime_error(self, tmp_path, capsys,
                                                    edit, message):

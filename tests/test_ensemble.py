@@ -18,15 +18,29 @@ def xor_data(n=300, seed=0):
     return X, y
 
 
+def member_fits(model):
+    """fit_boosted's (member, stage trees) of each member of a fitted
+    model, each tree sliced out of the committee's arrays."""
+    t = model.committee.trees
+    ends = np.append(t.roots[1:], t.feature.size)
+    rows = np.concatenate(([0], np.cumsum(t.feature == -1)))
+    trees = iter([pmt.make_tree(t.feature[a:b], t.threshold[a:b],
+                                t.intercept[rows[a]:rows[b]],
+                                t.coef[rows[a]:rows[b]])
+                  for a, b in zip(t.roots, ends)])
+    return [(m, [next(trees) for _ in m.stages]) for m in model.members]
+
+
 def reference_member_classes(model, X):
     """Loop reference: each member's stage-weighted vote, shape (n, M),
     ties to the smallest class index."""
     columns = []
-    for member in model.members:
+    for member, trees in member_fits(model):
         votes = np.zeros((X.shape[0], model.n_classes))
-        for stage in member.stages:
-            preds = pmt.predict_pmt_many(stage.model, X)
-            votes[np.arange(X.shape[0]), preds] += stage.alpha
+        for stage, tree in zip(member.stages, trees):
+            preds = pmt.predict_pmt_many(tree, X)
+            votes[np.arange(X.shape[0]), preds] += stage.alpha(
+                model.n_classes)
         columns.append(np.argmax(votes, axis=1))
     return np.stack(columns, axis=1)
 
@@ -79,8 +93,10 @@ def random_committee(n_classes, M, T, seed):
                               np.repeat(np.arange(M), T))
 
 
-def predict_member(member, X):
-    return ensemble.Committee.of([member]).predict(X)
+def predict_member(fit, X):
+    """The class of every row of X by fit_boosted's (member, trees)."""
+    member, trees = fit
+    return ensemble.Committee.of([member], pmt.join(trees)).predict(X)
 
 
 def noisy_stripes(n=300, seed=0):
@@ -97,23 +113,22 @@ def noisy_stripes(n=300, seed=0):
 class TestFitAdaboost:
     def test_stage_count_and_monotone_weights(self):
         X, y = noisy_stripes(seed=1)
-        model = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
+        model, trees = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
             T=6, depth=1, min_leaf_size=5, B=3))
-        assert 1 <= len(model.stages) <= 6
-        for s in model.stages:
+        assert 1 <= len(model.stages) == len(trees) <= 6
+        for s, tree in zip(model.stages, trees):
             assert s.raw_err < 0.5
-            assert s.alpha > 0
-            assert s.model.probit_risk is not None
+            assert s.alpha(2) > 0
+            assert s.probit_risk == tree.probit_risk is not None
 
     def test_errors_property(self):
         # the first stage sees uniform weights, so its raw error is its
         # training error rate
         X, y = noisy_stripes(seed=2)
-        model = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
+        model, trees = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
             T=4, depth=1, min_leaf_size=5, B=3))
-        first = model.stages[0]
-        assert first.raw_err == pytest.approx(
-            np.mean(pmt.predict_pmt_many(first.model, X) != y), rel=1e-12)
+        assert model.stages[0].raw_err == pytest.approx(
+            np.mean(pmt.predict_pmt_many(trees[0], X) != y), rel=1e-12)
 
     def test_boosting_improves_training_accuracy(self):
         X, y = noisy_stripes(n=500, seed=3)
@@ -133,11 +148,11 @@ class TestFitAdaboost:
         y = np.array([0, 0, 1, 1])
         model = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
             T=10, depth=1, min_leaf_size=1, B=2))
-        assert len(model.stages) == 1
-        s = model.stages[0]
+        assert len(model[0].stages) == 1
+        s = model[0].stages[0]
         assert s.raw_err == 0.0
-        assert s.err == pytest.approx(ensemble.ERR_CLAMP)
-        assert s.alpha == pytest.approx(11.5129, abs=1e-3)
+        assert s.err(2) == pytest.approx(ensemble.ERR_CLAMP)
+        assert s.alpha(2) == pytest.approx(11.5129, abs=1e-3)
         assert np.array_equal(predict_member(model, X), y)
 
     def test_useless_first_stage_kept_with_clamped_error(self):
@@ -145,21 +160,22 @@ class TestFitAdaboost:
         # so err = P(y=1) = 0.5 exactly -> clamped stage 1 kept, then stop
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 1, 0, 1])
-        model = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
+        model, _ = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
             T=8, depth=0, min_leaf_size=1, B=0))
         assert len(model.stages) == 1
         assert model.stages[0].raw_err == pytest.approx(0.5)
-        assert model.stages[0].err == pytest.approx(0.5 - ensemble.ERR_CLAMP)
+        assert model.stages[0].err(2) == pytest.approx(
+            0.5 - ensemble.ERR_CLAMP)
 
     def test_reweighting_focuses_on_mistakes(self):
         # stage 2 must differ from stage 1 whenever stage 1 errs: upweighted
         # mistakes move the stump
         X, y = noisy_stripes(n=400, seed=7)
-        model = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
+        _, trees = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
             T=2, depth=1, min_leaf_size=5, B=2))
-        if len(model.stages) == 2:
-            p1 = pmt.predict_pmt_many(model.stages[0].model, X)
-            p2 = pmt.predict_pmt_many(model.stages[1].model, X)
+        if len(trees) == 2:
+            p1 = pmt.predict_pmt_many(trees[0], X)
+            p2 = pmt.predict_pmt_many(trees[1], X)
             assert np.any(p1 != p2)
 
 
@@ -167,10 +183,11 @@ class TestFitSamme:
     def test_matches_adaboost_for_two_classes(self):
         # ln(J - 1) = 0: the stage weights are AdaBoost's
         X, y = noisy_stripes(seed=9)
-        model = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
+        model, _ = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
             T=5, depth=1, min_leaf_size=5, B=2))
         for st in model.stages:
-            assert st.alpha == 0.5 * math.log((1 - st.err) / st.err)
+            assert st.alpha(2) == 0.5 * math.log((1 - st.err(2))
+                                                 / st.err(2))
 
     def test_three_class_stage_weights_include_shift(self):
         rng = np.random.default_rng(10)
@@ -180,10 +197,11 @@ class TestFitSamme:
         y[flip] = (y[flip] + 1) % 3
         model = ensemble.fit_boosted(X, y, 3, SbpmtConfig(
             T=5, depth=1, min_leaf_size=5, B=2))
-        for s in model.stages:
+        for s in model[0].stages:
             assert s.raw_err < 2 / 3
-            expected = 0.5 * math.log((1 - s.err) / s.err) + math.log(2)
-            assert s.alpha == pytest.approx(expected)
+            err = s.err(3)
+            expected = 0.5 * math.log((1 - err) / err) + math.log(2)
+            assert s.alpha(3) == pytest.approx(expected)
         acc = np.mean(predict_member(model, X) == y)
         assert acc > 0.8
 
@@ -209,8 +227,7 @@ class TestPredictBoosted:
         model = ensemble.fit_boosted(X, y, 2, SbpmtConfig(
             T=1, depth=1, min_leaf_size=5, B=2))
         np.testing.assert_array_equal(
-            predict_member(model, X),
-            pmt.predict_pmt_many(model.stages[0].model, X))
+            predict_member(model, X), pmt.predict_pmt_many(model[1][0], X))
 
 
 class TestDrawDesign:
@@ -333,11 +350,11 @@ class TestFitSbpmt:
         model = ensemble.fit_sbpmt(X, y, 2, self.small_config(M=2, B=5,
                                                               depth=1),
                                    workers=1)
+        assert np.isfinite(model.committee.trees.coef).all()
+        assert np.isfinite(model.committee.trees.intercept).all()
         for member in model.members:
             for st in member.stages:
-                assert np.isfinite(st.model.coef).all()
-                assert np.isfinite(st.model.intercept).all()
-                assert math.isfinite(st.model.probit_risk)
+                assert math.isfinite(st.probit_risk)
         restored = model_io.deserialize_model(model_io.serialize_model(model))
         np.testing.assert_array_equal(
             ensemble.predict_sbpmt_many(restored, X),
@@ -369,8 +386,8 @@ class TestFitSbpmt:
         cfg = self.small_config(M=2)  # even member count permits exact ties
         model = ensemble.fit_sbpmt(X, y, 2, cfg)
         Xq = np.random.default_rng(3).uniform(-1, 1, size=(200, 2))
-        member_preds = np.stack([predict_member(m, Xq)
-                                 for m in model.members])
+        member_preds = np.stack([predict_member(fit, Xq)
+                                 for fit in member_fits(model)])
         vote = ensemble.predict_sbpmt_many(model, Xq)
         tie = member_preds.sum(axis=0) == 1  # one says 0, the other 1
         assert np.all(vote[tie] == 0)
@@ -384,8 +401,8 @@ class TestFitSbpmt:
         cfg = self.small_config(M=4, depth=2)
         model = ensemble.fit_sbpmt(X, y, 3, cfg)
         Xq = rng.uniform(0, 3, size=(80, 1))
-        member_preds = np.stack([predict_member(m, Xq)
-                                 for m in model.members])
+        member_preds = np.stack([predict_member(fit, Xq)
+                                 for fit in member_fits(model)])
         counts = np.stack([(member_preds == c).sum(axis=0) for c in range(3)],
                           axis=1)
         np.testing.assert_array_equal(ensemble.predict_sbpmt_many(model, Xq),
@@ -499,10 +516,12 @@ class TestWorkerPool:
     def serial_reference(X, y, n_classes, cfg):
         """Loop reference: the members fitted one after another here."""
         design = ensemble.draw_design(X.shape[0], cfg)
-        members = [ensemble.fit_boosted(X[idx], y[idx], n_classes, cfg)
-                   for idx in design]
+        fits = [ensemble.fit_boosted(X[idx], y[idx], n_classes, cfg)
+                for idx in design]
         return model_io.serialize_model(ensemble.SbpmtModel(
-            members=members, design=design, config=cfg, n_classes=n_classes))
+            members=[member for member, _ in fits],
+            trees=pmt.join([t for _, trees in fits for t in trees]),
+            design=design, n=X.shape[0], config=cfg, n_classes=n_classes))
 
     @staticmethod
     def problem(n_classes):

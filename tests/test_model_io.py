@@ -2,6 +2,7 @@ import base64
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from sbpmt.ensemble import SbpmtConfig
 from model_doc import decoded, encoded
 
 
-def fit_small(n_classes=2, seed=0, n=150):
+def fit_small(n_classes=2, seed=0, n=150, **config):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1, 1, size=(n, 3))
     if n_classes == 2:
@@ -25,14 +26,15 @@ def fit_small(n_classes=2, seed=0, n=150):
         y = np.digitize(X[:, 0], [-0.3, 0.3] if n_classes == 3
                         else np.linspace(-1, 1, n_classes + 1)[1:-1])
         y[::10] = (y[::10] + 1) % n_classes
-    cfg = SbpmtConfig(M=3, T=2, B=3, alpha=0.7, depth=2, min_leaf_size=5,
-                      seed=seed)
+    cfg = SbpmtConfig(**{**dict(M=3, T=2, B=3, alpha=0.7, depth=2,
+                                min_leaf_size=5, seed=seed), **config})
     schema = {"label": {"name": "y", "position": 3,
                         "classes": [str(c) for c in range(n_classes)]},
               "columns": [{"name": f"x{j}", "kind": "numeric", "position": j}
                           for j in range(3)],
               "has_header": True}
-    return ensemble.fit_sbpmt(X, y, n_classes, cfg, schema=schema), X
+    return ensemble.fit_sbpmt(X, y, n_classes, cfg, schema=schema,
+                              workers=1), X
 
 
 class TestRoundTrip:
@@ -64,33 +66,82 @@ class TestRoundTrip:
         assert restored.config == model.config
         assert restored.schema == model.schema
         assert restored.n_classes == model.n_classes
+        assert restored.n == model.n == 150
         np.testing.assert_array_equal(restored.design, model.design)
-        for ma, mb in zip(restored.members, model.members):
-            assert len(ma.stages) == len(mb.stages)
-            for sa, sb in zip(ma.stages, mb.stages):
-                assert sa.raw_err == sb.raw_err
-                assert sa.alpha == sb.alpha and sa.err == sb.err
-                assert sa.model.probit_risk == sb.model.probit_risk
+        for ma, mb in zip(restored.members, model.members, strict=True):
+            # raw_err and probit_risk; err and alpha follow from raw_err
+            assert ma.stages == mb.stages
 
 
 class TestOnePassLoad:
-    """A load reads the committee's trees with one cart.links pass, which
-    also builds the tables that prediction routes through."""
+    """A load decodes each array once for the whole committee and builds
+    its trees with one pmt.make_tree: one cart.links pass, with its one
+    cart.balance, which also builds the tables prediction routes
+    through."""
 
-    def test_load_and_predictions_run_links_once(self, tmp_path,
-                                                 monkeypatch):
+    def test_load_and_predictions_run_balance_and_links_once(
+            self, tmp_path, monkeypatch):
         model, X = fit_small(n_classes=3)
         path = tmp_path / "model.json"
         model_io.save_model(model, path)
-        calls, links = [], cart.links
-        monkeypatch.setattr(cart, "links", lambda feature: (
-            calls.append(np.size(feature)), links(feature))[1])
+        calls = []
+        for name in ("balance", "links"):
+            monkeypatch.setattr(cart, name, lambda feature, name=name,
+                                original=getattr(cart, name): (
+                calls.append((name, np.size(feature))), original(feature))[1])
         loaded = model_io.load_model(path)
         ensemble.predict_sbpmt(loaded, X[0])
         ensemble.predict_sbpmt_many(loaded, X)
-        trees = [st.model for m in model.members for st in m.stages]
-        assert len(trees) == 6
-        assert calls == [sum(t.feature.size for t in trees)]
+        trees = model.committee.trees
+        assert trees.roots.size == 6
+        assert calls == [("links", trees.feature.size),
+                         ("balance", trees.feature.size)]
+
+    def test_strings_decoded_do_not_grow_with_the_trees(self, monkeypatch):
+        # the five tree arrays and the design's incidence, for 2 trees
+        # and for 20
+        counts = []
+        for M, T in ((1, 2), (4, 5)):
+            model, _ = fit_small(n_classes=3, M=M, T=T)
+            assert model.committee.trees.roots.size == M * T
+            text = model_io.serialize_model(model)
+            calls, decode = [], base64.b64decode
+            monkeypatch.setattr(base64, "b64decode", lambda s, **kw: (
+                calls.append(len(s)), decode(s, **kw))[1])
+            model_io.deserialize_model(text)
+            monkeypatch.undo()
+            counts.append(len(calls))
+        assert counts == [6, 6]
+
+    def test_load_peak_memory_is_a_small_multiple_of_the_array_bytes(self):
+        # a csv-multiclass-shaped model (J = 4, M = 5, T = 5, p = 21,
+        # depth 5).  A load holds the document's strings (4/3 of the
+        # bytes they encode), the decoded bytes once, which the float
+        # arrays view rather than copy, and b64decode's ASCII copy of the
+        # string it decodes (coef's, the largest, is about 4/3 of 3/4 of
+        # the bytes): 3.7 times the array bytes at the peak.  Decoding
+        # each tree's arrays, joining them and copying the join held 4.8
+        # times.
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(600, 21))
+        y = np.digitize(X[:, 0] + 0.5 * X[:, 1]
+                        + 0.5 * rng.normal(size=600), [-0.7, 0, 0.7])
+        model = ensemble.fit_sbpmt(X, y, 4, SbpmtConfig(
+            M=5, T=5, B=15, depth=5), workers=1)
+        assert model.committee.trees.roots.size == 25
+        text = model_io.serialize_model(model)
+        doc = json.loads(text)
+        array_bytes = sum(len(base64.b64decode(s))
+                          for s in [*doc["trees"].values(),
+                                    doc["design"]["incidence"]])
+        assert array_bytes > 250_000  # the coefficients, mostly
+        tracemalloc.start()
+        try:
+            model_io.deserialize_model(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * array_bytes, peak / array_bytes
 
     @pytest.mark.parametrize("n_classes", [2, 4])
     def test_loaded_committee_equals_the_fitted(self, n_classes):
@@ -122,9 +173,9 @@ class TestFileFormat:
     def test_document_is_valid_json_with_version(self):
         model, _ = fit_small()
         doc = json.loads(model_io.serialize_model(model))
-        assert doc["format_version"] == model_io.FORMAT_VERSION
-        assert {"config", "design", "members", "n_classes",
-                "schema"} <= set(doc)
+        assert doc["format_version"] == model_io.FORMAT_VERSION == 7
+        assert set(doc) == {"config", "design", "format_version", "members",
+                            "n_classes", "schema", "trees"}
 
     def test_wrong_version_rejected(self):
         model, _ = fit_small()
@@ -133,7 +184,7 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="format version"):
             model_io.deserialize_model(json.dumps(doc))
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_version_1_rejected_with_refit_message(self, version):
         model, _ = fit_small()
         doc = json.loads(model_io.serialize_model(model))
@@ -141,43 +192,47 @@ class TestFileFormat:
         with pytest.raises(ValueError, match=rf"version {version}\b.*refit"):
             model_io.deserialize_model(json.dumps(doc))
 
-    def test_stages_are_flat_arrays(self):
+    def test_committee_is_stored_once(self):
         model, _ = fit_small(n_classes=3)
         doc = json.loads(model_io.serialize_model(model))
-        tree = doc["members"][0]["stages"][0]["model"]
-        # the tree is the arguments of pmt.make_tree: its preorder split
-        # list (feature -1 at a leaf) and a score row per leaf, each array
-        # the base64 of its little-endian bytes, with no shape stored
-        assert set(tree) == {"feature", "threshold", "intercept", "coef",
-                             "probit_risk"}
-        a = {k: np.frombuffer(base64.b64decode(tree[k], validate=True),
-                              "<i4" if k == "feature" else "<f8")
-             for k in ("feature", "threshold", "intercept", "coef")}
-        n_leaves = int(np.sum(a["feature"] == -1))
-        assert a["feature"].size == 2 * n_leaves - 1 == a["threshold"].size
-        assert a["intercept"].size == n_leaves * 3
-        assert a["coef"].size == n_leaves * 3 * 3
-        fitted = model.members[0].stages[0].model
-        for k, v in a.items():
-            np.testing.assert_array_equal(v.reshape(
-                np.shape(getattr(fitted, k))), getattr(fitted, k))
-        subsets = np.frombuffer(base64.b64decode(doc["design"]["subsets"]),
-                                "<i4")
-        np.testing.assert_array_equal(subsets.reshape(3, -1), model.design)
-        assert "rows" not in json.dumps(doc["members"])
-        # each fact once: the probit risk in the tree, n_classes in the
-        # document, the design seed in the config; a stage's err and alpha
-        # follow from its raw_err, a tree's child table, leaf numbers and
-        # depth from its split list, and every shape from those counts
-        stage = doc["members"][0]["stages"][0]
-        assert set(stage) == {"raw_err", "model"}
-        assert "probit_risk" in tree
-        assert not {"n_classes", "depth"} & set(tree)
-        assert set(doc["design"]) == {"subsets"}
+        trees = doc["trees"]
+        # the committee's trees as the arguments of pmt.make_tree, each
+        # array the base64 of its little-endian bytes with no shape
+        # stored, and each tree's node count
+        assert set(trees) == {"nodes", "feature", "threshold", "intercept",
+                              "coef"}
+        a = {k: np.frombuffer(base64.b64decode(v, validate=True),
+                              "<i4" if k in ("nodes", "feature") else "<f8")
+             for k, v in trees.items()}
+        fitted = model.committee.trees
+        np.testing.assert_array_equal(a["nodes"], np.diff(
+            fitted.roots, append=fitted.feature.size))
+        assert a["nodes"].size == 6 and a["nodes"].sum() == a["feature"].size
+        for k in ("feature", "threshold", "intercept", "coef"):
+            np.testing.assert_array_equal(
+                a[k].reshape(np.shape(getattr(fitted, k))),
+                getattr(fitted, k))
+        assert a["coef"].size == a["intercept"].size * 3 == np.sum(
+            a["feature"] == -1) * 3 * 3
+        # each stage once: its raw_err and its tree's probit risk
+        stages = [st for m in doc["members"] for st in m["stages"]]
+        assert len(stages) == 6
+        assert all(set(st) == {"raw_err", "probit_risk"} for st in stages)
+        # the design as n and its (M, n) incidence, packed little-endian
+        assert set(doc["design"]) == {"n", "incidence"}
+        assert doc["design"]["n"] == 150
+        incidence = np.unpackbits(np.frombuffer(base64.b64decode(
+            doc["design"]["incidence"]), np.uint8), bitorder="little")
+        assert incidence.size == 456  # 3 * 150 bits in 57 bytes
+        assert not incidence[450:].any()
+        rows = incidence[:450].reshape(3, 150)
+        np.testing.assert_array_equal(
+            np.nonzero(rows)[1].reshape(3, -1), model.design)
+        assert "rows" not in json.dumps(doc)
 
     def test_non_finite_number_not_written(self):
         model, _ = fit_small()
-        model.members[0].stages[0].model.probit_risk = math.nan
+        model.members[0].stages[0].probit_risk = math.nan
         with pytest.raises(ValueError):
             model_io.serialize_model(model)
 
@@ -186,13 +241,16 @@ class TestFileFormat:
         ("coef", math.inf, "coef holds a non-finite number"),
         ("intercept", -math.inf, "intercept holds a non-finite number"),
         # an index that int32 cannot hold is refused, not wrapped
-        ("design", 2**31, "subsets must hold integers that int32 holds"),
         ("feature", -2**31 - 1, "feature must hold integers that int32"),
+        # the incidence marks rows 0..n-1 of each subset
+        ("design", 150, r"design must hold each subset's rows in "
+                        r"increasing order, all in 0\.\.149"),
+        ("design", -1, "design must hold each subset's rows"),
     ])
-    def test_non_finite_array_or_wide_index_not_written(self, key, value,
-                                                        message):
+    def test_non_finite_array_or_bad_index_not_written(self, key, value,
+                                                       message):
         model, _ = fit_small()
-        holder = model if key == "design" else model.members[0].stages[0].model
+        holder = model if key == "design" else model.committee.trees
         getattr(holder, key).flat[0] = value  # int64 or float64
         with pytest.raises(ValueError, match=message):
             model_io.serialize_model(model)
@@ -238,8 +296,9 @@ class TestFileFormat:
 
 
 def tree_of(doc, k, t):
-    """The stored tree of member k's stage t."""
-    return doc["members"][k]["stages"][t]["model"]
+    """The stored tree of member k's stage t in a decoded document."""
+    return doc["trees"][sum(len(m["stages"]) for m in doc["members"][:k])
+                        + t]
 
 
 def drop_last_leaf(tree):
@@ -254,10 +313,15 @@ class TestUntrustedFile:
     rejected on load with a ValueError naming the member and stage."""
 
     def doc(self):
-        """A 3-class document with its arrays decoded to nested lists
-        (model_doc.decoded); json.dumps(encoded(doc)) stores them again."""
+        """A 3-class document with its trees and design decoded to nested
+        lists (model_doc.decoded); json.dumps(encoded(doc)) stores them
+        again."""
         model, _ = fit_small(n_classes=3)
         return decoded(json.loads(model_io.serialize_model(model)))
+
+    def raw_doc(self):
+        """The same document, its arrays as stored."""
+        return json.loads(model_io.serialize_model(fit_small(n_classes=3)[0]))
 
     def test_nan_token_rejected(self):
         text = model_io.serialize_model(fit_small()[0])
@@ -265,17 +329,12 @@ class TestUntrustedFile:
         with pytest.raises(ValueError, match="non-finite number NaN"):
             model_io.deserialize_model(text)
         doc = self.doc()
-        doc["members"][0]["stages"][0]["model"]["coef"][0][0][0] = math.inf
+        tree_of(doc, 0, 0)["coef"][0][0][0] = math.inf
         with pytest.raises(ValueError, match="member 0 stage 0 tree: coef "
                                              "must hold finite numbers"):
             model_io.deserialize_model(json.dumps(encoded(doc)))
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda t: t.pop("threshold"), r"missing keys \['threshold'\]"),
-        (lambda t: t.update(rows=[]), r"unknown keys \['rows'\]"),
-        # the child table and leaf numbers follow from the split list
-        (lambda t: t.update(left=list(range(len(t["feature"])))),
-         r"unknown keys \['left'\]"),
         (lambda t: t.update(feature=[99] + t["feature"][1:]),
          "node 0 has feature index 99, outside -1..2"),
         (lambda t: t.update(feature=[-2] + t["feature"][1:]),
@@ -288,7 +347,7 @@ class TestUntrustedFile:
         (lambda t: [t[k].append(t[k][-1]) for k in
                     ("feature", "threshold", "intercept", "coef")],
          r"split list is not one tree: node \d+ follows a complete tree"),
-        # make_tree takes trees laid end to end; a stored list holds one
+        # each stored tree is one tree, though make_tree takes many
         (lambda t: t.update(feature=[-1, -1], threshold=[0.0] * 2,
                             intercept=[[0.0] * 3] * 2,
                             coef=[[[0.0] * 3] * 3] * 2),
@@ -297,33 +356,20 @@ class TestUntrustedFile:
                             intercept=[[0.0] * 3] * 3,
                             coef=[[[0.0] * 3] * 3] * 3),
          "split list is not one tree: node 3 follows a complete tree"),
-        # a score row per leaf: one short, or one over
-        (lambda t: [t.update({k: t[k][1:]}) for k in ("intercept", "coef")],
-         r"must be \(L, 3\) and \(L, 3, 3\) for its L = \d+ leaves"),
-        (lambda t: [t[k].append(t[k][0]) for k in ("intercept", "coef")],
-         r"intercept of \d+ and coef of \d+ values must be .* for its L"),
-        (lambda t: t.update(threshold=t["threshold"][1:]),
-         "nonempty arrays of one length"),
-        (lambda t: t.update(intercept=t["intercept"][1:]),
-         r"intercept of \d+ and coef of \d+ values"),
-        # a coef length other than L * K * p
-        (lambda t: t["coef"][0].pop(), r"coef of \d+ values must be"),
-        (lambda t: t["coef"][0][0].append(0.0), r"\(L, 3, 3\) for its L"),
-        (lambda t: t.update(coef=[row[:1] for row in t["coef"]]),
-         r"must be \(L, 3\)"),
-        (lambda t: t.update(coef=[[[0.0] * 4] * 3] * len(t["coef"])),
-         r"\(L, 3, 3\)"),
-        # the probit risk is the binary fit's; null for 3 classes
-        (lambda t: t.update(probit_risk="abc"),
-         "probit_risk must be null for more than 2 classes"),
-        (lambda t: t.update(probit_risk=[1, 2]),
-         "probit_risk must be null for more than 2 classes"),
+        (lambda t: t["threshold"].__setitem__(-1, math.nan),
+         "threshold must hold finite numbers"),
+        (lambda t: t["intercept"][-1].__setitem__(0, -math.inf),
+         "intercept must hold finite numbers"),
+        (lambda t: t.update(feature=[0, 0, 0, -1, -1, -1, -1],
+                            threshold=[0.0] * 7, intercept=[[0.0] * 3] * 4,
+                            coef=[[[0.0] * 3] * 3] * 4),
+         "depth 3, deeper than config.depth = 2"),
     ])
     def test_bad_tree_rejected(self, edit, message):
         doc = self.doc()
-        edit(doc["members"][1]["stages"][0]["model"])
-        with pytest.raises(ValueError, match="member 1 stage 0 tree: "
-                                             f".*{message}"):
+        edit(tree_of(doc, 1, 0))
+        with pytest.raises(ValueError, match="^member 1 stage 0 tree: "
+                                             f"{message}$"):
             model_io.deserialize_model(json.dumps(encoded(doc)))
 
     @pytest.mark.parametrize("edit, message", [
@@ -338,22 +384,22 @@ class TestUntrustedFile:
             intercept=[[0.0] * 3] * 3, coef=[[[0.0] * 3] * 3] * 3),
          "member 1 stage 1 tree: split list is not one tree: node 3 "
          "follows a complete tree"),
-        # a middle stage deeper than config.depth = 2
-        (lambda d: tree_of(d, 1, 0).update(
-            feature=[0, 0, 0, -1, -1, -1, -1], threshold=[0.0] * 7,
-            intercept=[[0.0] * 3] * 4, coef=[[[0.0] * 3] * 3] * 4),
-         "member 1 stage 0 tree: depth 3, deeper than config.depth = 2"),
         # a non-finite coef in the last stage
         (lambda d: tree_of(d, 2, 1)["coef"][-1][-1].__setitem__(-1, math.inf),
          "member 2 stage 1 tree: coef must hold finite numbers"),
         # a feature out of range in a middle stage
         (lambda d: tree_of(d, 1, 1)["feature"].__setitem__(0, 3),
          "member 1 stage 1 tree: node 0 has feature index 3, outside -1..2"),
-        # of two faults, the one a tree by tree load meets first: in an
-        # earlier stage, or the feature before the list's end
+        # of two faults that one rule finds, the one in the earlier tree
+        (lambda d: (tree_of(d, 2, 0)["threshold"].__setitem__(0, math.nan),
+                    tree_of(d, 0, 1)["threshold"].__setitem__(1, math.nan)),
+         "member 0 stage 1 tree: threshold must hold finite numbers"),
+        # of two faults, the one whose rule comes first (model_io's module
+        # docstring): stage values before the trees, a feature out of
+        # range before the split lists, the split lists before the values
         (lambda d: (tree_of(d, 0, 1)["threshold"].__setitem__(0, math.nan),
                     d["members"][2]["stages"][0].pop("raw_err")),
-         "member 0 stage 1 tree: threshold must hold finite numbers"),
+         r"member 2 stage 0: missing keys ['raw_err'], unknown keys []"),
         (lambda d: (tree_of(d, 0, 0)["feature"].__setitem__(0, 7),
                     tree_of(d, 1, 1).update(
                         feature=[-1, -1], threshold=[0.0] * 2,
@@ -363,10 +409,14 @@ class TestUntrustedFile:
         (lambda d: (drop_last_leaf(tree_of(d, 1, 0)),
                     tree_of(d, 1, 0)["feature"].__setitem__(0, 99)),
          "member 1 stage 0 tree: node 0 has feature index 99, outside -1..2"),
+        (lambda d: (tree_of(d, 0, 0)["threshold"].__setitem__(0, math.nan),
+                    drop_last_leaf(tree_of(d, 2, 1))),
+         "member 2 stage 1 tree: split list is not one tree: it ends "
+         "inside a tree"),
     ])
     def test_one_pass_check_names_the_tree(self, edit, message):
-        # the checks run on all the trees at once; the error is still
-        # exactly the one a tree by tree load raises
+        # the checks run on all the trees at once, and the error names
+        # the first tree at fault
         doc = self.doc()
         edit(doc)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -375,12 +425,63 @@ class TestUntrustedFile:
     def test_a_cut_stage_can_leave_whole_trees_end_to_end(self):
         # the premise of the first case above: the committee's split
         # lists laid end to end still read as whole trees, so only the
-        # per-tree check rejects the cut stage
+        # stored node counts show the cut stage
         doc = self.doc()
         drop_last_leaf(tree_of(doc, 1, 0))
-        cart.links(np.concatenate([s["model"]["feature"]
-                                   for m in doc["members"]
-                                   for s in m["stages"]]))
+        cart.links(np.concatenate([t["feature"] for t in doc["trees"]]))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.pop("threshold"),
+         r"^trees: missing keys \['threshold'\]"),
+        (lambda t: t.update(rows=""), r"^trees: .*unknown keys \['rows'\]"),
+        # the child table and leaf numbers follow from the split list
+        (lambda t: t.update(left=""), r"unknown keys \['left'\]"),
+        # one node count >= 1 per stage, summing to the node count
+        (lambda t: t.update(nodes=base64.b64encode(np.frombuffer(
+            base64.b64decode(t["nodes"]), "<i4")[:-1].tobytes()).decode()),
+         r"^trees: nodes must hold a count >= 1 for each of the 6 stages, "
+         r"summing to the \d+ of feature$"),
+        (lambda t: t.update(nodes=base64.b64encode(np.frombuffer(
+            base64.b64decode(t["nodes"]), "<i4") * 2).decode()),
+         "^trees: nodes must hold a count >= 1"),
+        (lambda t: t.update(nodes=base64.b64encode(np.array(
+            [0, 0, 0, 0, 0, np.frombuffer(base64.b64decode(t["feature"]),
+                                          "<i4").size], "<i4")).decode()),
+         "^trees: nodes must hold a count >= 1"),
+    ])
+    def test_bad_committee_keys_or_node_counts_rejected(self, edit, message):
+        doc = self.raw_doc()
+        edit(doc["trees"])
+        with pytest.raises(ValueError, match=message):
+            model_io.deserialize_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit, message", [
+        # a score row per leaf: one short, or one over
+        (lambda t: [t.update({k: t[k][1:]}) for k in ("intercept", "coef")],
+         r"score block: intercept \(\d+, 3\) and coef \(\d+, 3, 3\) must be "
+         r"\(L, K\) and \(L, K, p\) for the L = \d+ leaves"),
+        (lambda t: [t[k].append(t[k][0]) for k in ("intercept", "coef")],
+         r"score block: .* for the L = \d+ leaves"),
+        (lambda t: t.update(threshold=t["threshold"][1:]),
+         r"threshold holds \d+ values for \d+ nodes"),
+        (lambda t: t.update(intercept=t["intercept"][1:]),
+         r"intercept of \d+ and coef of \d+ values must be \(L, 3\) and "
+         r"\(L, 3, p\)"),
+        # a coef length other than L * K * p
+        (lambda t: t["coef"][0].pop(), r"coef of \d+ values must be"),
+        (lambda t: t["coef"][0][0].append(0.0), r"\(L, 3, p\)"),
+        (lambda t: t.update(coef=[row[:1] for row in t["coef"]]),
+         r"must be \(L, 3\)"),
+        (lambda t: t.update(intercept=[row[:2] for row in t["intercept"]]),
+         r"must be \(L, 3\)"),
+    ])
+    def test_bad_score_block_rejected(self, edit, message):
+        # the score block is the committee's: a row too few or too many
+        # belongs to no one tree
+        doc = self.doc()
+        edit(tree_of(doc, 1, 0))
+        with pytest.raises(ValueError, match=f"^trees: .*{message}"):
+            model_io.deserialize_model(json.dumps(encoded(doc)))
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d["members"][0]["stages"][0].pop("raw_err"),
@@ -388,6 +489,9 @@ class TestUntrustedFile:
         # alpha and err follow from raw_err and are not stored
         (lambda d: d["members"][0]["stages"][0].update(alpha=-1e300),
          "unknown keys .*'alpha'"),
+        # a stage holds no tree of its own
+        (lambda d: d["members"][0]["stages"][0].update(model={}),
+         r"member 0 stage 0: missing keys \[\], unknown keys \['model'\]"),
         (lambda d: d["members"][0]["stages"][0].update(raw_err="x"),
          r"member 0 stage 0: raw_err must be a number in \[0, 1\]"),
         (lambda d: d["members"][0]["stages"][0].update(raw_err=None),
@@ -398,6 +502,13 @@ class TestUntrustedFile:
          "member 0 stage 0: raw_err must be a number"),
         (lambda d: d["members"][0]["stages"][0].update(raw_err=1.001),
          "member 0 stage 0: raw_err must be a number"),
+        # the probit risk is the binary fit's; null for 3 classes
+        (lambda d: d["members"][1]["stages"][0].update(probit_risk="abc"),
+         "member 1 stage 0: probit_risk must be null for more than 2 "
+         "classes"),
+        (lambda d: d["members"][1]["stages"][0].update(probit_risk=[1, 2]),
+         "member 1 stage 0: probit_risk must be null for more than 2 "
+         "classes"),
         (lambda d: d["config"].update(depth="6"), "config: depth"),
         # integers are JSON integers, not booleans or floats
         (lambda d: d["config"].update(depth=True),
@@ -412,22 +523,18 @@ class TestUntrustedFile:
         (lambda d: d["config"].update(min_leaf_size=0),
          "config: need min_leaf_size >= 1"),
         # non-finite values inside the arrays' bytes
-        (lambda d: d["members"][1]["stages"][0]["model"]["threshold"]
-         .__setitem__(0, math.inf),
+        (lambda d: tree_of(d, 1, 0)["threshold"].__setitem__(0, math.inf),
          "member 1 stage 0 tree: threshold must hold finite numbers"),
-        (lambda d: d["members"][1]["stages"][0]["model"]["intercept"][0]
-         .__setitem__(0, -math.inf),
+        (lambda d: tree_of(d, 1, 0)["intercept"][0].__setitem__(0, -math.inf),
          "member 1 stage 0 tree: intercept must hold finite numbers"),
-        (lambda d: d["members"][0]["stages"][1]["model"]["coef"][0][0]
-         .__setitem__(2, math.inf),
+        (lambda d: tree_of(d, 0, 1)["coef"][0][0].__setitem__(2, math.inf),
          "member 0 stage 1 tree: coef must hold finite numbers"),
-        (lambda d: d["members"][2]["stages"][0]["model"]["threshold"]
-         .__setitem__(1, math.nan),
+        (lambda d: tree_of(d, 2, 0)["threshold"].__setitem__(1, math.nan),
          "member 2 stage 0 tree: threshold must hold finite numbers"),
         (lambda d: d.update(n_classes=3.0), "n_classes must be an integer"),
         (lambda d: d.update(n_classes=True), "n_classes must be an integer"),
         (lambda d: d.update(format_version=float(model_io.FORMAT_VERSION)),
-         "unsupported model format version 6.0"),
+         "unsupported model format version 7.0"),
         # the member count is config.M; no member has more than config.T
         # stages
         (lambda d: d["config"].update(M=50),
@@ -438,6 +545,9 @@ class TestUntrustedFile:
         (lambda d: d.update(members=[]), "members must be a nonempty list"),
         (lambda d: d["members"][2].update(stages=[]), "member 2: stages"),
         (lambda d: d.update(n_classes=1), "n_classes"),
+        # a stage per stored tree
+        (lambda d: d["members"][2]["stages"].pop(),
+         "trees: nodes must hold a count >= 1 for each of the 5 stages"),
         # no tree is deeper than config.depth
         (lambda d: d["config"].update(depth=0),
          "member 0 stage 0 tree: depth 2, deeper than config.depth = 0"),
@@ -475,19 +585,22 @@ class TestUntrustedFile:
         (lambda d: d["schema"].update(has_header="yes"), "has_header"),
         (lambda d: d["schema"].pop("columns"),
          r"schema: missing keys \['columns'\]"),
-        # the design: one subset per member, increasing row indices
-        (lambda d: d["design"]["subsets"][1].__setitem__(0, -1),
-         "design: each subset must hold nonnegative row indices"),
-        (lambda d: d["design"]["subsets"][1].reverse(),
-         "in strictly increasing order"),
+        # the design: every subset holds floor(alpha * n) = 105 of n rows
         (lambda d: d["design"]["subsets"][1].pop(),
-         "design: subsets must be M = 3 nonempty subsets of one size, got "
-         "314 indices"),
+         r"design: each subset must hold floor\(alpha \* n\) = 105 rows, "
+         "but subset 1 holds 104"),
+        (lambda d: d["design"]["subsets"][2].extend(
+            set(range(150)) - set(d["design"]["subsets"][2])),
+         "but subset 2 holds 150"),
         (lambda d: d["design"].update(subsets=[[], [], []]),
-         "design: subsets must be M = 3 nonempty subsets of one size, got 0"),
-        # 2 subsets of 105 read as 3 of 70: the second runs back to row 0
+         "but subset 0 holds 0"),
+        (lambda d: d["design"].update(n=160),
+         r"floor\(alpha \* n\) = 112 rows, but subset 0 holds 105"),
+        # M * n bits in whole bytes: 450 bits of 3 x 150
         (lambda d: d["design"]["subsets"].pop(),
-         "in strictly increasing order"),
+         r"design: incidence must hold the M \* n = 450 bits of M = 3 "
+         r"subsets of n = 150 rows, padded with zeros to whole bytes, got "
+         "38 bytes"),
     ])
     def test_bad_document_rejected(self, edit, message):
         doc = self.doc()
@@ -495,12 +608,40 @@ class TestUntrustedFile:
         with pytest.raises(ValueError, match=message):
             model_io.deserialize_model(json.dumps(encoded(doc)))
 
+    @pytest.mark.parametrize("n, message", [
+        (160, r"^design: incidence must hold the M \* n = 480 bits of M = 3 "
+              r"subsets of n = 160 rows, padded with zeros to whole bytes, "
+              "got 57 bytes$"),
+        (0, "^design: n must be >= 1, got 0$"),
+        (150.0, "^design: n must be an integer >= 1, got 150.0$"),
+        (True, "^design: n must be an integer >= 1, got True$"),
+        (1, r"^design: floor\(alpha \* n\) = 0 rows per subset for n = 1$"),
+    ])
+    def test_bad_design_size_rejected(self, n, message):
+        doc = self.raw_doc()
+        doc["design"]["n"] = n
+        with pytest.raises(ValueError, match=message):
+            model_io.deserialize_model(json.dumps(doc))
+
+    def test_incidence_padding_must_be_zero(self):
+        # 450 bits fill 56 bytes and 2 bits of the 57th; the other 6 are 0
+        doc = self.raw_doc()
+        raw = bytearray(base64.b64decode(doc["design"]["incidence"]))
+        assert len(raw) == 57
+        model_io.deserialize_model(json.dumps(doc))
+        raw[-1] |= 0x80
+        doc["design"]["incidence"] = base64.b64encode(raw).decode()
+        with pytest.raises(ValueError, match="padded with zeros to whole "
+                                             "bytes, got 57 bytes"):
+            model_io.deserialize_model(json.dumps(doc))
+
     @pytest.mark.parametrize("where, key", [
-        ("member 1 stage 0 tree", "feature"),
-        ("member 1 stage 0 tree", "threshold"),
-        ("member 1 stage 0 tree", "intercept"),
-        ("member 1 stage 0 tree", "coef"),
-        ("design", "subsets"),
+        ("trees", "nodes"),
+        ("trees", "feature"),
+        ("trees", "threshold"),
+        ("trees", "intercept"),
+        ("trees", "coef"),
+        ("design", "incidence"),
     ])
     @pytest.mark.parametrize("value, message", [
         # a JSON true, a number list or an integer where bytes belong
@@ -512,15 +653,15 @@ class TestUntrustedFile:
         ("AAAA!AAA", "is not valid base64"),
         ("AAA", "is not valid base64"),  # no padding
         ("AAAA\nAAAA", "is not valid base64"),
-        ("AAAA\u00e9AAA", "is not valid base64"),
-        # 3 bytes: not a whole number of 4- or 8-byte items
-        ("AAAA", r"holds 3 bytes, not a whole number of [48]-byte items"),
+        ("AAAAéAAA", "is not valid base64"),
+        ("A===", "is not valid base64"),
+        # 3 bytes: not a whole number of 4- or 8-byte items, nor M * n bits
+        ("AAAA", r"(holds 3 bytes, not a whole number of [48]-byte items"
+                 r"|must hold the M \* n = 450 bits)"),
     ])
     def test_bad_array_string_rejected(self, where, key, value, message):
-        doc = json.loads(model_io.serialize_model(fit_small(n_classes=3)[0]))
-        holder = (doc["design"] if key == "subsets"
-                  else doc["members"][1]["stages"][0]["model"])
-        holder[key] = value
+        doc = self.raw_doc()
+        doc[where][key] = value
         with pytest.raises(ValueError, match=f"^{where}: {key} {message}"):
             model_io.deserialize_model(json.dumps(doc))
 
@@ -529,7 +670,7 @@ class TestUntrustedFile:
         text = model_io.serialize_model(fit_small()[0])
         text = re.sub(r'"probit_risk": [^,\n]*', f'"probit_risk": {risk}',
                       text, count=1)
-        with pytest.raises(ValueError, match="member 0 stage 0 tree: "
+        with pytest.raises(ValueError, match="member 0 stage 0: "
                            "probit_risk must be a finite number"):
             model_io.deserialize_model(text)
 
@@ -553,7 +694,7 @@ class TestUntrustedFile:
     def test_cli_predict_reports_the_tree(self, tmp_path, capsys):
         from sbpmt import cli
         doc = self.doc()
-        doc["members"][0]["stages"][1]["model"]["feature"][0] = 99
+        tree_of(doc, 0, 1)["feature"][0] = 99
         path = tmp_path / "model.json"
         path.write_text(json.dumps(encoded(doc)), encoding="utf-8")
         query = tmp_path / "q.csv"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,14 +147,49 @@ class TestPredict:
         X, y = xor_data(300, seed=21)
         w = np.random.default_rng(21).uniform(0.5, 2.0, size=300)
         models = [pmt.fit_pmt(X, y, 2, w, d, 10, 4) for d in (0, 1, 3)]
-        trees = pmt.make_tree(*(
-            np.concatenate([getattr(m, name) for m in models])
-            for name in ("feature", "threshold", "intercept", "coef")))
+        trees = pmt.join(models)
+        assert trees.roots.tolist() == [0, 1, 4]
         Xq = np.random.default_rng(22).uniform(-1, 1, size=(80, 2))
         classes = pmt.tree_classes(trees, Xq)
         for t, model in enumerate(models):
             np.testing.assert_array_equal(classes[:, t],
                                           pmt.predict_pmt_many(model, Xq))
+
+
+class TestMakeTree:
+    @pytest.mark.parametrize("intercept, coef", [
+        # no score row for the one leaf, then a row too many
+        (np.zeros((0, 1)), np.zeros((0, 1, 3))),
+        (np.zeros((2, 1)), np.zeros((2, 1, 3))),
+        # coef for another K than the intercept's, or without its p
+        (np.zeros((1, 3)), np.zeros((1, 2, 3))),
+        (np.zeros((1, 1)), np.zeros((1, 1))),
+        (np.zeros((1, 1)), np.zeros((1, 1, 0))),
+        (np.zeros(1), np.zeros((1, 1, 3))),
+    ])
+    def test_score_block_must_fit_the_leaves(self, intercept, coef):
+        # a row per leaf, each (K,) intercepts and (K, p) slopes: before,
+        # the first of these was accepted and prediction raised IndexError
+        with pytest.raises(ValueError, match=re.escape(
+                f"score block: intercept {intercept.shape} and coef "
+                f"{coef.shape} must be (L, K) and (L, K, p) for the L = 1 "
+                "leaves")):
+            pmt.make_tree([-1], [0.0], intercept, coef)
+
+    def test_threshold_per_node(self):
+        with pytest.raises(ValueError,
+                           match="^threshold holds 2 values for 3 nodes$"):
+            pmt.make_tree([0, -1, -1], [0.0, 0.0], np.zeros((2, 1)),
+                          np.zeros((2, 1, 1)))
+
+    def test_tables_of_a_small_list(self):
+        # the tables come with the tree: child, depth and roots from
+        # cart.links, and each leaf's score row
+        t = pmt.make_tree([0, -1, 1, -1, -1], np.zeros(5), np.zeros((3, 1)),
+                          np.zeros((3, 1, 2)))
+        assert t.child.tolist() == [[2, 1], [1, 1], [4, 3], [3, 3], [4, 4]]
+        assert t.depth == 2 and t.roots.tolist() == [0]
+        assert t.leaf.tolist() == [-1, 0, -1, 1, 2]
 
 
 class TestWeightedProbitRisk:

@@ -53,9 +53,12 @@ def test_model_file_snippet_reads_the_arrays(tmp_path, monkeypatch):
     scope: dict = {}
     exec(compile(block, str(README), "exec"), scope)
     loaded = model_io.load_model("model.json")
-    tree = loaded.members[0].stages[0].model
+    trees = loaded.committee.trees
     for key in ("feature", "threshold", "intercept", "coef"):
-        np.testing.assert_array_equal(scope[key], getattr(tree, key))
-        assert scope[key].shape == getattr(tree, key).shape
+        np.testing.assert_array_equal(scope[key], getattr(trees, key))
+        assert scope[key].shape == getattr(trees, key).shape
+    np.testing.assert_array_equal(np.cumsum(scope["nodes"]) - scope["nodes"],
+                                  trees.roots)
     np.testing.assert_array_equal(scope["subsets"], loaded.design)
     assert scope["coef"].shape[1:] == (3, 3)
+    assert scope["incidence"].shape == (2, 120)
