@@ -1,10 +1,10 @@
 """Finite-sample generalization-bound calculators.
 
 Covers the incomplete-U-statistic voting bound (with its Q_A/Q_B/Q_C
-design quantiles), exact design statistics A/B/C, the VC complexity bound
-for boosted classifiers, the weighted-training-error product bound, and
-its probit-risk variant, which counts its rounds from the risks it is
-given.  The kernel quantities sigma1_sq, beta_kernel and gamma_kernel are
+design quantiles), exact design statistics A/B/C of a design's (M, n)
+incidence, the VC complexity bound for boosted classifiers, the
+weighted-training-error product bound, and its probit-risk variant,
+which counts its rounds from the risks it is given.  The kernel quantities sigma1_sq, beta_kernel and gamma_kernel are
 not estimable from a single dataset and must be supplied by the caller.
 Theorems 3, 4 and 6 take the confidence level as a keyword-only delta
 with default DELTA = 0.05, so an old positional call raises TypeError;
@@ -40,30 +40,19 @@ class DesignStats:
     C: float
 
 
-def design_stats(subsets, n: int) -> DesignStats:
-    """Statistics of M >= 1 subsets of rows 0..n-1; their sizes may differ.
-    A subset holding an index that is not an integer in 0..n-1 (a bool
-    included), or one index twice, raises ValueError naming the subset."""
-    n, M = data.check_count("n", n, 1), len(subsets)
-    if M < 1:
-        raise ValueError("need at least one subset, got none")
-    incidence = np.zeros((M, n), dtype=np.int64)
-    for i, subset in enumerate(subsets):
-        rows = np.asarray(subset)  # reads a bool among integers as one
-        if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu") or (
-                not isinstance(subset, np.ndarray)
-                and any(isinstance(v, (bool, np.bool_)) for v in subset)):
-            raise ValueError(f"subset {i} must be a list of integer row "
-                             f"indices, got {subset!r}")
-        bad = rows[(rows < 0) | (rows >= n)]
-        if bad.size:
-            raise ValueError(f"subset {i} holds row index {bad[0]}, "
-                             f"outside 0..{n - 1}")
-        values, counts = np.unique(rows, return_counts=True)
-        if values.size < rows.size:
-            raise ValueError(f"subset {i} holds row index "
-                             f"{values[counts > 1][0]} more than once")
-        incidence[i, subset] = 1
+def design_stats(design) -> DesignStats:
+    """Statistics of a design given as its (M, n) bool incidence, M, n >=
+    1: row k marks subset k's rows, and the subsets' sizes may differ
+    (ensemble.draw_design's form, kept as model.design).  Anything else
+    raises ValueError."""
+    if not (isinstance(design, np.ndarray) and design.dtype == bool
+            and design.ndim == 2 and design.size):
+        got = (f"{design.dtype} array of shape {design.shape}"
+               if isinstance(design, np.ndarray) else type(design).__name__)
+        raise ValueError(f"design must be an (M, n) bool array with M, n >= "
+                         f"1, got {got}")
+    M = design.shape[0]
+    incidence = design.astype(np.int64)
     R = incidence.sum(axis=0)
     # sum_{k,l} R_kl^2 = ||I^T I||_F^2 = ||I I^T||_F^2, and I I^T is only
     # M x M (subset intersection sizes); the diagonal k = l gives sum R_k^2.
@@ -201,25 +190,22 @@ def estimate_p_sub(model: SbpmtModel, X, y) -> float:
     """Out-of-subset plug-in estimate of the member error rate p_sub.
 
     Every member votes on every row in one committee pass; each member's
-    error is taken over the rows outside its own design subset, and the
-    errors are averaged.  With alpha = 1 nothing is held out and the
+    error is taken over the rows outside its own design subset (the
+    complement of its row of model.design), and the errors are averaged.  With alpha = 1 nothing is held out and the
     (optimistic) training error is returned with a warning.  X, y must be
-    the rows the design was drawn over: a subset size other than
-    floor(alpha * n) or a subset index >= n raises ValueError.
+    the n rows the design was drawn over: other than n rows raise
+    ValueError.
     """
     X, y = data.check_inputs(X, y, model.n_classes)
-    n, (M, size) = X.shape[0], model.design.shape
-    m = math.floor(model.config.alpha * n)
-    if size != m or model.design.max() >= n:
-        raise ValueError(f"{n} rows cannot be this model's training set: "
-                         f"its subsets must hold floor(alpha * n) = {m} "
-                         f"indices, all below {n}")
+    n = model.design.shape[1]
+    if X.shape[0] != n:
+        raise ValueError(f"{X.shape[0]} rows cannot be this model's "
+                         f"training set: its design was drawn over {n}")
     wrong = model.committee.member_classes(X) != y[:, None]
-    held_out = np.ones((n, M), dtype=bool)
-    if m < n:  # each subset's m distinct rows leave n - m out
-        held_out[model.design, np.arange(M)[:, None]] = False
-    else:
+    held_out = ~model.design.T
+    if not held_out.any():  # alpha = 1: every subset holds all n rows
         warnings.warn("alpha = 1 leaves no held-out rows; "
                       "falling back to training error for p_sub")
+        held_out[:] = True
     rates = (wrong & held_out).sum(axis=0) / held_out.sum(axis=0)
     return float(np.mean(rates))

@@ -267,7 +267,7 @@ def cmd_bound(args, parser: argparse.ArgumentParser) -> int:
         if dataset.y is None:
             raise ValueError(f"{args.data} has no label column")
         given["n"] = dataset.X.shape[0]
-        given["M"], given["m"] = model.design.shape
+        given["M"], given["m"] = len(model.design), int(model.design[0].sum())
         given["p_sub"] = bounds.estimate_p_sub(model, dataset.X, dataset.y)
     # the call's arguments, defaults applied, in the signature's order
     inputs = {name: given.get(name, param.default)

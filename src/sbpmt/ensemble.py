@@ -5,18 +5,19 @@ keeps stages while err_t < 1 - 1/J (the first always, clamped) and ends
 the member after a stage with err_t = 0 (AdaBoost for J = 2).  A
 BoostStage keeps a stage's raw error and probit risk; its clamped error
 and vote weight follow from the raw error and J.  The subagging layer
-draws an (M, m) design of M index subsets of size floor(alpha * n)
-without replacement (with replacement at the subset level) and
-majority-votes the boosted members through a Committee, whose trees
-(every stage's, in member order, laid end to end) are the one store of
-a model's tree arrays.  fit_boosted and draw_design take a checked
-SbpmtConfig; data.check_inputs checks the class count with the data.
+draws a design of M subsets of size floor(alpha * n), each without
+replacement (with replacement at the subset level), as its (M, n) bool
+incidence: row k marks member k's subset.  It majority-votes the
+boosted members through a Committee, whose trees (every stage's, in
+member order, laid end to end) are the one store of a model's tree
+arrays.  fit_boosted and draw_design take a checked SbpmtConfig;
+data.check_inputs checks the class count with the data.
 
 The members are independent: each needs only its own subset, and the
 design is drawn before any is fitted.  fit_sbpmt therefore maps one
-member fit over the design rows, either in a pool of forked worker
+member fit over the incidence rows, either in a pool of forked worker
 processes, one per usable CPU and at most M, or in this process.  Each
-task carries X, y and one subset's indices, and the members come back in
+task carries X, y and one incidence row, and the members come back in
 design order, so the model does not depend on the worker count.  The
 pool is forked after numerics.load_kernels, so the workers inherit
 SciPy's special functions rather than each importing them.
@@ -89,8 +90,7 @@ class SbpmtConfig:
 class SbpmtModel:
     members: list[BoostedPmt]
     trees: InitVar[pmt.PmtModel]  # the committee's trees (see Committee)
-    design: np.ndarray  # (M, m): the rows of each member's subset, sorted
-    n: int              # the number of rows the design was drawn from
+    design: np.ndarray  # (M, n) bool: row k marks member k's subset
     config: SbpmtConfig
     n_classes: int
     schema: dict | None = field(default=None)
@@ -182,15 +182,18 @@ def fit_boosted(X, y, n_classes: int, config: SbpmtConfig
 
 
 def draw_design(n: int, config: SbpmtConfig) -> np.ndarray:
-    """config.M sorted subsets of size m = floor(config.alpha * n) as an
-    (M, m) array, each sampled without replacement, independently across
-    subsets; reproducible from config.seed."""
+    """config.M subsets of size m = floor(config.alpha * n) of rows
+    0..n-1 as their (M, n) bool incidence, each sampled without
+    replacement, independently across subsets; reproducible from
+    config.seed."""
     m = math.floor(config.alpha * data.check_count("n", n, 1))
     if m < 1:
         raise ValueError("subsample size floor(alpha*n) must be >= 1")
     rng = np.random.default_rng(config.seed)
-    return np.stack([np.sort(rng.choice(n, size=m, replace=False))
-                     for _ in range(config.M)])
+    design = np.zeros((config.M, n), dtype=bool)
+    for row in design:
+        row[rng.choice(n, size=m, replace=False)] = True
+    return design
 
 
 def _usable_cpus() -> int:
@@ -208,14 +211,14 @@ def _worker_count(M: int, workers, cpus: int) -> int:
                else data.check_count("workers", workers, 1))
 
 
-def _fit_member(X, y, n_classes: int, config: SbpmtConfig, idx: np.ndarray
+def _fit_member(X, y, n_classes: int, config: SbpmtConfig, row: np.ndarray
                 ) -> tuple[BoostedPmt, list[pmt.PmtModel]]:
-    return fit_boosted(X[idx], y[idx], n_classes, config)
+    return fit_boosted(X[row], y[row], n_classes, config)
 
 
 def _fit_members(X, y, n_classes: int, config: SbpmtConfig,
-                 subsets: np.ndarray, workers: int) -> list:
-    """fit_boosted's member and trees for each subset, in design order:
+                 design: np.ndarray, workers: int) -> list:
+    """fit_boosted's member and trees for each design row, in order:
     fitted by a pool of `workers` forked processes (see the module
     docstring), or here, one after another, with one worker or without the
     fork start method."""
@@ -228,10 +231,10 @@ def _fit_members(X, y, n_classes: int, config: SbpmtConfig,
             pool = ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork"))
             try:
-                return list(pool.map(fit, subsets))
+                return list(pool.map(fit, design))
             finally:
                 pool.shutdown(cancel_futures=True)
-    return list(map(fit, subsets))
+    return list(map(fit, design))
 
 
 def fit_sbpmt(X, y, n_classes: int, config: SbpmtConfig,
@@ -252,8 +255,8 @@ def fit_sbpmt(X, y, n_classes: int, config: SbpmtConfig,
                         _worker_count(config.M, workers, _usable_cpus()))
     return SbpmtModel(members=[member for member, _ in fits],
                       trees=pmt.join([t for _, trees in fits for t in trees]),
-                      design=design, n=X.shape[0], config=config,
-                      n_classes=n_classes, schema=schema)
+                      design=design, config=config, n_classes=n_classes,
+                      schema=schema)
 
 
 def predict_sbpmt_many(model: SbpmtModel, X) -> np.ndarray:

@@ -11,9 +11,10 @@ arguments of pmt.make_tree for every stage's tree in member order laid
 end to end (the preorder split lists, feature -1 at a leaf, and the
 score block, a row per leaf) and "nodes", each tree's node count.  A
 stage is stored as its raw_err and its tree's probit_risk; the design as
-"n", the rows it was drawn from, and "incidence", the (M, n) matrix
-whose row k marks subset k, packed in C order eight bits to a byte, the
-first bit lowest (np.packbits with bitorder="little"), zero-padded.
+"n", the rows it was drawn from, and "incidence", model.design as it is
+in memory: the (M, n) matrix whose row k marks subset k, packed in C
+order eight bits to a byte, the first bit lowest (np.packbits with
+bitorder="little"), zero-padded.
 
 Each array is one base64 string (RFC 4648, standard alphabet, padded) of
 its C-order bytes: nodes and feature as little-endian int32 ("<i4"),
@@ -27,7 +28,8 @@ from raw_err, pmt.make_tree the child table, leaf numbers and depth.
 Serialization is deterministic, so identical models produce
 byte-identical files, and deserialize(serialize(m)) predicts
 bit-identically.  The writer refuses a non-finite number, an index that
-int32 cannot hold and a subset that is not increasing rows below n.
+int32 cannot hold and a design that is not a 2-D bool array of config.M
+rows.
 
 Loading treats the document as outside input.  These raise ValueError: a
 format version other than 7 (versions 1-6 ask for a refit); NaN or
@@ -114,21 +116,9 @@ def _decode(raw: bytes, name: str) -> np.ndarray:
                     copy=False)
 
 
-def _incidence(design: np.ndarray, n: int) -> str:
-    """The stored incidence of an (M, m) design over n rows."""
-    if design.size and (design.min() < 0 or design.max() >= n
-                        or np.any(np.diff(design, axis=1) <= 0)):
-        raise ValueError(f"design must hold each subset's rows in "
-                         f"increasing order, all in 0..{n - 1}")
-    incidence = np.zeros(design.shape[:1] + (n,), dtype=bool)
-    incidence[np.arange(design.shape[0])[:, None], design] = True
-    return _encode("incidence", np.packbits(incidence, bitorder="little"))
-
-
-def _design(design, cfg: ensemble.SbpmtConfig) -> tuple[int, np.ndarray]:
-    """The stored design as n and an (M, m) array: one subset per member,
-    each the m = floor(alpha * n) rows its row of the incidence marks, in
-    increasing order."""
+def _design(design, cfg: ensemble.SbpmtConfig) -> np.ndarray:
+    """The stored design as its (M, n) bool incidence, each row marking
+    the m = floor(alpha * n) rows of one member's subset."""
     data.check_keys(design, {"n", "incidence"}, "design")
     n = data.check_count("design: n", design["n"], 1)
     M, m = cfg.M, math.floor(cfg.alpha * n)
@@ -141,15 +131,13 @@ def _design(design, cfg: ensemble.SbpmtConfig) -> tuple[int, np.ndarray]:
                          f"bits of M = {M} subsets of n = {n} rows, padded "
                          f"with zeros to whole bytes, got {len(raw)} bytes")
     incidence = np.unpackbits(np.frombuffer(raw, np.uint8), count=bits,
-                              bitorder="little").view(bool)
-    sizes = incidence.reshape(M, n).sum(axis=1)
+                              bitorder="little").view(bool).reshape(M, n)
+    sizes = incidence.sum(axis=1)
     if np.any(sizes != m):
         k = int(np.argmax(sizes != m))
         raise ValueError(f"design: each subset must hold floor(alpha * n) = "
                          f"{m} rows, but subset {k} holds {sizes[k]}")
-    # subset k's rows are the marked bits k * n .. k * n + n - 1
-    return n, (np.flatnonzero(incidence).reshape(M, m)
-               - n * np.arange(M)[:, None])
+    return incidence
 
 
 def _members(doc, T: int, n_classes: int):
@@ -262,14 +250,18 @@ def _split_fault(feature, starts, where: list[str]) -> str | None:
 def serialize_model(model: ensemble.SbpmtModel) -> str:
     """The model's document (see the module docstring) as one line of
     JSON; the one writer of a model document."""
-    trees = model.committee.trees
+    trees, design = model.committee.trees, model.design
+    if not (isinstance(design, np.ndarray) and design.dtype == bool
+            and design.ndim == 2 and len(design) == model.config.M):
+        raise ValueError(f"design must be an (M, n) bool array with "
+                         f"config.M = {model.config.M} rows")
     doc = {
         "format_version": FORMAT_VERSION,
         "config": asdict(model.config),
         "n_classes": model.n_classes,
         "schema": model.schema,
-        "design": {"n": model.n,
-                   "incidence": _incidence(model.design, model.n)},
+        "design": {"n": design.shape[1], "incidence": _encode(
+            "incidence", np.packbits(design, bitorder="little"))},
         "members": [
             {"stages": [{"raw_err": st.raw_err, "probit_risk": st.probit_risk}
                         for st in member.stages]}
@@ -304,13 +296,13 @@ def deserialize_model(text: str) -> ensemble.SbpmtModel:
     if len(doc["members"]) != cfg.M:
         raise ValueError(f"model file: {len(doc['members'])} members, but "
                          f"config.M is {cfg.M}")
-    n, design = _design(doc["design"], cfg)
+    design = _design(doc["design"], cfg)
     members, where = _members(doc, cfg.T, n_classes)
     trees = _trees(doc["trees"], where, n_classes, cfg.depth)
     if doc["schema"] is not None:
         data.check_schema(doc["schema"], n_classes, trees.coef.shape[2])
     return ensemble.SbpmtModel(members=members, trees=trees, design=design,
-                               n=n, config=cfg, n_classes=n_classes,
+                               config=cfg, n_classes=n_classes,
                                schema=doc["schema"])
 
 

@@ -126,9 +126,10 @@ class TestCriterion5BoundOracles:
                     for c in itertools.combinations(range(n), m)]
             for M in range(1, 4):
                 for combo in itertools.combinations_with_replacement(pool, M):
-                    design = [np.array(sorted(s), dtype=int)
-                              for s in combo]
-                    stats = bounds.design_stats(design, n)
+                    design = np.zeros((M, n), dtype=bool)
+                    for k, s in enumerate(combo):
+                        design[k, sorted(s)] = True
+                    stats = bounds.design_stats(design)
                     R, A, B, C = brute_stats([set(s) for s in combo], n)
                     assert stats.R.tolist() == R
                     assert stats.A == A and stats.B == B and stats.C == C

@@ -26,13 +26,17 @@ def brute_force_stats(subsets, n):
     return R, A, B / M**2, max(R) / M
 
 
-def make_design(subsets):
-    return [np.asarray(sorted(s), dtype=int) for s in subsets]
+def make_design(subsets, n):
+    """The (M, n) bool incidence of the subsets of rows 0..n-1."""
+    design = np.zeros((len(subsets), n), dtype=bool)
+    for k, subset in enumerate(subsets):
+        design[k, sorted(subset)] = True
+    return design
 
 
 class TestDesignStats:
     def test_hand_enumerated_overlap(self):
-        stats = bounds.design_stats(make_design([{0, 1}, {1, 2}]), 3)
+        stats = bounds.design_stats(make_design([{0, 1}, {1, 2}], 3))
         assert stats.R.tolist() == [1, 2, 1]
         assert stats.A == pytest.approx(1.5)
         assert stats.B == pytest.approx(1.0)
@@ -40,18 +44,18 @@ class TestDesignStats:
 
     def test_single_full_subset(self):
         n = 5
-        stats = bounds.design_stats(make_design([set(range(n))]), n)
+        stats = bounds.design_stats(make_design([set(range(n))], n))
         assert stats.A == pytest.approx(n)
         assert stats.B == pytest.approx(n * (n - 1))
         assert stats.C == pytest.approx(1.0)
 
     def test_disjoint_subsets(self):
-        stats = bounds.design_stats(make_design([{0, 1}, {2, 3}]), 4)
+        stats = bounds.design_stats(make_design([{0, 1}, {2, 3}], 4))
         assert stats.B == pytest.approx(1.0)  # only within-subset pairs
 
     def test_coverage_sums_to_M_times_m(self):
         d = ensemble.draw_design(40, SbpmtConfig(M=7, alpha=0.6, seed=1))
-        stats = bounds.design_stats(d, 40)
+        stats = bounds.design_stats(d)
         assert int(stats.R.sum()) == 7 * 24
 
     def test_memory_grows_with_the_design_not_n_squared(self):
@@ -59,7 +63,7 @@ class TestDesignStats:
             M=21, alpha=0.7, seed=3))
         tracemalloc.start()
         try:
-            stats = bounds.design_stats(design, 6000)
+            stats = bounds.design_stats(design)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -72,34 +76,23 @@ class TestDesignStats:
                 for c in itertools.combinations(range(n), m)]
         for M in (1, 2):
             for combo in itertools.combinations_with_replacement(pool, M):
-                stats = bounds.design_stats(make_design(list(combo)), n)
+                stats = bounds.design_stats(make_design(combo, n))
                 R, A, B, C = brute_force_stats([set(s) for s in combo], n)
                 assert stats.R.tolist() == R
                 assert stats.A == A and stats.B == B and stats.C == C
 
-    @pytest.mark.parametrize("subsets, n, message", [
-        ([[0, 3]], 3, r"subset 0 holds row index 3, outside 0\.\.2"),
-        ([[0, 1], [0, -1]], 3, r"subset 1 holds row index -1, outside 0\.\.2"),
-        ([], 3, "need at least one subset, got none"),
-        ([[]], 0, "n must be >= 1, got 0"),
-    ])
-    def test_subsets_outside_the_rows_rejected(self, subsets, n, message):
-        with pytest.raises(ValueError, match=message):
-            bounds.design_stats(subsets, n)
-
-    @pytest.mark.parametrize("subsets, message", [
-        # a repeated index was counted once: R = [1, 1] for 3 indices
-        ([[0, 1], [0, 0, 1]], "subset 1 holds row index 0 more than once"),
-        # these escaped as NumPy IndexError
-        ([[0.5]], r"subset 0 must be a list of integer row indices, got "
-                  r"\[0\.5\]"),
-        ([[1], [True]], r"subset 1 must be a list of integer row indices"),
-        # a bool among integers was read as row 1
-        ([[0, True]], r"subset 0 must be a list of integer row indices"),
-    ])
-    def test_repeated_or_non_integer_index_rejected(self, subsets, message):
-        with pytest.raises(ValueError, match=message):
-            bounds.design_stats(subsets, 2)
+    @pytest.mark.parametrize("design", [
+        np.ones((2, 3), dtype=int),   # an incidence of another dtype
+        [[True, False], [False, True]],  # not an array
+        np.ones(3, dtype=bool),       # 1-D
+        np.ones((2, 3, 1), dtype=bool),
+        np.ones((0, 3), dtype=bool),  # no subsets
+        np.ones((2, 0), dtype=bool),  # no rows
+    ], ids=["int", "list", "1-D", "3-D", "M=0", "n=0"])
+    def test_non_incidence_rejected(self, design):
+        with pytest.raises(ValueError, match=r"design must be an \(M, n\) "
+                                             r"bool array with M, n >= 1"):
+            bounds.design_stats(design)
 
 
 def mp_theorem3(n, m, M, delta, p_sub, s1, beta, gamma):
@@ -416,7 +409,7 @@ class TestEstimatePSub:
         got = bounds.estimate_p_sub(model, X, y)
         rates = []
         for k, subset in enumerate(model.design):
-            out = np.setdiff1d(np.arange(200), subset)
+            out = np.flatnonzero(~subset)
             preds = model.committee.member_classes(X[out])[:, k]
             rates.append(np.mean(preds != y[out]))
         assert got == pytest.approx(np.mean(rates), rel=1e-14)
@@ -427,9 +420,15 @@ class TestEstimatePSub:
         # alpha = 0.5: 190 rows would need subsets of 95, not 100
         with pytest.raises(ValueError, match="190 rows cannot be"):
             bounds.estimate_p_sub(model, X[:190], y[:190])
-        model.design[0, -1] = 200  # an index past the last row
-        with pytest.raises(ValueError, match="200 rows cannot be"):
-            bounds.estimate_p_sub(model, X, y)
+
+    def test_one_row_more_with_the_same_subset_size_rejected(self):
+        model, X, y = self.fit_toy()
+        # floor(0.5 * 201) = floor(0.5 * 200) = 100, the subset size
+        X1, y1 = np.vstack([X, X[:1]]), np.append(y, y[0])
+        with pytest.raises(ValueError, match="201 rows cannot be this "
+                                             "model's training set: its "
+                                             "design was drawn over 200"):
+            bounds.estimate_p_sub(model, X1, y1)
 
     def test_easy_problem_near_zero(self):
         model, X, y = self.fit_toy()

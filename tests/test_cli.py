@@ -544,12 +544,35 @@ class TestBound:
         assert cli.main(["train", "--data", str(csv_path), "--label", "label",
                          "--out", str(model_path)] + FAST) == 0
         capsys.readouterr()
+        report = tmp_path / "b3.json"
         rc = cli.main(["bound", "--theorem", "3",
                        "--from-model", str(model_path),
                        "--data", str(csv_path),
-                       "--sigma1-sq", "0.25", "--beta", "1", "--gamma", "1"])
+                       "--sigma1-sq", "0.25", "--beta", "1", "--gamma", "1",
+                       "--report", str(report)])
         assert rc == 0
         assert "p_sub = " in capsys.readouterr().out
+        # n, m and M are the training rows, floor(alpha * n) and config.M
+        inputs = json.loads(report.read_text())["inputs"]
+        assert (inputs["n"], inputs["m"], inputs["M"]) == (120, 84, 3)
+
+    def test_theorem3_from_model_rejects_one_row_more(self, tmp_path,
+                                                      capsys):
+        # floor(0.7 * 121) = floor(0.7 * 120) = 84 rows per subset, yet
+        # 121 rows are not the 120 the design was drawn over
+        csv_path = write_csv(tmp_path)
+        model_path = tmp_path / "model.json"
+        assert cli.main(["train", "--data", str(csv_path), "--label", "label",
+                         "--out", str(model_path)] + FAST) == 0
+        longer = tmp_path / "longer.csv"
+        text = csv_path.read_text()
+        longer.write_text(text + text.splitlines()[1] + "\n")
+        capsys.readouterr()
+        rc = cli.main(["bound", "--from-model", str(model_path), "--data",
+                       str(longer)] + KERNEL)
+        assert rc == 1
+        assert ("121 rows cannot be this model's training set: its design "
+                "was drawn over 120" in capsys.readouterr().err)
 
     def test_theorem3_from_model_uses_the_model_classes(self, tmp_path,
                                                         capsys):

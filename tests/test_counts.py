@@ -40,7 +40,6 @@ COUNTS = [
      {"n": 1, "T": 1, "d_vc": 1}),
     (bounds.theorem6_bound, dict(probit_risks=[0.1, 0.2], n=1000, d_vc=20),
      {"n": 1, "d_vc": 1}),
-    (bounds.design_stats, dict(subsets=[[0, 1], [1, 2]], n=3), {"n": 1}),
     (cart.build_tree, dict(X=X, y=Y, n_classes=2, sample_weights=W,
                            max_depth=2, min_leaf_size=1),
      {"n_classes": 2, "max_depth": 0, "min_leaf_size": 1}),

@@ -233,12 +233,21 @@ class TestPredictBoosted:
 class TestDrawDesign:
     def test_sizes_and_range(self):
         d = ensemble.draw_design(100, SbpmtConfig(M=21, alpha=0.7, seed=5))
-        assert d.shape == (21, 70)
-        for s in d:
-            assert s.size == 70
-            assert np.unique(s).size == 70  # without replacement
-            assert s.min() >= 0 and s.max() < 100
-            assert np.all(np.diff(s) > 0)  # stored sorted
+        assert d.dtype == bool and d.shape == (21, 100)
+        np.testing.assert_array_equal(d.sum(axis=1), 70)
+
+    def test_marks_the_rows_drawn_before_the_incidence(self):
+        # the rows the (M, m) index form drew for this config: the
+        # incidence keeps the random stream, so models keep their bytes
+        d = ensemble.draw_design(12, SbpmtConfig(M=3, alpha=0.5, seed=7))
+        assert [np.flatnonzero(row).tolist() for row in d] == [
+            [5, 6, 8, 9, 10, 11], [0, 1, 4, 6, 7, 9], [2, 5, 6, 7, 9, 10]]
+
+    def test_fewer_members_draw_a_prefix(self):
+        full = ensemble.draw_design(50, SbpmtConfig(M=7, alpha=0.6, seed=2))
+        for M in (1, 4, 7):
+            np.testing.assert_array_equal(ensemble.draw_design(
+                50, SbpmtConfig(M=M, alpha=0.6, seed=2)), full[:M])
 
     def test_reproducible_and_seed_sensitive(self):
         d1 = ensemble.draw_design(50, SbpmtConfig(M=5, alpha=0.5, seed=3))
@@ -249,12 +258,11 @@ class TestDrawDesign:
 
     def test_alpha_one_uses_all_rows(self):
         d = ensemble.draw_design(10, SbpmtConfig(M=3, alpha=1.0, seed=0))
-        for s in d:
-            np.testing.assert_array_equal(s, np.arange(10))
+        assert d.shape == (3, 10) and d.all()
 
     def test_floor_of_alpha_n(self):
         assert ensemble.draw_design(7, SbpmtConfig(
-            M=1, alpha=0.5, seed=0)).shape == (1, 3)
+            M=1, alpha=0.5, seed=0)).sum() == 3
 
     def test_degenerate_subsample_size(self):
         with pytest.raises(ValueError, match=">= 1"):
@@ -305,7 +313,8 @@ class TestFitSbpmt:
         model = ensemble.fit_sbpmt(X, y, 2, self.small_config())
         assert len(model.members) == 5
         assert model.n_classes == 2
-        assert model.design.shape == (5, 84)
+        assert model.design.shape == (5, 120)
+        np.testing.assert_array_equal(model.design.sum(axis=1), 84)
 
     def test_constant_offset_leaves_the_fit_as_good(self):
         # CART is shift-invariant and the leaf fits centre their columns,
@@ -516,12 +525,12 @@ class TestWorkerPool:
     def serial_reference(X, y, n_classes, cfg):
         """Loop reference: the members fitted one after another here."""
         design = ensemble.draw_design(X.shape[0], cfg)
-        fits = [ensemble.fit_boosted(X[idx], y[idx], n_classes, cfg)
-                for idx in design]
+        fits = [ensemble.fit_boosted(X[row], y[row], n_classes, cfg)
+                for row in design]
         return model_io.serialize_model(ensemble.SbpmtModel(
             members=[member for member, _ in fits],
             trees=pmt.join([t for _, trees in fits for t in trees]),
-            design=design, n=X.shape[0], config=cfg, n_classes=n_classes))
+            design=design, config=cfg, n_classes=n_classes))
 
     @staticmethod
     def problem(n_classes):

@@ -66,7 +66,8 @@ class TestRoundTrip:
         assert restored.config == model.config
         assert restored.schema == model.schema
         assert restored.n_classes == model.n_classes
-        assert restored.n == model.n == 150
+        assert restored.design.dtype == bool
+        assert restored.design.shape == (3, 150)
         np.testing.assert_array_equal(restored.design, model.design)
         for ma, mb in zip(restored.members, model.members, strict=True):
             # raw_err and probit_risk; err and alpha follow from raw_err
@@ -225,9 +226,8 @@ class TestFileFormat:
             doc["design"]["incidence"]), np.uint8), bitorder="little")
         assert incidence.size == 456  # 3 * 150 bits in 57 bytes
         assert not incidence[450:].any()
-        rows = incidence[:450].reshape(3, 150)
-        np.testing.assert_array_equal(
-            np.nonzero(rows)[1].reshape(3, -1), model.design)
+        np.testing.assert_array_equal(incidence[:450].reshape(3, 150),
+                                      model.design)
         assert "rows" not in json.dumps(doc)
 
     def test_non_finite_number_not_written(self):
@@ -242,17 +242,25 @@ class TestFileFormat:
         ("intercept", -math.inf, "intercept holds a non-finite number"),
         # an index that int32 cannot hold is refused, not wrapped
         ("feature", -2**31 - 1, "feature must hold integers that int32"),
-        # the incidence marks rows 0..n-1 of each subset
-        ("design", 150, r"design must hold each subset's rows in "
-                        r"increasing order, all in 0\.\.149"),
-        ("design", -1, "design must hold each subset's rows"),
     ])
     def test_non_finite_array_or_bad_index_not_written(self, key, value,
                                                        message):
         model, _ = fit_small()
-        holder = model if key == "design" else model.committee.trees
-        getattr(holder, key).flat[0] = value  # int64 or float64
+        getattr(model.committee.trees, key).flat[0] = value
         with pytest.raises(ValueError, match=message):
+            model_io.serialize_model(model)
+
+    @pytest.mark.parametrize("change", [
+        lambda d: d.astype(np.uint8),  # an incidence of another dtype
+        lambda d: np.stack([np.flatnonzero(r) for r in d]),  # row indices
+        lambda d: d.ravel(),
+        lambda d: d[:-1],  # fewer rows than config.M
+    ], ids=["uint8", "indices", "1-D", "M-1 rows"])
+    def test_design_not_an_incidence_not_written(self, change):
+        model, _ = fit_small()
+        model.design = change(model.design)
+        with pytest.raises(ValueError, match=r"design must be an \(M, n\) "
+                                             r"bool array with config\.M = 3"):
             model_io.serialize_model(model)
 
     def test_missing_version_rejected(self):

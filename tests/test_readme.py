@@ -59,6 +59,6 @@ def test_model_file_snippet_reads_the_arrays(tmp_path, monkeypatch):
         assert scope[key].shape == getattr(trees, key).shape
     np.testing.assert_array_equal(np.cumsum(scope["nodes"]) - scope["nodes"],
                                   trees.roots)
-    np.testing.assert_array_equal(scope["subsets"], loaded.design)
+    np.testing.assert_array_equal(scope["incidence"], loaded.design)
     assert scope["coef"].shape[1:] == (3, 3)
-    assert scope["incidence"].shape == (2, 120)
+    assert scope["incidence"].dtype == bool
