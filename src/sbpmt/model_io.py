@@ -29,7 +29,7 @@ Serialization is deterministic, so identical models produce
 byte-identical files, and deserialize(serialize(m)) predicts
 bit-identically.  The writer refuses a non-finite number, an index that
 int32 cannot hold and a design that is not a 2-D bool array of config.M
-rows.
+rows of floor(config.alpha * n) >= 1 rows each.
 
 Loading treats the document as outside input.  These raise ValueError: a
 format version other than 7 (versions 1-6 ask for a refit); NaN or
@@ -121,10 +121,7 @@ def _design(design, cfg: ensemble.SbpmtConfig) -> np.ndarray:
     the m = floor(alpha * n) rows of one member's subset."""
     data.check_keys(design, {"n", "incidence"}, "design")
     n = data.check_count("design: n", design["n"], 1)
-    M, m = cfg.M, math.floor(cfg.alpha * n)
-    if m < 1:
-        raise ValueError(f"design: floor(alpha * n) = 0 rows per subset "
-                         f"for n = {n}")
+    M, m = cfg.M, _subset_size(cfg, n)
     raw, bits = _raw(design, "incidence", "design"), M * n
     if len(raw) != -(-bits // 8) or bits % 8 and raw[-1] >> bits % 8:
         raise ValueError(f"design: incidence must hold the M * n = {bits} "
@@ -132,12 +129,25 @@ def _design(design, cfg: ensemble.SbpmtConfig) -> np.ndarray:
                          f"with zeros to whole bytes, got {len(raw)} bytes")
     incidence = np.unpackbits(np.frombuffer(raw, np.uint8), count=bits,
                               bitorder="little").view(bool).reshape(M, n)
+    _check_subset_sizes(incidence, m)
+    return incidence
+
+
+def _subset_size(cfg: ensemble.SbpmtConfig, n: int) -> int:
+    """m = floor(alpha * n), the rows of each subset; m = 0 raises."""
+    m = math.floor(cfg.alpha * n)
+    if m < 1:
+        raise ValueError(f"design: floor(alpha * n) = 0 rows per subset "
+                         f"for n = {n}")
+    return m
+
+
+def _check_subset_sizes(incidence: np.ndarray, m: int) -> None:
     sizes = incidence.sum(axis=1)
     if np.any(sizes != m):
         k = int(np.argmax(sizes != m))
         raise ValueError(f"design: each subset must hold floor(alpha * n) = "
                          f"{m} rows, but subset {k} holds {sizes[k]}")
-    return incidence
 
 
 def _members(doc, T: int, n_classes: int):
@@ -255,6 +265,8 @@ def serialize_model(model: ensemble.SbpmtModel) -> str:
             and design.ndim == 2 and len(design) == model.config.M):
         raise ValueError(f"design must be an (M, n) bool array with "
                          f"config.M = {model.config.M} rows")
+    # the loader's rule, so no model is written that cannot be loaded
+    _check_subset_sizes(design, _subset_size(model.config, design.shape[1]))
     doc = {
         "format_version": FORMAT_VERSION,
         "config": asdict(model.config),

@@ -161,6 +161,16 @@ class TestOnePassLoad:
         assert model_io.serialize_model(loaded) == text
 
 
+def gain_a_row(design):
+    design[0, np.flatnonzero(~design[0])[0]] = True
+    return design
+
+
+def drop_a_row(design):
+    design[2, np.flatnonzero(design[2])[0]] = False
+    return design
+
+
 class TestFileFormat:
     def test_save_load_file(self, tmp_path):
         model, X = fit_small()
@@ -261,6 +271,22 @@ class TestFileFormat:
         model.design = change(model.design)
         with pytest.raises(ValueError, match=r"design must be an \(M, n\) "
                                              r"bool array with config\.M = 3"):
+            model_io.serialize_model(model)
+
+    # the loader refuses each of these, so the writer must not write them
+    @pytest.mark.parametrize("change, message", [
+        (gain_a_row, r"^design: each subset must hold floor\(alpha \* n\) "
+                     r"= 105 rows, but subset 0 holds 106$"),
+        (drop_a_row, r"^design: each subset must hold floor\(alpha \* n\) "
+                     r"= 105 rows, but subset 2 holds 104$"),
+        (lambda d: np.ones((3, 1), dtype=bool),
+         r"^design: floor\(alpha \* n\) = 0 rows per subset for n = 1$"),
+    ], ids=["one row more", "one row fewer", "n=1"])
+    def test_design_of_other_subset_sizes_not_written(self, change,
+                                                      message):
+        model, _ = fit_small()
+        model.design = change(model.design)
+        with pytest.raises(ValueError, match=message):
             model_io.serialize_model(model)
 
     def test_missing_version_rejected(self):
