@@ -9,30 +9,39 @@ json.tool lays it out for reading).
 The trees are stored once, as the model's committee: "trees" holds the
 arguments of pmt.make_tree for every stage's tree in member order laid
 end to end (the preorder split lists, feature -1 at a leaf, and the
-score block, a row per leaf) and "nodes", each tree's node count.  A
-stage is stored as its raw_err and its tree's probit_risk; the design as
-"n", the rows it was drawn from, and "incidence", model.design as it is
-in memory: the (M, n) matrix whose row k marks subset k, packed in C
-order eight bits to a byte, the first bit lowest (np.packbits with
-bitorder="little"), zero-padded.
+score block, a row per leaf) and "nodes", each tree's node count.  Only
+the split nodes' thresholds are stored, in preorder; a leaf's is 0.0.
+The coefficients are stored as their support and their nonzero values,
+since a ProbitBoost step fits one feature and so a leaf's column has at
+most min(B, p) of them: "support" holds one bit per coefficient, set iff
+its float64's bits are nonzero (so -0.0 is kept), laid out as the (p, L
+* K) matrix coef.reshape(L * K, p).T, each of its p rows packed eight
+bits to a byte, the first bit lowest (np.packbits with
+bitorder="little"), and zero-padded to ceil(L * K / 8) bytes; "coef"
+holds the values of the set bits in that matrix's C order (feature by
+feature).  A stage is stored as its raw_err and its tree's probit_risk;
+the design as "n", the rows it was drawn from, and "incidence",
+model.design as it is in memory: the (M, n) matrix whose row k marks
+subset k, packed in C order as a support row is, zero-padded.
 
 Each array is one base64 string (RFC 4648, standard alphabet, padded) of
 its C-order bytes: nodes and feature as little-endian int32 ("<i4"),
 threshold, intercept and coef as little-endian float64 ("<f8").  No
 shape is stored: the node count N is the length of feature, the leaf
 count L the number of -1 entries in it, K is 1 for n_classes 2 and
-n_classes otherwise, the feature count p is the length of coef / (L *
-K), and each subset holds m = floor(config.alpha * n) rows.  Every fact
-is written once: ensemble.BoostStage derives a stage's err and alpha
-from raw_err, pmt.make_tree the child table, leaf numbers and depth.
-Serialization is deterministic, so identical models produce
-byte-identical files, and deserialize(serialize(m)) predicts
-bit-identically.  The writer refuses a non-finite number, an index that
-int32 cannot hold and a design that is not a 2-D bool array of config.M
-rows of floor(config.alpha * n) >= 1 rows each.
+n_classes otherwise, L * K is the length of intercept, the feature count
+p is the length of support / ceil(L * K / 8), and each subset holds m =
+floor(config.alpha * n) rows.  Every fact is written once:
+ensemble.BoostStage derives a stage's err and alpha from raw_err,
+pmt.make_tree the child table, leaf numbers and depth.  Serialization is
+deterministic, so identical models produce byte-identical files, and
+deserialize(serialize(m)) holds the same arrays bit for bit.  The
+writer refuses a non-finite number, an index that int32 cannot hold and
+a design that is not a 2-D bool array of config.M rows of floor(
+config.alpha * n) >= 1 rows each.
 
 Loading treats the document as outside input.  These raise ValueError: a
-format version other than 7 (versions 1-6 ask for a refit); NaN or
+format version other than 8 (versions 1-7 ask for a refit); NaN or
 Infinity tokens; missing or unknown keys; a number outside the arrays
 that data.is_finite_number rejects (1e999 parses as inf); a config that
 SbpmtConfig rejects; member and stage counts that break config.M and
@@ -40,16 +49,21 @@ config.T; a raw_err outside [0, 1]; a probit_risk that is not a finite
 number for 2 classes or null for more; a schema that data.check_schema
 rejects; an array that is not valid base64 or not a whole number of
 items; node counts that are not one count >= 1 per stage summing to N;
-a score block that make_tree rejects; an incidence that is not M * n
-bits, or has a subset of other than m rows.  So do these, naming the
-member and stage of the first tree at fault, in this order: a feature
-outside -1..p-1; a split list that is not one tree; a float that is not
-finite; a depth above config.depth.
+a threshold count other than the N - L split nodes; an intercept that
+is not whole rows of K; a support that is not p >= 1 rows of ceil(L * K
+/ 8) bytes, that sets a padding bit, or whose set bits are not as many
+as the coef values; a score block that make_tree rejects; an incidence
+that is not M * n bits, or has a subset of other than m rows.  So do
+these, naming the member and stage of the first tree at fault, in this
+order: a feature outside -1..p-1; a split list that is not one tree; a
+float that is not finite; a stored coef value whose bits are zero (a
++0.0 that the next write would leave out); a depth above config.depth.
 
 A load decodes each array once for all the trees, calls make_tree once
 (one cart.links pass, which also builds the routing tables) and checks
 each rule once over the committee.  Only a failed rule looks for its
-tree: np.searchsorted of the faulty node into the trees' first nodes.
+tree: np.searchsorted of the faulty node into the trees' first nodes (a
+coef value's node is its support column's leaf).
 """
 
 from __future__ import annotations
@@ -63,18 +77,19 @@ import numpy as np
 
 from . import cart, data, ensemble, pmt
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 # The keys of each object in a document.
 _DOC_KEYS = {"format_version", "config", "n_classes", "schema", "design",
              "members", "trees"}
 _STAGE_KEYS = {"raw_err", "probit_risk"}
-_ARRAY_KEYS = ("feature", "threshold", "intercept", "coef")
-_TREE_KEYS = ("nodes",) + _ARRAY_KEYS
+_TREE_KEYS = ("nodes", "feature", "threshold", "intercept", "support",
+              "coef")
 # The stored dtype of each array.
 _DTYPES = {"nodes": np.dtype("<i4"), "feature": np.dtype("<i4"),
            "threshold": np.dtype("<f8"), "intercept": np.dtype("<f8"),
-           "coef": np.dtype("<f8"), "incidence": np.dtype("u1")}
+           "support": np.dtype("u1"), "coef": np.dtype("<f8"),
+           "incidence": np.dtype("u1")}
 
 
 def _encode(name: str, a) -> str:
@@ -109,11 +124,35 @@ def _raw(obj: dict, name: str, where: str) -> bytes:
 
 
 def _decode(raw: bytes, name: str) -> np.ndarray:
-    """Bytes of name's stored dtype as a flat int64 or float64 array; a
-    float64 array is a read-only view of raw on a little-endian host."""
+    """Bytes of name's stored dtype as a flat int64, float64 or uint8
+    array; a float64 or uint8 array is a read-only view of raw on a
+    little-endian host."""
     a = np.frombuffer(raw, _DTYPES[name])
+    if a.dtype.kind == "u":
+        return a
     return a.astype(np.int64 if a.dtype.kind == "i" else np.float64,
                     copy=False)
+
+
+def _support(packed: np.ndarray, columns: int, values: int) -> np.ndarray:
+    """The stored support as its (p, L * K) bool matrix, checked against
+    the L * K = columns score columns and the count of coef values."""
+    row = -(-columns // 8)
+    if not row or not packed.size or packed.size % row:
+        raise ValueError(f"trees: support holds {packed.size} bytes, not p "
+                         f">= 1 rows of ceil(L * K / 8) = {row} bytes for "
+                         f"the L * K = {columns} score columns")
+    packed = packed.reshape(-1, row)
+    if columns % 8 and np.any(packed[:, -1] >> columns % 8):
+        raise ValueError("trees: support sets a padding bit; each row must "
+                         "be padded with zeros to whole bytes")
+    support = np.unpackbits(packed, axis=1, count=columns,
+                            bitorder="little").view(bool)
+    bits = np.count_nonzero(support)
+    if bits != values:
+        raise ValueError(f"trees: support sets {bits} bits for the {values} "
+                         "values of coef")
+    return support
 
 
 def _design(design, cfg: ensemble.SbpmtConfig) -> np.ndarray:
@@ -192,16 +231,23 @@ def _trees(tdoc, where: list[str], n_classes: int,
         raise ValueError(f"trees: nodes must hold a count >= 1 for each of "
                          f"the {len(where)} stages, summing to the "
                          f"{feature.size} of feature")
+    split = feature != -1
+    if a["threshold"].size != np.count_nonzero(split):
+        raise ValueError(f"trees: threshold holds {a['threshold'].size} "
+                         f"values for the {np.count_nonzero(split)} split "
+                         "nodes")
+    threshold = np.zeros(feature.size)
+    threshold[split] = a["threshold"]
     K = 1 if n_classes == 2 else n_classes
-    try:
-        intercept = a["intercept"].reshape(-1, K)
-        coef = a["coef"].reshape(len(intercept), K, -1)
-    except ValueError:  # no whole number of (K,) or (K, p) rows
-        raise ValueError(f"trees: intercept of {a['intercept'].size} and "
-                         f"coef of {a['coef'].size} values must be (L, {K}) "
-                         f"and (L, {K}, p)") from None
+    if a["intercept"].size % K:
+        raise ValueError(f"trees: intercept of {a['intercept'].size} values "
+                         f"must be (L, {K})")
+    intercept = a["intercept"].reshape(-1, K)
+    support = _support(a["support"], intercept.size, a["coef"].size)
+    p = len(support)
+    coef = np.zeros((intercept.size, p))
+    coef.T[support] = a["coef"]  # feature by feature, into C order
     starts = np.cumsum(nodes) - nodes
-    p = coef.shape[2]
 
     def tree_of(node: int) -> int:
         return int(np.searchsorted(starts, node, side="right")) - 1
@@ -213,21 +259,32 @@ def _trees(tdoc, where: list[str], n_classes: int,
         raise ValueError(f"{where[t]}: node {i - starts[t]} has feature "
                          f"index {feature[i]}, outside -1..{p - 1}")
     try:
-        trees = pmt.make_tree(feature, a["threshold"], intercept, coef)
+        trees = pmt.make_tree(feature, threshold, intercept,
+                              coef.reshape(len(intercept), K, p))
     except ValueError as exc:
         raise ValueError(_split_fault(feature, starts, where)
                          or f"trees: {exc}") from None
     if not np.array_equal(trees.roots, starts):
         raise ValueError(_split_fault(feature, starts, where))
-    for name in ("threshold", "intercept", "coef"):
+    leaves = np.flatnonzero(~split)
+    for name in ("threshold", "intercept"):
         x = getattr(trees, name)
         if not np.isfinite(x).all():
             # the first node, or score row, that holds one
             i = int(np.argmin(np.isfinite(x).reshape(len(x), -1).all(1)))
-            node = i if name == "threshold" else np.flatnonzero(
-                trees.leaf >= 0)[i]
+            node = i if name == "threshold" else leaves[i]
             raise ValueError(f"{where[tree_of(node)]}: {name} must hold "
                              "finite numbers")
+    values = a["coef"]
+    for bad, fault in ((~np.isfinite(values), "must hold finite numbers"),
+                       (values.view(np.uint64) == 0,
+                        "stores a 0.0, which support must leave out")):
+        if bad.any():
+            # the first score row that holds one: the least support column
+            # of a bad value, as the values run feature by feature
+            column = (np.flatnonzero(support)[bad] % intercept.size).min()
+            raise ValueError(f"{where[tree_of(leaves[column // K])]}: coef "
+                             f"{fault}")
     if trees.depth > depth:
         level = cart.links(feature)[1]
         t = tree_of(int(np.argmax(level > depth)))
@@ -257,6 +314,21 @@ def _split_fault(feature, starts, where: list[str]) -> str | None:
     return f"{where[t]}: split list is not one tree: it ends inside a tree"
 
 
+def _stored(trees: pmt.PmtModel) -> dict:
+    """The committee's arrays as a document stores them (see the module
+    docstring): threshold at the split nodes only, and coef as its
+    support and nonzero values."""
+    coef = np.asarray(trees.coef, np.float64)
+    by_feature = coef.reshape(-1, coef.shape[-1]).T  # (p, L * K)
+    support = by_feature.view(np.uint64) != 0
+    return {"nodes": np.diff(trees.roots, append=trees.feature.size),
+            "feature": trees.feature,
+            "threshold": trees.threshold[trees.feature != -1],
+            "intercept": trees.intercept,
+            "support": np.packbits(support, axis=1, bitorder="little"),
+            "coef": by_feature[support]}
+
+
 def serialize_model(model: ensemble.SbpmtModel) -> str:
     """The model's document (see the module docstring) as one line of
     JSON; the one writer of a model document."""
@@ -278,9 +350,7 @@ def serialize_model(model: ensemble.SbpmtModel) -> str:
             {"stages": [{"raw_err": st.raw_err, "probit_risk": st.probit_risk}
                         for st in member.stages]}
             for member in model.members],
-        "trees": {"nodes": _encode("nodes", np.diff(
-            trees.roots, append=trees.feature.size)),
-                  **{k: _encode(k, getattr(trees, k)) for k in _ARRAY_KEYS}},
+        "trees": {k: _encode(k, a) for k, a in _stored(trees).items()},
     }
     return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 

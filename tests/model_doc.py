@@ -7,7 +7,7 @@ import numpy as np
 
 # The stored dtype of each tree array (model_io's module docstring).
 DTYPES = {"nodes": "<i4", "feature": "<i4", "threshold": "<f8",
-          "intercept": "<f8", "coef": "<f8"}
+          "intercept": "<f8", "support": "u1", "coef": "<f8"}
 ARRAYS = ("feature", "threshold", "intercept", "coef")
 
 
@@ -21,18 +21,26 @@ def _string(a) -> str:
 
 def decoded(doc):
     """doc with its trees as a list of one dict per stage, in document
-    order, of nested lists: feature and threshold (nodes,), intercept
-    (L, K) and coef (L, K, p); and its design's incidence as subsets, the
-    (M, m) row indices that it marks."""
+    order, of nested lists, the arguments of pmt.make_tree: feature and
+    threshold (nodes,), 0.0 at a leaf, intercept (L, K) and the dense coef
+    (L, K, p); and its design's incidence as subsets, the (M, m) row
+    indices that it marks."""
     K = 1 if doc["n_classes"] == 2 else doc["n_classes"]
     a = {key: _array(doc["trees"][key], key) for key in DTYPES}
     starts = np.concatenate(([0], np.cumsum(a["nodes"])))
     rows = np.concatenate(([0], np.cumsum(a["feature"] == -1)))[starts]
+    threshold = np.zeros(a["feature"].size)
+    threshold[a["feature"] != -1] = a["threshold"]
     intercept = a["intercept"].reshape(-1, K)
+    support = np.unpackbits(a["support"].reshape(-1, -(-intercept.size // 8)),
+                            axis=1, count=intercept.size,
+                            bitorder="little").astype(bool)
+    coef = np.zeros((intercept.size, len(support)))
+    coef.T[support] = a["coef"]
     blocks = {"feature": (a["feature"], starts),
-              "threshold": (a["threshold"], starts),
+              "threshold": (threshold, starts),
               "intercept": (intercept, rows),
-              "coef": (a["coef"].reshape(len(intercept), K, -1), rows)}
+              "coef": (coef.reshape(len(intercept), K, -1), rows)}
     doc["trees"] = [{key: x[at[i]:at[i + 1]].tolist()
                      for key, (x, at) in blocks.items()}
                     for i in range(a["nodes"].size)]
@@ -51,16 +59,27 @@ def _flat(value):
 
 
 def encoded(doc):
-    """doc with a list of trees stored again as the committee's arrays
-    (each (nested, maybe ragged) list's items in order) and node counts,
-    and a design's subsets as its incidence over n rows."""
+    """doc with a list of trees stored again as the committee's arrays and
+    node counts: the split nodes' thresholds (each tree's threshold list
+    as long as its feature list), each (nested) intercept list's items in
+    order, and the (L, K, p) coef of all the trees as its support and
+    nonzero values; and a design's subsets as its incidence over n
+    rows."""
     if isinstance(doc["trees"], list):
         trees = doc["trees"]
-        doc["trees"] = {"nodes": _string(np.array(
-            [len(t["feature"]) for t in trees], DTYPES["nodes"]))}
-        for key in ARRAYS:
-            doc["trees"][key] = _string(np.array(
-                [x for t in trees for x in _flat(t[key])], DTYPES[key]))
+        coef = np.array([row for t in trees for row in t["coef"]], "<f8")
+        by_feature = coef.reshape(-1, coef.shape[-1]).T
+        support = by_feature.view("<u8") != 0
+        arrays = {
+            "nodes": [len(t["feature"]) for t in trees],
+            "feature": [x for t in trees for x in t["feature"]],
+            "threshold": [x for t in trees for f, x in zip(
+                t["feature"], t["threshold"], strict=True) if f != -1],
+            "intercept": [x for t in trees for x in _flat(t["intercept"])],
+            "support": np.packbits(support, axis=1, bitorder="little"),
+            "coef": by_feature[support]}
+        doc["trees"] = {key: _string(np.array(a, DTYPES[key]))
+                        for key, a in arrays.items()}
     design = doc["design"]
     if "subsets" in design:
         subsets = design.pop("subsets")

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from sbpmt import cart, cli, data, ensemble, model_io
 from sbpmt.ensemble import SbpmtConfig
 
-from model_doc import decoded, encoded
+from model_doc import DTYPES, decoded, encoded
 
 
 def fit_small(n_classes=2, seed=0, n=150, **config):
@@ -99,7 +100,7 @@ class TestOnePassLoad:
                          ("balance", trees.feature.size)]
 
     def test_strings_decoded_do_not_grow_with_the_trees(self, monkeypatch):
-        # the five tree arrays and the design's incidence, for 2 trees
+        # the six tree arrays and the design's incidence, for 2 trees
         # and for 20
         counts = []
         for M, T in ((1, 2), (4, 5)):
@@ -112,17 +113,18 @@ class TestOnePassLoad:
             model_io.deserialize_model(text)
             monkeypatch.undo()
             counts.append(len(calls))
-        assert counts == [6, 6]
+        assert counts == [7, 7]
 
     def test_load_peak_memory_is_a_small_multiple_of_the_array_bytes(self):
         # a csv-multiclass-shaped model (J = 4, M = 5, T = 5, p = 21,
-        # depth 5).  A load holds the document's strings (4/3 of the
-        # bytes they encode), the decoded bytes once, which the float
-        # arrays view rather than copy, and b64decode's ASCII copy of the
-        # string it decodes (coef's, the largest, is about 4/3 of 3/4 of
-        # the bytes): 3.7 times the array bytes at the peak.  Decoding
-        # each tree's arrays, joining them and copying the join held 4.8
-        # times.
+        # depth 5), against the bytes of its arrays in memory (the dense
+        # coef and every node's threshold), so that the bound does not
+        # shrink with the file.  A load holds the document's strings (4/3
+        # of the bytes they encode), the decoded bytes once, which the
+        # intercept views rather than copies, b64decode's ASCII copy of
+        # the string it decodes, and the dense coef it rebuilds from the
+        # support and the nonzero values: 2.3 times the array bytes at
+        # the peak.
         rng = np.random.default_rng(0)
         X = rng.normal(size=(600, 21))
         y = np.digitize(X[:, 0] + 0.5 * X[:, 1]
@@ -131,10 +133,11 @@ class TestOnePassLoad:
             M=5, T=5, B=15, depth=5), workers=1)
         assert model.committee.trees.roots.size == 25
         text = model_io.serialize_model(model)
-        doc = json.loads(text)
-        array_bytes = sum(len(base64.b64decode(s))
-                          for s in [*doc["trees"].values(),
-                                    doc["design"]["incidence"]])
+        trees = model.committee.trees
+        array_bytes = (4 * (trees.roots.size + trees.feature.size)
+                       + 8 * (trees.threshold.size + trees.intercept.size
+                              + trees.coef.size)
+                       + np.packbits(model.design).size)
         assert array_bytes > 250_000  # the coefficients, mostly
         tracemalloc.start()
         try:
@@ -184,7 +187,7 @@ class TestFileFormat:
     def test_document_is_valid_json_with_version(self):
         model, _ = fit_small()
         doc = json.loads(model_io.serialize_model(model))
-        assert doc["format_version"] == model_io.FORMAT_VERSION == 7
+        assert doc["format_version"] == model_io.FORMAT_VERSION == 8
         assert set(doc) == {"config", "design", "format_version", "members",
                             "n_classes", "schema", "trees"}
 
@@ -195,7 +198,7 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="format version"):
             model_io.deserialize_model(json.dumps(doc))
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
     def test_version_1_rejected_with_refit_message(self, version):
         model, _ = fit_small()
         doc = json.loads(model_io.serialize_model(model))
@@ -211,20 +214,35 @@ class TestFileFormat:
         # array the base64 of its little-endian bytes with no shape
         # stored, and each tree's node count
         assert set(trees) == {"nodes", "feature", "threshold", "intercept",
-                              "coef"}
-        a = {k: np.frombuffer(base64.b64decode(v, validate=True),
-                              "<i4" if k in ("nodes", "feature") else "<f8")
+                              "support", "coef"}
+        a = {k: np.frombuffer(base64.b64decode(v, validate=True), DTYPES[k])
              for k, v in trees.items()}
         fitted = model.committee.trees
         np.testing.assert_array_equal(a["nodes"], np.diff(
             fitted.roots, append=fitted.feature.size))
         assert a["nodes"].size == 6 and a["nodes"].sum() == a["feature"].size
-        for k in ("feature", "threshold", "intercept", "coef"):
+        for k in ("feature", "intercept"):
             np.testing.assert_array_equal(
                 a[k].reshape(np.shape(getattr(fitted, k))),
                 getattr(fitted, k))
-        assert a["coef"].size == a["intercept"].size * 3 == np.sum(
-            a["feature"] == -1) * 3 * 3
+        # the thresholds of the split nodes only, in preorder; a leaf's
+        # is 0.0
+        split = fitted.feature != -1
+        np.testing.assert_array_equal(a["threshold"],
+                                      fitted.threshold[split])
+        assert not fitted.threshold[~split].any()
+        # the coefficients as the (p, L * K) support, a padded row per
+        # feature, and the nonzero values feature by feature
+        L = np.sum(a["feature"] == -1)
+        assert a["intercept"].size == L * 3
+        by_feature = fitted.coef.reshape(L * 3, 3).T
+        assert a["support"].size == 3 * -(-L * 3 // 8)
+        support = np.unpackbits(a["support"].reshape(3, -1), axis=1,
+                                count=L * 3, bitorder="little")
+        nonzero = by_feature.view(np.uint64) != 0
+        np.testing.assert_array_equal(support, nonzero)
+        assert 0 < a["coef"].size < fitted.coef.size
+        np.testing.assert_array_equal(a["coef"], by_feature[nonzero])
         # each stage once: its raw_err and its tree's probit risk
         stages = [st for m in doc["members"] for st in m["stages"]]
         assert len(stages) == 6
@@ -329,6 +347,198 @@ class TestFileFormat:
                 == ensemble.predict_sbpmt_many(model, Xq[:50]).tolist())
 
 
+def edit_array(doc, key, change):
+    """Replace the stored tree array key of a raw document with change of
+    it, as an array of its stored dtype."""
+    a = np.frombuffer(base64.b64decode(doc["trees"][key]), DTYPES[key])
+    doc["trees"][key] = base64.b64encode(np.asarray(
+        change(a.copy()), DTYPES[key]).tobytes()).decode()
+
+
+def put(i, x):
+    """A change for edit_array that sets item i to x."""
+    def change(a):
+        a[i] = x
+        return a
+    return change
+
+
+def stored(doc, key):
+    return np.frombuffer(base64.b64decode(doc["trees"][key]), DTYPES[key])
+
+
+class TestSparseCoef:
+    """The coefficients are stored as their support and nonzero values,
+    and the thresholds of the split nodes only; a load rebuilds the
+    arrays of the fitted committee bit for bit."""
+
+    def round_trip(self, model):
+        text = model_io.serialize_model(model)
+        loaded = model_io.deserialize_model(text)
+        a, b = loaded.committee.trees, model.committee.trees
+        for name in ("feature", "threshold", "intercept", "coef"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.shape == y.shape and x.dtype == y.dtype, name
+            assert x.tobytes() == y.tobytes(), name  # bit for bit
+        assert a.coef.flags.c_contiguous
+        assert model_io.serialize_model(loaded) == text
+        return json.loads(text), a
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 4])
+    def test_fitted_committee_round_trips_bit_for_bit(self, n_classes):
+        model, _ = fit_small(n_classes)
+        self.round_trip(model)
+
+    def test_negative_zero_coefficient_is_kept(self):
+        model, _ = fit_small(n_classes=4)
+        coef = model.committee.trees.coef
+        coef[0, 1, 2] = -0.0
+        coef[3, 0, 0] = 0.0
+        doc, loaded = self.round_trip(model)
+        assert np.signbit(loaded.coef[0, 1, 2]) and loaded.coef[0, 1, 2] == 0
+        assert not np.signbit(loaded.coef[3, 0, 0])
+        assert stored(doc, "coef").size == np.count_nonzero(
+            coef.view(np.uint64))
+
+    def test_all_zero_leaf_columns(self):
+        model, _ = fit_small(n_classes=4)
+        coef = model.committee.trees.coef
+        coef[1, 2] = 0.0  # one leaf's column
+        coef[5] = 0.0  # every column of one leaf
+        coef[:, :, 1] = 0.0  # one feature in every leaf
+        _, loaded = self.round_trip(model)
+        assert not loaded.coef[5].any() and not loaded.coef[:, :, 1].any()
+
+    def test_fully_dense_block(self):
+        model, _ = fit_small(n_classes=4)
+        coef = model.committee.trees.coef
+        coef[:] = np.random.default_rng(3).normal(size=coef.shape)
+        doc, _ = self.round_trip(model)
+        assert stored(doc, "coef").size == coef.size
+        support = stored(doc, "support").reshape(3, -1)
+        np.testing.assert_array_equal(np.unpackbits(
+            support, axis=1, count=coef.shape[0] * 4, bitorder="little"), 1)
+
+    def test_depth_0_committee_packs_a_byte_per_feature(self):
+        # one leaf per tree, so L * K = 6 < 8 bits: a row of one byte for
+        # each of the p = 3 features, which a flat packing of the
+        # coefficients' bits would not tell apart from other shapes
+        model, _ = fit_small(depth=0)
+        assert model.committee.trees.coef.shape == (6, 1, 3)
+        doc, _ = self.round_trip(model)
+        assert stored(doc, "support").size == 3
+        assert stored(doc, "threshold").size == 0
+
+    @pytest.mark.parametrize("n_classes", [2, 4])
+    def test_coef_holds_8_bytes_per_set_support_bit(self, n_classes):
+        model, _ = fit_small(n_classes)
+        doc = json.loads(model_io.serialize_model(model))
+        set_bits = np.unpackbits(stored(doc, "support")).sum()
+        assert 0 < set_bits < model.committee.trees.coef.size
+        assert len(base64.b64decode(doc["trees"]["coef"])) == 8 * set_bits
+
+    def test_loaded_coef_is_c_contiguous(self):
+        model, _ = fit_small(n_classes=4)
+        loaded = model_io.deserialize_model(model_io.serialize_model(model))
+        assert loaded.committee.trees.coef.flags.c_contiguous
+
+    # a 3-class fit_small: L = 24 leaves, K = 3, so L * K = 72 columns
+    # and 9 bytes a support row for each of p = 3 features; 18 splits
+    @pytest.mark.parametrize("key, change, message", [
+        ("support", lambda a: a[:-1],
+         r"support holds 26 bytes, not p >= 1 rows of ceil\(L \* K / 8\) "
+         r"= 9 bytes for the L \* K = 72 score columns"),
+        ("support", lambda a: a[:0], r"support holds 0 bytes, not p >= 1 "
+         r"rows of ceil\(L \* K / 8\) = 9 bytes for the L \* K = 72 score "
+         "columns"),
+        ("support", lambda a: np.append(a, 0), r"support holds 28 bytes, not "
+         r"p >= 1 rows of ceil\(L \* K / 8\) = 9 bytes for the L \* K = 72 "
+         "score columns"),
+        ("threshold", lambda a: a[:-1],
+         r"threshold holds 17 values for the 18 split nodes"),
+        ("threshold", lambda a: np.append(a, 0.0),
+         r"threshold holds 19 values for the 18 split nodes"),
+    ])
+    def test_bad_support_or_counts_rejected(self, key, change, message):
+        doc = json.loads(model_io.serialize_model(fit_small(n_classes=3)[0]))
+        edit_array(doc, key, change)
+        with pytest.raises(ValueError, match=f"^trees: {message}$"):
+            model_io.deserialize_model(json.dumps(doc))
+
+    # a value without its bit, or a bit without its value
+    @pytest.mark.parametrize("change, more", [
+        (lambda a: a[:-1], -1), (lambda a: np.append(a, 1.0), 1)])
+    def test_support_bits_must_match_the_values(self, change, more):
+        doc = json.loads(model_io.serialize_model(fit_small(n_classes=3)[0]))
+        n = stored(doc, "coef").size
+        edit_array(doc, "coef", change)
+        with pytest.raises(ValueError, match=f"^trees: support sets {n} bits "
+                                             f"for the {n + more} values of "
+                                             "coef$"):
+            model_io.deserialize_model(json.dumps(doc))
+
+    def test_padding_bit_rejected(self):
+        # L * K = 6 bits of each one-byte row; the top two are padding
+        doc = json.loads(model_io.serialize_model(fit_small(depth=0)[0]))
+        model_io.deserialize_model(json.dumps(doc))
+        for bit in (0x40, 0x80):
+            bad = json.loads(json.dumps(doc))
+            # in the second feature's row
+            edit_array(bad, "support", lambda a: a | [0, bit, 0])
+            with pytest.raises(ValueError, match=r"^trees: support sets a "
+                                                 r"padding bit"):
+                model_io.deserialize_model(json.dumps(bad))
+
+    def test_stored_positive_zero_rejected_and_named(self):
+        # a stored +0.0 would be left out by the next write, so a load
+        # then save would not give the file back; -0.0 is a value
+        doc = json.loads(model_io.serialize_model(fit_small(n_classes=3)[0]))
+        support = np.unpackbits(stored(doc, "support").reshape(3, -1),
+                                axis=1, count=72, bitorder="little")
+        leaf = np.flatnonzero(support) % 72 // 3
+        # a value in one of the leaves 8-11, those of member 1's stage 0
+        v = int(np.flatnonzero((leaf >= 8) & (leaf < 12))[0])
+        negative = json.loads(json.dumps(doc))
+        edit_array(negative, "coef", put(v, -0.0))
+        text = json.dumps(negative, sort_keys=True) + "\n"
+        assert model_io.serialize_model(model_io.deserialize_model(text)) == (
+            text)
+        edit_array(doc, "coef", put(v, 0.0))
+        with pytest.raises(ValueError, match=r"^member 1 stage 0 tree: coef "
+                                             r"stores a 0\.0, which support "
+                                             r"must leave out$"):
+            model_io.deserialize_model(json.dumps(doc))
+
+
+GOLDEN = Path(__file__).parent / "data" / "model_v8.json"
+
+
+def test_golden_v8_file_loads_predicts_and_reserializes():
+    # a committed file of a seeded fit_small(4, seed=1, depth=3,
+    # min_leaf_size=15): L * K = 116 support columns, so each of the
+    # three rows ends in 4 padding bits.  It pins the bit and value order
+    # of packbits and unpackbits(axis=1, count=...) on every NumPy that
+    # runs the tests: where the nonzero coefficients sit, and the last
+    # leaf's, whose columns end each support row.
+    text = GOLDEN.read_text(encoding="utf-8")
+    model = model_io.deserialize_model(text)
+    coef = model.committee.trees.coef
+    assert coef.shape == (29, 4, 3)
+    assert np.count_nonzero(coef, axis=(0, 1)).tolist() == [89, 43, 38]
+    assert np.count_nonzero(coef, axis=(1, 2)).tolist() == [
+        8, 8, 4, 0, 4, 8, 8, 6, 4, 6, 6, 6, 6, 6, 6, 6, 8, 8, 6, 6, 4, 6, 2,
+        4, 8, 8, 6, 6, 6]
+    assert coef[-1].tolist() == [
+        [0.0, -3.176423922212803, 0.0], [-1.254901079598826e-30, 0.0, 0.0],
+        [-3.2714715760426163, -0.6004516329594434, 0.0],
+        [1.3599509538145598, 2.1532999424914196, 0.0]]
+    rows = np.array([[a, b, 0.25] for a in (-0.9, -0.45, -0.1, 0.2, 0.55, 0.9)
+                     for b in (-0.5, 0.5)])
+    assert ensemble.predict_sbpmt_many(model, rows).tolist() == [
+        0, 0, 1, 1, 1, 1, 2, 2, 3, 3, 3, 3]
+    assert model_io.serialize_model(model) == text
+
+
 def tree_of(doc, k, t):
     """The stored tree of member k's stage t in a decoded document."""
     return doc["trees"][sum(len(m["stages"]) for m in doc["members"][:k])
@@ -390,7 +600,9 @@ class TestUntrustedFile:
                             intercept=[[0.0] * 3] * 3,
                             coef=[[[0.0] * 3] * 3] * 3),
          "split list is not one tree: node 3 follows a complete tree"),
-        (lambda t: t["threshold"].__setitem__(-1, math.nan),
+        # node 4, the tree's last split node (a leaf's threshold is not
+        # stored)
+        (lambda t: t["threshold"].__setitem__(4, math.nan),
          "threshold must hold finite numbers"),
         (lambda t: t["intercept"][-1].__setitem__(0, -math.inf),
          "intercept must hold finite numbers"),
@@ -428,6 +640,12 @@ class TestUntrustedFile:
         (lambda d: (tree_of(d, 2, 0)["threshold"].__setitem__(0, math.nan),
                     tree_of(d, 0, 1)["threshold"].__setitem__(1, math.nan)),
          "member 0 stage 1 tree: threshold must hold finite numbers"),
+        # and of two coef values, the one in the earlier tree, though it
+        # comes later in the values, which run feature by feature
+        (lambda d: (tree_of(d, 2, 0)["coef"][0][0].__setitem__(0, math.inf),
+                    tree_of(d, 0, 1)["coef"][-1][-1].__setitem__(-1,
+                                                                 math.inf)),
+         "member 0 stage 1 tree: coef must hold finite numbers"),
         # of two faults, the one whose rule comes first (model_io's module
         # docstring): stage values before the trees, a feature out of
         # range before the split lists, the split lists before the values
@@ -467,6 +685,7 @@ class TestUntrustedFile:
     @pytest.mark.parametrize("edit, message", [
         (lambda t: t.pop("threshold"),
          r"^trees: missing keys \['threshold'\]"),
+        (lambda t: t.pop("support"), r"^trees: missing keys \['support'\]"),
         (lambda t: t.update(rows=""), r"^trees: .*unknown keys \['rows'\]"),
         # the child table and leaf numbers follow from the split list
         (lambda t: t.update(left=""), r"unknown keys \['left'\]"),
@@ -496,18 +715,12 @@ class TestUntrustedFile:
          r"\(L, K\) and \(L, K, p\) for the L = \d+ leaves"),
         (lambda t: [t[k].append(t[k][0]) for k in ("intercept", "coef")],
          r"score block: .* for the L = \d+ leaves"),
-        (lambda t: t.update(threshold=t["threshold"][1:]),
-         r"threshold holds \d+ values for \d+ nodes"),
+        # the support still has the coef's L * K = 72 columns, so for the
+        # intercept's 69 the last three set padding bits
         (lambda t: t.update(intercept=t["intercept"][1:]),
-         r"intercept of \d+ and coef of \d+ values must be \(L, 3\) and "
-         r"\(L, 3, p\)"),
-        # a coef length other than L * K * p
-        (lambda t: t["coef"][0].pop(), r"coef of \d+ values must be"),
-        (lambda t: t["coef"][0][0].append(0.0), r"\(L, 3, p\)"),
-        (lambda t: t.update(coef=[row[:1] for row in t["coef"]]),
-         r"must be \(L, 3\)"),
+         "support sets a padding bit"),
         (lambda t: t.update(intercept=[row[:2] for row in t["intercept"]]),
-         r"must be \(L, 3\)"),
+         r"intercept of 68 values must be \(L, 3\)$"),
     ])
     def test_bad_score_block_rejected(self, edit, message):
         # the score block is the committee's: a row too few or too many
@@ -568,7 +781,7 @@ class TestUntrustedFile:
         (lambda d: d.update(n_classes=3.0), "n_classes must be an integer"),
         (lambda d: d.update(n_classes=True), "n_classes must be an integer"),
         (lambda d: d.update(format_version=float(model_io.FORMAT_VERSION)),
-         "unsupported model format version 7.0"),
+         "unsupported model format version 8.0"),
         # the member count is config.M; no member has more than config.T
         # stages
         (lambda d: d["config"].update(M=50),
@@ -674,6 +887,7 @@ class TestUntrustedFile:
         ("trees", "feature"),
         ("trees", "threshold"),
         ("trees", "intercept"),
+        ("trees", "support"),
         ("trees", "coef"),
         ("design", "incidence"),
     ])
@@ -689,9 +903,10 @@ class TestUntrustedFile:
         ("AAAA\nAAAA", "is not valid base64"),
         ("AAAAéAAA", "is not valid base64"),
         ("A===", "is not valid base64"),
-        # 3 bytes: not a whole number of 4- or 8-byte items, nor M * n bits
-        ("AAAA", r"(holds 3 bytes, not a whole number of [48]-byte items"
-                 r"|must hold the M \* n = 450 bits)"),
+        # 3 bytes: not a whole number of 4- or 8-byte items, nor of the
+        # support's rows, nor M * n bits
+        ("AAAA", r"(holds 3 bytes, not (a whole number of [48]-byte items"
+                 r"|p >= 1 rows)|must hold the M \* n = 450 bits)"),
     ])
     def test_bad_array_string_rejected(self, where, key, value, message):
         doc = self.raw_doc()
